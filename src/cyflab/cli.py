@@ -86,11 +86,19 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _number(value, kind, where: str):
+    """value converted by kind (int or float), or a ConfigError naming where."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
 def _as_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0], float, where), _number(value[1], float, where))
     raise ConfigError(f"{where} must be a number or [re, im] pair")
 
 
@@ -104,12 +112,12 @@ def parse_config(doc: dict) -> dict:
     fam = doc["family"]
     _check_keys(fam, _FAMILY_KEYS, "family")
     kind = fam.get("kind")
-    n = int(fam.get("n", 1))
+    n = _number(fam.get("n", 1), int, "family.n")
 
     solver = doc.get("solver", {})
     _check_keys(solver, _SOLVER_KEYS, "solver")
-    grid_n = int(solver.get("grid_n", 64 if n == 1 else 24))
-    tol = float(solver.get("tol", 1e-11))
+    grid_n = _number(solver.get("grid_n", 64 if n == 1 else 24), int, "solver.grid_n")
+    tol = _number(solver.get("tol", 1e-11), float, "solver.tol")
     if grid_n < 8 or grid_n % 2:
         raise ConfigError("solver.grid_n must be even and >= 8")
     if not (0 < tol <= 1e-4):
@@ -117,7 +125,7 @@ def parse_config(doc: dict) -> dict:
 
     stencil = doc.get("stencil", {})
     _check_keys(stencil, _STENCIL_KEYS, "stencil")
-    h_s = float(stencil.get("h_s", 1e-3))
+    h_s = _number(stencil.get("h_s", 1e-3), float, "stencil.h_s")
     if h_s <= 0:
         raise ConfigError("stencil.h_s must be positive")
 
@@ -135,10 +143,14 @@ def parse_config(doc: dict) -> dict:
 
     cont = doc.get("continuation", {})
     _check_keys(cont, {"eps_schedule"}, "continuation")
-    schedule = [float(e) for e in cont.get("eps_schedule",
-                                           [1.0, 0.3, 0.1, 0.03, 0.01, 0.0])]
+    schedule = cont.get("eps_schedule", [1.0, 0.3, 0.1, 0.03, 0.01, 0.0])
+    if not isinstance(schedule, list) or not schedule:
+        raise ConfigError("continuation.eps_schedule must be a non-empty list")
+    schedule = [_number(e, float, "continuation.eps_schedule") for e in schedule]
     if schedule != sorted(schedule, reverse=True) or len(set(schedule)) != len(schedule):
         raise ConfigError("continuation.eps_schedule must be strictly decreasing")
+    if schedule[-1] < 0:
+        raise ConfigError("continuation.eps_schedule must be nonnegative")
 
     base = fam.get("base", {"samples": [[0.0, 1.0]]})
     _check_keys(base, _BASE_KEYS, "family.base")
@@ -146,9 +158,11 @@ def parse_config(doc: dict) -> dict:
         samples = [_as_complex(v, "family.base.samples") for v in base["samples"]]
     else:
         rect = base.get("rect")
-        if rect is None or len(rect) != 4:
+        if not isinstance(rect, list) or len(rect) != 4:
             raise ConfigError("family.base needs samples or rect [re0, re1, im0, im1]")
-        nx, ny = int(base.get("nx", 5)), int(base.get("ny", 5))
+        rect = [_number(v, float, "family.base.rect") for v in rect]
+        nx = _number(base.get("nx", 5), int, "family.base.nx")
+        ny = _number(base.get("ny", 5), int, "family.base.ny")
         res = np.linspace(rect[0], rect[1], nx)
         ims = np.linspace(rect[2], rect[3], ny)
         samples = [complex(a, b) for b in ims for a in res]
@@ -157,11 +171,11 @@ def parse_config(doc: dict) -> dict:
 
     chi_terms = {}
     for row in fam.get("chi", []):
-        if len(row) != 2 * n + 4:
+        if not isinstance(row, list) or len(row) != 2 * n + 4:
             raise ConfigError(
                 f"chi terms must be [k_1..k_{2 * n}, p, q, re, im], got {row}")
-        key = tuple(int(v) for v in row[:-2])
-        chi_terms[key] = chi_terms.get(key, 0.0) + complex(float(row[-2]), float(row[-1]))
+        key = tuple(_number(v, int, "family.chi") for v in row[:-2])
+        chi_terms[key] = chi_terms.get(key, 0.0) + _as_complex(row[-2:], "family.chi")
     chi = FourierPoly(n, chi_terms)
     if chi.realness_residual() > 1e-13:
         raise ConfigError("family.chi is not closed under conjugation (not real)")
@@ -177,27 +191,49 @@ def parse_config(doc: dict) -> dict:
             omega_matrix=(np.array([[_as_complex(v, "period_matrix") for v in row]
                                     for row in fam["period_matrix"]])
                           if "period_matrix" in fam else None),
-            chi=chi, base_coeff=float(fam.get("base_coeff", 1.0)),
+            chi=chi, base_coeff=_number(fam.get("base_coeff", 1.0), float, "family.base_coeff"),
             grid_n=grid_n, base_samples=tuple(samples))
     except (GeometryError, TypeError) as exc:
         raise ConfigError(f"invalid family: {exc}") from exc
 
     fiber = doc.get("fiber", {})
     _check_keys(fiber, _FIBER_KEYS, "fiber")
-    if "manufactured" in fiber and fiber["manufactured"] is not None:
-        _check_keys(fiber["manufactured"], _MANUFACTURED_KEYS, "fiber.manufactured")
+    if "s" in fiber:
+        _as_complex(fiber["s"], "fiber.s")
+    _number(fiber.get("eps", 0.0), float, "fiber.eps")
+    manufactured = fiber.get("manufactured")
+    if manufactured is not None:
+        _check_keys(manufactured, _MANUFACTURED_KEYS, "fiber.manufactured")
+    if manufactured:
+        missing = {"amplitude", "mode"} - set(manufactured)
+        if missing:
+            raise ConfigError(f"fiber.manufactured needs {sorted(missing)}")
+        _number(manufactured["amplitude"], float, "fiber.manufactured.amplitude")
+        _number(manufactured.get("eps", 0.0), float, "fiber.manufactured.eps")
+        mode = manufactured["mode"]
+        if not isinstance(mode, list) or len(mode) != 2 * n:
+            raise ConfigError(
+                f"fiber.manufactured.mode must list {2 * n} integer frequencies, got {mode}")
+        for v in mode:
+            _number(v, int, "fiber.manufactured.mode")
+
+    threads = _number(doc.get("threads", 1), int, "threads")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
 
     return {
         "spec": spec,
-        "solver": SolverConfig(tol=tol, max_iters=int(solver.get("max_iters", 50)),
-                               damping_floor=float(solver.get("damping_floor", 2.0 ** -20))),
+        "solver": SolverConfig(
+            tol=tol, max_iters=_number(solver.get("max_iters", 50), int, "solver.max_iters"),
+            damping_floor=_number(solver.get("damping_floor", 2.0 ** -20), float,
+                                  "solver.damping_floor")),
         "h_s": h_s,
         "richardson": bool(stencil.get("richardson", False)),
         "schedule": schedule,
         "outputs": {"dir": outputs.get("dir", "out"), "formats": list(formats)},
         "suites": list(suites),
-        "seed": int(doc.get("seed", 0)),
-        "threads": int(doc.get("threads", 1)),
+        "seed": _number(doc.get("seed", 0), int, "seed"),
+        "threads": threads,
         "fiber": fiber,
         "samples": samples,
         "raw": doc,
@@ -260,18 +296,18 @@ def write_family_csv(path: Path, rows: list):
 
 
 def write_phi_csv(path: Path, phi: np.ndarray):
+    """CSV of a real field: the bytes csv.writer gives, CRLF line ends included."""
+    phi = np.asarray(phi, dtype=float)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
         if phi.ndim == 2:
-            writer.writerow(["i", "j", "phi"])
-            for i in range(phi.shape[0]):
-                for j in range(phi.shape[1]):
-                    writer.writerow([i, j, repr(float(phi[i, j]))])
+            fh.write("i,j,phi\r\n")
+            fh.write("".join(f"{i},{j},{v!r}\r\n"
+                             for i, row in enumerate(phi.tolist())
+                             for j, v in enumerate(row)))
         else:
-            writer.writerow(["flat_index", "phi"])
-            for i, v in enumerate(phi.ravel()):
-                writer.writerow([i, repr(float(v))])
+            fh.write("flat_index,phi\r\n")
+            fh.write("".join(f"{i},{v!r}\r\n" for i, v in enumerate(phi.ravel().tolist())))
 
 
 def write_heatmap_svg(path: Path, samples: list, values: list, cell: int = 40):
@@ -698,6 +734,8 @@ def main(argv=None) -> int:
             cfg["raw"].setdefault("stencil", {})["h_s"] = args.fd_step
             cfg = parse_config(cfg["raw"])
         if args.threads is not None:
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be at least 1, got {args.threads}")
             cfg["threads"] = args.threads
         out_dir = Path(args.out or cfg["outputs"]["dir"])
         if args.command == "solve-fiber":

@@ -471,7 +471,7 @@ def _vphi_rhs(family: Family, rho_eps: AssembledRho, a_p: np.ndarray,
     chart = om.chart
     gzz = om.gab[0, 0]
     phi = rho_eps.solutions[key].phi
-    hzz = gzz + np.fft.ifftn(np.fft.fftn(phi) * chart.z_mult[0] * (-np.conj(chart.z_mult[0])))
+    hzz = gzz + ddc_fiber(phi, chart)[0, 0]
     tau = family.tau(s)
     taup = family.tau_prime(s)
     D = tau - np.conj(tau)
@@ -572,9 +572,7 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
     hup_stack = {}
     for key in inner:
         om = rho_e.omegas[key]
-        hz = om.gab[0, 0] + np.fft.ifftn(
-            np.fft.fftn(phis[key]) * om.chart.z_mult[0] * (-np.conj(om.chart.z_mult[0])))
-        hup_stack[key] = 1.0 / hz
+        hup_stack[key] = 1.0 / (om.gab[0, 0] + ddc_fiber(phis[key], om.chart)[0, 0])
     R_stack = {key: _vphi_rhs(family, rho_e, a_ps[key], key=key) for key in inner}
 
     # conj-lift coefficients: abar = conj(tau') y + conj(a_p)
@@ -614,8 +612,7 @@ def _inner_assembly(family: Family, rho0: AssembledRho, key) -> np.ndarray:
     chart = om.chart
     phis = rho0.phi_stack()
     dzb = {k: d_zbar(phis[k], rho0.omegas[k].chart) for k in phis}
-    hzz = om.gab[0, 0] + np.fft.ifftn(
-        np.fft.fftn(phis[key]) * chart.z_mult[0] * (-np.conj(chart.z_mult[0])))
+    hzz = om.gab[0, 0] + ddc_fiber(phis[key], chart)[0, 0]
     msz = om.ystruct.msz + _fd_ds(dzb, stencil.h_s, at=key)
     return -msz / hzz
 

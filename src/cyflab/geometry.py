@@ -16,6 +16,13 @@ Conventions used throughout the package:
   is det(Im Omega) and integrating a density f against a metric g gives
   mean(f * det g) * det(Im Omega).
 * c_n = i^{n^2} is the positivity constant for pairing (n,0)-forms.
+
+This module is the package's only spectral layer: every Fourier transform
+goes through the functions below, with scipy.fft as the backend.  Operators
+that map real fields to real fields (dd^c, real even Fourier multipliers)
+take a real field through real transforms on the half spectrum (last axis
+0..N/2), which suffices because its spectrum is Hermitian.  Complex fields,
+and the complex-valued d/dz and d/dzbar, use full complex transforms.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 
 class GeometryError(ValueError):
@@ -42,9 +50,35 @@ class InvalidFieldError(GeometryError):
     """A field contains non-finite or structurally invalid values."""
 
 
-def c_positivity(n: int) -> complex:
-    """The constant i^(n^2) making c_n * u ^ conj(u) a positive volume."""
-    return 1j ** (n * n)
+def fft(f: np.ndarray) -> np.ndarray:
+    """Full complex spectrum of a field (all axes)."""
+    return scipy.fft.fftn(f)
+
+
+def ifft(fh: np.ndarray) -> np.ndarray:
+    return scipy.fft.ifftn(fh)
+
+
+def rfft(f: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real field: the last axis keeps frequencies 0..N/2."""
+    return scipy.fft.rfftn(f)
+
+
+def irfft(fh: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real field of the given grid shape from a Hermitian half spectrum."""
+    return scipy.fft.irfftn(fh, s=shape)
+
+
+def fourier_multiply(f: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Apply the Fourier multiplier mult (full grid, real and even in k) to f.
+
+    Such a multiplier maps real fields to real fields, so a real f goes
+    through the half spectrum and gives a real result; a complex f gives
+    a complex result.
+    """
+    if np.iscomplexobj(f):
+        return ifft(fft(f) * mult)
+    return irfft(rfft(f) * mult[..., : f.shape[-1] // 2 + 1], f.shape)
 
 
 @dataclass(frozen=True)
@@ -91,15 +125,10 @@ class FiberGrid:
         return list(np.meshgrid(*([k] * 2 * self.n), indexing="ij"))
 
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(f)
+        return fft(f)
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fh)
-
-    def deriv_real(self, f: np.ndarray, axis: int) -> np.ndarray:
-        """Spectral d/d(xi_axis) of the trigonometric interpolant."""
-        fh = np.fft.fftn(f)
-        return np.fft.ifftn(fh * (2j * np.pi * self.deriv_freqs[axis]))
+        return ifft(fh)
 
     def mean(self, f: np.ndarray) -> complex:
         return complex(np.mean(f))
@@ -169,16 +198,24 @@ class FiberChart:
             out.append(2j * np.pi * m)
         return out
 
-    def z_values(self) -> list:
-        """Grid samples of the holomorphic coordinates z^a."""
-        xs = self.grid.coords
-        zs = []
+    def ddc_mult(self, a: int, b: int) -> np.ndarray:
+        """Multiplier M_a(k) * (-conj M_b(k)) of f -> f_{alpha beta-bar}."""
+        return self.z_mult[a] * (-np.conj(self.z_mult[b]))
+
+    @cached_property
+    def ddc_mult_half(self) -> dict:
+        """Half-spectrum (Re, Im) parts of the even multipliers ddc_mult(a, b), a <= b.
+
+        For a real field both parts give real inverse transforms: the real
+        and imaginary parts of f_{alpha beta-bar}.  The diagonal multipliers
+        are real, so their imaginary part is None.
+        """
+        out = {}
         for a in range(self.n):
-            z = xs[2 * a].astype(complex)
-            for b in range(self.n):
-                z = z + self.omega_matrix[a, b] * xs[2 * b + 1]
-            zs.append(z)
-        return zs
+            for b in range(a, self.n):
+                m = self.ddc_mult(a, b)[..., : self.grid.N // 2 + 1]
+                out[a, b] = (m.real.copy(), None if a == b else m.imag.copy())
+        return out
 
     def check_field(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f)
@@ -216,12 +253,12 @@ def fiber_derivative(f: np.ndarray, chart: FiberChart, index: tuple,
     """
     f = chart.check_field(f)
     kind, a = index
-    fh = np.fft.fftn(f)
+    fh = fft(f)
     m = chart.z_mult[a]
     if kind == "z":
-        out = np.fft.ifftn(fh * m)
+        out = ifft(fh * m)
     elif kind == "zbar":
-        out = np.fft.ifftn(fh * (-np.conj(m)))
+        out = ifft(fh * (-np.conj(m)))
     else:
         raise GeometryError(f"unknown derivative index {index!r}")
     if linear is not None:
@@ -240,16 +277,28 @@ def d_zbar(f, chart, a=0):
 def ddc_fiber(f: np.ndarray, chart: FiberChart) -> np.ndarray:
     """Matrix of mixed second derivatives f_{alpha beta-bar}, shape (n,n,grid).
 
-    These are the fiber components of dd^c f (Hermitian for real f).
+    These are the fiber components of dd^c f.  For real f the matrix is
+    Hermitian and is built from the half spectrum: the diagonal and the
+    real and imaginary parts of each upper entry are real inverse
+    transforms, and each lower entry is the conjugate of its partner.
     """
     f = chart.check_field(f)
     n = chart.n
-    fh = np.fft.fftn(f)
-    out = np.empty((n, n) + chart.grid.shape, dtype=complex)
+    out = np.empty((n, n) + f.shape, dtype=complex)
+    if np.iscomplexobj(f):
+        fh = fft(f)
+        for a in range(n):
+            for b in range(n):
+                out[a, b] = ifft(fh * chart.ddc_mult(a, b))
+        return out
+    fh = rfft(f)
     for a in range(n):
-        for b in range(n):
-            mult = chart.z_mult[a] * (-np.conj(chart.z_mult[b]))
-            out[a, b] = np.fft.ifftn(fh * mult)
+        out[a, a] = irfft(fh * chart.ddc_mult_half[a, a][0], f.shape)
+        for b in range(a + 1, n):
+            re_mult, im_mult = chart.ddc_mult_half[a, b]
+            out[a, b].real = irfft(fh * re_mult, f.shape)
+            out[a, b].imag = irfft(fh * im_mult, f.shape)
+            np.conjugate(out[a, b], out=out[b, a])
     return out
 
 
@@ -354,11 +403,9 @@ def invert_flat_laplacian(f: np.ndarray, chart: FiberChart,
         raise NormalizationError(
             f"flat Laplacian inversion needs zero-mean source, got mean {np.mean(f):.3e}")
     lam = flat_symbol(chart, g_const)
-    fh = np.fft.fftn(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uh = np.where(lam > 0, fh / (-lam), 0.0)
-    uh.flat[0] = 0.0
-    return np.fft.ifftn(uh)
+    with np.errstate(divide="ignore"):
+        inv = np.where(lam > 0, -1.0 / lam, 0.0)
+    return fourier_multiply(f, inv)
 
 
 def fiber_integral(density: np.ndarray, chart: FiberChart,
@@ -387,8 +434,3 @@ def fiber_integral_complex(density, chart: FiberChart, metric=None, volume_densi
         w = w * volume_density
     return complex(np.mean(w)) * chart.measure
 
-
-def metric_mean(f: np.ndarray, chart: FiberChart, metric: np.ndarray) -> complex:
-    """Average of f against the metric volume form (integral / volume)."""
-    det = herm_det(metric)
-    return complex(np.mean(f * det) / np.mean(det))

@@ -24,6 +24,8 @@ from .geometry import (
     InvalidFieldError,
     fiber_integral,
     flat_symbol,
+    fourier_multiply,
+    ifft,
 )
 
 
@@ -40,10 +42,9 @@ class GreenOperator:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Inverse of -Delta_h on the zero-mean subspace (grid mean removed)."""
-        fh = np.fft.fftn(np.asarray(f, dtype=complex))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uh = np.where(self.lam > 0, fh / self.lam, 0.0)
-        return np.fft.ifftn(uh)
+        with np.errstate(divide="ignore"):
+            inv = np.where(self.lam > 0, 1.0 / self.lam, 0.0)
+        return fourier_multiply(np.asarray(f), inv)
 
     def kernel_modes(self):
         """Frequencies below Nyquist and their exact eigenvalues.
@@ -79,7 +80,7 @@ class GreenOperator:
         ks, lam = self.kernel_modes()
         big = np.zeros((R,) * dim, dtype=complex)
         big[tuple((ks % R).T)] = 1.0 / (lam * self.volume)
-        out = np.fft.ifftn(big) * R ** dim
+        out = ifft(big) * R ** dim
         if np.max(np.abs(out.imag)) > 1e-10 * max(1.0, np.max(np.abs(out))):
             raise InvalidFieldError("Green kernel synthesis has imaginary residue")
         return out.real
@@ -155,8 +156,7 @@ def k_bound(green: GreenOperator, resolution: int | None = None,
 def reproducing_residual(green: GreenOperator, f: np.ndarray) -> float:
     """sup | G(-Delta f) - (f - mean f) | for a smooth test field."""
     chart = green.chart
-    fh = np.fft.fftn(np.asarray(f, dtype=complex))
-    neg_lap_f = np.fft.ifftn(fh * green.lam)
+    neg_lap_f = fourier_multiply(np.asarray(f), green.lam)
     recovered = green.apply(neg_lap_f)
     target = f - np.mean(f)
     return float(np.max(np.abs(recovered - target)))

@@ -30,6 +30,7 @@ from .geometry import (
     ddc_fiber,
     fiber_integral,
     flat_symbol,
+    fourier_multiply,
     herm_det,
     herm_inverse,
     herm_min_eig,
@@ -121,79 +122,101 @@ def eta_from_metric(gab: np.ndarray, chart: FiberChart) -> np.ndarray:
     return -np.log(det) + c
 
 
-def _linear_solve(h, chart, eps, rhs, config: SolverConfig):
-    """Solve Delta_h u - eps u = rhs.
+def _hessian_weights(h) -> list:
+    """Real weights of u -> Re sum_ab h^{b a} u_{a b-bar} for real u.
 
-    For eps = 0 the right-hand side is projected onto the solvable range
-    (zero det(h)-weighted mean) and the unique grid-mean-zero solution is
-    returned.
+    Returns (a, b, w_re, w_im) for a <= b, with the sum equal to
+    sum w_re Re u_ab + w_im Im u_ab.  The hessian of a real u is Hermitian,
+    so each off-diagonal pair (a, b), (b, a) folds into one complex weight.
     """
-    grid = chart.grid
-    det = herm_det(h)
     hup = herm_inverse(h)
+    weights = []
+    for a in range(h.shape[0]):
+        weights.append((a, a, np.ascontiguousarray(hup[a, a].real), None))
+        for b in range(a + 1, h.shape[0]):
+            w = hup[b, a] + np.conj(hup[a, b])
+            weights.append((a, b, np.ascontiguousarray(w.real), -w.imag))
+    return weights
+
+
+def _linear_solve(h, chart, eps, rhs, config: SolverConfig):
+    """Solve Delta_h u - eps u = rhs; returns (u, fallbacks).
+
+    For Hermitian h the operator maps real fields to real fields, so a real
+    right-hand side is solved in real arithmetic and a complex one as two
+    real systems.  For eps = 0 the right-hand side is projected onto the
+    solvable range (zero det(h)-weighted mean) and the unique grid-mean-zero
+    solution is returned.  fallbacks counts the Krylov solves that stopped
+    short of rtol but were accepted on a true residual below 1e-8.
+    """
+    if np.iscomplexobj(rhs):
+        re, fb_re = _linear_solve(h, chart, eps, rhs.real, config)
+        im, fb_im = _linear_solve(h, chart, eps, rhs.imag, config)
+        return re + 1j * im, fb_re + fb_im
+    grid = chart.grid
+    n = chart.n
     pin = eps == 0
     if pin:
+        det = herm_det(h).real
         rhs = rhs - np.mean(rhs * det) / np.mean(det)
-    h_mean = np.array([[np.mean(h[a, b]) for b in range(chart.n)] for a in range(chart.n)])
+    h_mean = np.array([[np.mean(h[a, b]) for b in range(n)] for a in range(n)])
     lam = flat_symbol(chart, h_mean)
-    n = chart.n
+    weights = _hessian_weights(h)
 
     # Pure-Nyquist modes are annihilated by the spectral derivative, hence
     # sit in the kernel of Delta_h at eps = 0; their rhs content is aliasing
     # noise and is filtered out to keep the system consistent.
-    kernel_mask = None
+    keep = None
     if pin:
         kernel_mask = lam == 0
         kernel_mask.flat[0] = False       # the constant mode is pinned instead
+        if kernel_mask.any():
+            keep = (~kernel_mask).astype(float)
+        with np.errstate(divide="ignore"):
+            inv_denom = np.where(lam > 0, -1.0 / lam, 0.0)
+        inv_denom.flat[0] = 1.0
+    else:
+        inv_denom = -1.0 / (lam + eps)
 
     def filtered(f):
-        if kernel_mask is None or not kernel_mask.any():
-            return f
-        fh = np.fft.fftn(f)
-        fh[kernel_mask] = 0.0
-        return np.fft.ifftn(fh)
+        return f if keep is None else fourier_multiply(f, keep)
 
     def apply(vec):
         u = vec.reshape(grid.shape)
         hess = ddc_fiber(u, chart)
-        out = -eps * u if eps else np.zeros(grid.shape, dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                out = out + hup[b, a] * hess[a, b]
+        out = -eps * u if eps else np.zeros(grid.shape)
+        for a, b, w_re, w_im in weights:
+            out += w_re * hess[a, b].real
+            if w_im is not None:
+                out += w_im * hess[a, b].imag
         out = filtered(out)
         if pin:
-            out = out + np.mean(u)
+            out += np.mean(u)
         return out.ravel()
 
     def precond(vec):
-        w = vec.reshape(grid.shape)
-        wh = np.fft.fftn(w)
-        denom = -(lam + eps)
-        if pin:
-            denom = denom.copy()
-            denom.flat[0] = 1.0
-            denom[kernel_mask] = 1.0
-            wh[kernel_mask] = 0.0
-        return np.fft.ifftn(wh / denom).ravel()
+        return fourier_multiply(vec.reshape(grid.shape), inv_denom).ravel()
 
     size = grid.num_nodes
-    op = LinearOperator((size, size), matvec=apply, dtype=complex)
-    pre = LinearOperator((size, size), matvec=precond, dtype=complex)
-    b = filtered(rhs.astype(complex)).ravel()
+    op = LinearOperator((size, size), matvec=apply, dtype=float)
+    pre = LinearOperator((size, size), matvec=precond, dtype=float)
+    b = filtered(np.asarray(rhs, dtype=float)).ravel()
     sol, info = lgmres(op, b, M=pre, rtol=config.linear_rtol,
                        atol=0.0, maxiter=config.linear_maxiter)
+    fallbacks = 0
     if info != 0:
         # conditioning can put the Krylov floor slightly above rtol; accept
-        # the iterate if its true residual is still small
+        # the iterate if its true residual is still small, and count it
         bnorm = np.linalg.norm(b)
         rel = np.linalg.norm(apply(sol) - b) / bnorm if bnorm > 0 else 0.0
         if rel > 1e-8:
             raise SolverDivergence(
                 f"linear solve did not converge (lgmres info {info}, rel {rel:.3e})")
+        fallbacks = 1
     u = sol.reshape(grid.shape)
     if pin:
         u = u - np.mean(u)
-    return u
+    return u, fallbacks
 
 
 def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
@@ -222,8 +245,10 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         raise DefinitenessError("initial guess loses fiber positivity")
     res = float(np.max(np.abs(F)))
     iters = 0
+    fallbacks = 0
     while res > config.tol and iters < config.max_iters:
-        u = _linear_solve(h, chart, eps, -F, config).real
+        u, fb = _linear_solve(h, chart, eps, -F, config)
+        fallbacks += fb
         t = 1.0
         while True:
             F_new, h_new, _ = residual_field(phi + t * u)
@@ -263,6 +288,9 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         "fiber_min_eig": herm_min_eig(h),
         "volume_residual": abs(vol_h - vol_g) / abs(vol_g),
         "det_h_constancy": float(np.max(np.abs(det_h - np.mean(det_h))) / np.mean(det_h)),
+        # Newton steps whose Krylov solve missed rtol and was accepted on
+        # its true residual
+        "linear_fallbacks": fallbacks,
     }
     return MASolution(phi=phi, residual_sup=res, newton_iters=iters,
                       normalization=normalization, diagnostics=diagnostics)
@@ -294,7 +322,7 @@ def linearized_solve(h: np.ndarray, chart: FiberChart, epsilon: float, R: np.nda
         if compat > solvability_tol:
             raise NormalizationError(
                 f"eps = 0 linearized problem violates solvability ({compat:.3e})")
-    u = _linear_solve(h, chart, epsilon, -np.asarray(R, dtype=complex), config)
+    u, _ = _linear_solve(h, chart, epsilon, -np.asarray(R), config)
     if epsilon == 0:
         u = u - np.mean(u * det) / np.mean(det)
     return u

@@ -263,14 +263,14 @@ class Family:
             chi_z = d_z(chi_grid, chart)
             gzz = gzz + d_zbar(chi_z, chart)
 
-        # periodic part of g_{s z-bar}; the full component is -tau' y gzz + msz
-        if self._chi_s.is_zero():
-            msz = np.zeros(grid.shape, dtype=complex)
-        else:
-            chi_s = self._chi_s.eval(grid, s)
-            msz = d_zbar(chi_s, chart)
-            if taup != 0:
-                msz = msz + (taup / D) * chi_z
+        # periodic part of g_{s z-bar}; the full component is -tau' y gzz + msz.
+        # The chain-rule term (tau'/D) chi_z comes from D_s acting on chi at
+        # fixed z and is present whether or not chi depends on s.
+        msz = np.zeros(grid.shape, dtype=complex)
+        if not self._chi_s.is_zero():
+            msz = msz + d_zbar(self._chi_s.eval(grid, s), chart)
+        if taup != 0 and chi_z is not None:
+            msz = msz + (taup / D) * chi_z
 
         # g_{s s-bar} = |tau'|^2 y^2 gzz + y q1 + q0
         if self.spec.kind == "product":
@@ -416,10 +416,6 @@ class FamilyForm:
 
 
 # -- the closed-form universal elliptic family (the exact oracle) -----------
-
-ORACLE_QUANTITIES = ("c", "theta", "dbarv_norm2", "h_zz", "h_sz", "h_ss",
-                     "lift_a", "dbar_a", "direct_image_density", "volume")
-
 
 @dataclass(frozen=True)
 class EllipticOracle:

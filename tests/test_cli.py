@@ -210,3 +210,45 @@ def test_grid_override(tmp_path):
     # --grid propagates through re-parsing
     assert main(["verify", "--config", str(path), "--suite", "identities",
                  "--grid", "32"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, edit", [
+    (["solve-fiber"], {"fiber": {"manufactured": {"mode": [1, 0]}}}),
+    (["solve-fiber"], {"fiber": {"manufactured": {"amplitude": 0.05, "mode": [1, 0, 0]}}}),
+    (["solve-fiber"], {"solver": {"grid_n": "x"}}),
+    (["verify", "--suite", "epsilon"], {"continuation": {"eps_schedule": []}}),
+    (["run-family"], {"threads": 0}),
+], ids=["manufactured-no-amplitude", "mode-3-entries", "grid-n-string",
+        "empty-eps-schedule", "threads-0"])
+def test_malformed_config_exits_2(tmp_path, capsys, command, edit):
+    path, _ = base_config(tmp_path, **edit)
+    assert main(command + ["--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def _csv_module_phi(path, phi):
+    """The csv.writer form of write_phi_csv, the reference for its bytes."""
+    import csv
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        if phi.ndim == 2:
+            writer.writerow(["i", "j", "phi"])
+            for i in range(phi.shape[0]):
+                for j in range(phi.shape[1]):
+                    writer.writerow([i, j, repr(float(phi[i, j]))])
+        else:
+            writer.writerow(["flat_index", "phi"])
+            for i, v in enumerate(phi.ravel()):
+                writer.writerow([i, repr(float(v))])
+
+
+@pytest.mark.parametrize("shape", [(8, 6), (4, 4, 4, 4)])
+def test_phi_csv_bytes_match_csv_module(tmp_path, shape):
+    from cyflab.cli import write_phi_csv
+    rng = np.random.RandomState(1)
+    phi = rng.standard_normal(shape) * 10.0 ** rng.randint(-20, 20, size=shape)
+    phi.flat[0] = 0.0
+    phi.flat[1] = -1e-300
+    write_phi_csv(tmp_path / "new.csv", phi)
+    _csv_module_phi(tmp_path / "ref.csv", phi)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

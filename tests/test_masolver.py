@@ -137,6 +137,22 @@ def test_divergence_reported(flat_setup):
     assert err.value.residual is not None
 
 
+def test_linear_fallbacks_recorded():
+    """Krylov solves that miss rtol but pass the true-residual check are counted."""
+    grid = FiberGrid(1, 16)
+    chart = FiberChart.make(grid, tau=1j)
+    g = np.ones((1, 1) + grid.shape, dtype=complex)
+    x = grid.coords[0]
+    phi_star = 0.1 * np.cos(2 * np.pi * x)
+    extra_f = np.log(1.0 + ddc_fiber(phi_star, chart)[0, 0].real) - 0.5 * phi_star
+    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
+                        epsilon=0.5, extra_f=extra_f)
+    strict = solve_ma(problem, SolverConfig(linear_rtol=1e-16, linear_maxiter=2))
+    assert strict.residual_sup < 1e-11
+    assert strict.diagnostics["linear_fallbacks"] >= 1
+    assert solve_ma(problem).diagnostics["linear_fallbacks"] == 0
+
+
 def test_config_validation():
     with pytest.raises(GeometryError):
         SolverConfig(tol=0.0)

@@ -99,6 +99,25 @@ def test_closedness_residual(perturbed_family):
     assert np.max(np.abs(lhs - ds_gzz)) < 1e-12
 
 
+def test_s_independent_potential_on_elliptic_family():
+    """chi = 0.05 cos 2 pi x does not depend on s, yet D_s of it at fixed z
+    does (z drags with s); g_ss-bar must stay real and omega closed."""
+    chi = FourierPoly.real_cosine(1, (1, 0), {(0, 0): 1.0}, 0.05)
+    s = 0.2 + 1.0j
+    fam = make_family(FamilySpec(kind="universal_elliptic", chi=chi, grid_n=32,
+                                 base_samples=(s,)))
+    form = fam.omega(s)
+    assert np.max(np.abs(form.gss.imag)) < 1e-12
+    taup = fam.tau_prime(s)
+    D = fam.tau(s) - np.conj(fam.tau(s))
+    gzz = form.gab[0, 0]
+    y = fam.grid.coords[1]
+    ds_gzz = fam.vrho_gzz(s, np.zeros(fam.grid.shape)) - taup * y * d_z(gzz, form.chart)
+    lhs = -taup * (gzz / D) - taup * y * d_z(gzz, form.chart) \
+        + d_z(form.ystruct.msz, form.chart)
+    assert np.max(np.abs(lhs - ds_gzz)) < 1e-12
+
+
 def test_closedness_against_stencil(perturbed_family):
     """FD consistency across the stencil: the spec-level closedness check.
 

@@ -572,7 +572,8 @@ def suite_epsilon(cfg: dict) -> dict:
     for eps in cfg["schedule"]:
         out = vphi_cross_check(family, s, eps=eps, h_s=cfg["h_s"], config=cfg["solver"])
         vphi_rows.append({"eps": eps, "sup_difference": out["sup_difference"],
-                          "vphi_integral": out["vphi_integral"]})
+                          "vphi_integral": out["vphi_integral"],
+                          "linear_fallbacks": out["linear_fallbacks"]})
         ok = ok and out["vphi_integral"] < 1e-8
     for row in path.table:
         if row["eps"] > 0:

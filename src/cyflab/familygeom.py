@@ -524,6 +524,9 @@ def vphi_cross_check(family: Family, s: complex, eps: float = 0.0,
         "vphi_fd": route_a,
         "vphi_pde": route_b,
         "rhs_integral": abs(fiber_integral_complex(R, chart, metric=h_fiber)),
+        # Krylov fallbacks of the eps stencil solves (see solve_ma)
+        "linear_fallbacks": sum(sol.diagnostics["linear_fallbacks"]
+                                for sol in rho_e.solutions.values()),
     }
 
 

@@ -217,6 +217,17 @@ class FiberChart:
                 out[a, b] = (m.real.copy(), None if a == b else m.imag.copy())
         return out
 
+    @cached_property
+    def flat_inverse_mult(self) -> np.ndarray:
+        """Multiplier -1/lambda(k) of the flat Laplacian's inverse, 0 where lambda = 0.
+
+        lambda is flat_symbol(self): f_{alpha alpha-bar} summed over alpha
+        has symbol -lambda.  The zeroed modes are its kernel: the constant
+        mode and the pure-Nyquist modes that the spectral derivative
+        annihilates.
+        """
+        return _inverse_symbol(flat_symbol(self))
+
     def check_field(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f)
         if f.shape != self.grid.shape:
@@ -402,10 +413,15 @@ def invert_flat_laplacian(f: np.ndarray, chart: FiberChart,
     if abs(np.mean(f)) > mean_tol * scale:
         raise NormalizationError(
             f"flat Laplacian inversion needs zero-mean source, got mean {np.mean(f):.3e}")
-    lam = flat_symbol(chart, g_const)
+    if g_const is None:
+        return fourier_multiply(f, chart.flat_inverse_mult)
+    return fourier_multiply(f, _inverse_symbol(flat_symbol(chart, g_const)))
+
+
+def _inverse_symbol(lam: np.ndarray) -> np.ndarray:
+    """-1/lambda where lambda > 0, else 0 (the kernel of the flat Laplacian)."""
     with np.errstate(divide="ignore"):
-        inv = np.where(lam > 0, -1.0 / lam, 0.0)
-    return fourier_multiply(f, inv)
+        return np.where(lam > 0, -1.0 / lam, 0.0)
 
 
 def fiber_integral(density: np.ndarray, chart: FiberChart,

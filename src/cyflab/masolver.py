@@ -6,7 +6,9 @@ The fiber equation in coordinates is
 
 solved by damped Newton iteration; each linear step inverts
 Delta_h - eps (h the current fiber metric) by preconditioned GMRES with
-the constant-coefficient spectral inverse as preconditioner.  For eps = 0
+the constant-coefficient spectral inverse as preconditioner, except on
+elliptic fibers (n = 1) at eps = 0, where det(h) Delta_h is the flat
+d d-bar and the step is one exact spectral division.  For eps = 0
 the constant kernel is removed by projecting the right-hand side and
 pinning the grid mean, and the requested normalization is enforced by a
 final additive shift (solutions are unique up to constants); for eps > 0
@@ -146,8 +148,9 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig):
     right-hand side is solved in real arithmetic and a complex one as two
     real systems.  For eps = 0 the right-hand side is projected onto the
     solvable range (zero det(h)-weighted mean) and the unique grid-mean-zero
-    solution is returned.  fallbacks counts the Krylov solves that stopped
-    short of rtol but were accepted on a true residual below 1e-8.
+    solution is returned; at n = 1 that solve is exact and Krylov-free.
+    fallbacks counts the Krylov solves that stopped short of rtol but were
+    accepted on a true residual below 1e-8.
     """
     if np.iscomplexobj(rhs):
         re, fb_re = _linear_solve(h, chart, eps, rhs.real, config)
@@ -159,6 +162,12 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig):
     if pin:
         det = herm_det(h).real
         rhs = rhs - np.mean(rhs * det) / np.mean(det)
+        if n == 1:
+            # det(h) h^{-1} = 1, so det(h) Delta_h u = u_{z z-bar}: the step
+            # is one division by the flat symbol, whose zeroed kernel modes
+            # drop the constant and the pure-Nyquist content of det(h) rhs
+            u = fourier_multiply(det * rhs, chart.flat_inverse_mult)
+            return u - np.mean(u), 0
     h_mean = np.array([[np.mean(h[a, b]) for b in range(n)] for a in range(n)])
     lam = flat_symbol(chart, h_mean)
     weights = _hessian_weights(h)
@@ -538,6 +547,7 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None,
             "sup_lap_phi": sol.diagnostics["sup_lap_phi"],
             "ke_integral": ke_integral,
             "volume_residual": sol.diagnostics["volume_residual"],
+            "linear_fallbacks": sol.diagnostics["linear_fallbacks"],
         })
 
     if failed is not None:

@@ -121,7 +121,12 @@ class FourierPoly:
                 out[nk] = out.get(nk, 0.0) + q * c
         return FourierPoly(self.n, out)
 
-    def eval(self, grid: FiberGrid, s: complex) -> np.ndarray:
+    def eval(self, grid: FiberGrid, s: complex, waves: dict | None = None) -> np.ndarray:
+        """Values on the grid at base point s.
+
+        waves, if given, caches the s-independent fields exp(2 pi i k.xi)
+        by k; it must only be shared between evaluations on the same grid.
+        """
         if grid.n != self.n:
             raise GeometryError("potential/grid dimension mismatch")
         if self.max_frequency() > grid.N // 2 - 1:
@@ -131,12 +136,22 @@ class FourierPoly:
         for key, c in self.terms.items():
             k = key[:-2]
             p, q = key[-2], key[-1]
-            phase = np.zeros(grid.shape)
-            for axis, kv in enumerate(k):
-                if kv:
-                    phase = phase + kv * grid.coords[axis]
-            out += c * (s ** p) * (np.conj(s) ** q) * np.exp(2j * np.pi * phase)
+            wave = None if waves is None else waves.get(k)
+            if wave is None:
+                wave = _wave(grid, k)
+                if waves is not None:
+                    waves[k] = wave
+            out += c * (s ** p) * (np.conj(s) ** q) * wave
         return out
+
+
+def _wave(grid: FiberGrid, k: tuple) -> np.ndarray:
+    """exp(2 pi i k.xi) on the grid."""
+    phase = np.zeros(grid.shape)
+    for axis, kv in enumerate(k):
+        if kv:
+            phase = phase + kv * grid.coords[axis]
+    return np.exp(2j * np.pi * phase)
 
 
 VALID_KINDS = ("product", "universal_elliptic", "modulus_map")
@@ -198,6 +213,9 @@ class Family:
         self._chi_s = self.chi.ds()
         self._chi_sb = self.chi.dsbar()
         self._chi_ssb = self._chi_s.dsbar()
+        # Fourier waves of chi, shared by its s-derivatives.  Only the n = 1
+        # path caches them: an n = 2 wave is a full 4-D field.
+        self._waves = {}
 
     # -- modulus -----------------------------------------------------------
 
@@ -259,7 +277,7 @@ class Family:
         gzz = np.full(grid.shape, 1.0 / v, dtype=complex)
         chi_z = None
         if not self.chi.is_zero():
-            chi_grid = self.chi.eval(grid, s)
+            chi_grid = self.chi.eval(grid, s, self._waves)
             chi_z = d_z(chi_grid, chart)
             gzz = gzz + d_zbar(chi_z, chart)
 
@@ -268,7 +286,7 @@ class Family:
         # fixed z and is present whether or not chi depends on s.
         msz = np.zeros(grid.shape, dtype=complex)
         if not self._chi_s.is_zero():
-            msz = msz + d_zbar(self._chi_s.eval(grid, s), chart)
+            msz = msz + d_zbar(self._chi_s.eval(grid, s, self._waves), chart)
         if taup != 0 and chi_z is not None:
             msz = msz + (taup / D) * chi_z
 
@@ -280,12 +298,12 @@ class Family:
         q0 = np.full(grid.shape, base, dtype=complex)
         q1 = np.zeros(grid.shape, dtype=complex)
         if not self._chi_ssb.is_zero():
-            q0 = q0 + self._chi_ssb.eval(grid, s)
+            q0 = q0 + self._chi_ssb.eval(grid, s, self._waves)
         if taup != 0 and not self.chi.is_zero():
-            chi_zb = d_zbar(self.chi.eval(grid, s), chart)
+            chi_zb = d_zbar(chi_grid, chart)
             q1 = (-np.conj(taup)) * msz + abs(taup) ** 2 / D * chi_zb
             if not self._chi_sb.is_zero():
-                q1 = q1 - taup * d_z(self._chi_sb.eval(grid, s), chart)
+                q1 = q1 - taup * d_z(self._chi_sb.eval(grid, s, self._waves), chart)
 
         y = grid.coords[1]
         gab = gzz[np.newaxis, np.newaxis]
@@ -318,11 +336,11 @@ class Family:
         out = np.full(self.grid.shape, self.ds_inv_v(s), dtype=complex)
         if self.chi.is_zero():
             return out
-        chi_grid = self.chi.eval(self.grid, s)
+        chi_grid = self.chi.eval(self.grid, s, self._waves)
         chi_z = d_z(chi_grid, chart)
         chi_zzb = d_zbar(chi_z, chart)
         if not self._chi_s.is_zero():
-            out = out + d_zbar(d_z(self._chi_s.eval(self.grid, s), chart), chart)
+            out = out + d_zbar(d_z(self._chi_s.eval(self.grid, s, self._waves), chart), chart)
         if taup != 0:
             out = out + (taup / D) * (d_z(chi_z, chart) - chi_zzb)
         out = out + a_periodic * d_z(chi_zzb, chart)

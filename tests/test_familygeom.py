@@ -22,9 +22,10 @@ from cyflab.familygeom import (
     wp_norm,
 )
 from cyflab.geometry import FiberChart, FiberGrid, fiber_integral
-from cyflab.masolver import BaseStencil, fiberwise_ricci_flat
+from cyflab.masolver import BaseStencil, SolverConfig, fiberwise_ricci_flat
 from cyflab.models import EllipticOracle, FamilySpec, make_family
 from cyflab.cli import random_positive_form
+from conftest import perturbation_chi
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +307,17 @@ def test_vphi_cross_check(perturbed_family, eps):
     out = vphi_cross_check(perturbed_family, 0.2 + 1.0j, eps=eps)
     assert out["sup_difference"] < max(1e-6, 10 * 1e-3 ** 2)
     assert out["vphi_integral"] < 1e-8
+
+
+def test_vphi_cross_check_counts_fallbacks():
+    """The cross check reports the Krylov fallbacks of its eps stencil solves."""
+    spec = FamilySpec(kind="universal_elliptic", chi=perturbation_chi(), grid_n=16,
+                      base_samples=(1j,))
+    family = make_family(spec)
+    strict = SolverConfig(linear_rtol=1e-16, linear_maxiter=2)
+    assert vphi_cross_check(family, 1j, eps=0.5, config=strict)["linear_fallbacks"] >= 9
+    assert vphi_cross_check(family, 1j, eps=0.5)["linear_fallbacks"] == 0
+    assert vphi_cross_check(family, 1j, eps=0.0, config=strict)["linear_fallbacks"] == 0
 
 
 def test_vphi_product_trivial(elliptic_family):

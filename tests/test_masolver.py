@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyflab.geometry import (
     FiberChart,
@@ -9,6 +10,7 @@ from cyflab.geometry import (
     ddc_fiber,
     fiber_integral,
     herm_det,
+    laplace_beltrami,
 )
 from cyflab.masolver import (
     BaseStencil,
@@ -17,6 +19,7 @@ from cyflab.masolver import (
     REFERENCE_VOLUME,
     SolverConfig,
     SolverDivergence,
+    _linear_solve,
     compute_eta,
     epsilon_continuation,
     eta_from_metric,
@@ -26,7 +29,8 @@ from cyflab.masolver import (
     solve_ma,
     solve_stencil,
 )
-from conftest import random_trig_field
+from cyflab.models import FamilySpec, make_family
+from conftest import perturbation_chi, random_trig_field
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +157,40 @@ def test_linear_fallbacks_recorded():
     assert solve_ma(problem).diagnostics["linear_fallbacks"] == 0
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), N=st.sampled_from([16, 32]),
+       tau=st.sampled_from([1j, 0.3 + 1.1j]))
+def test_exact_n1_step(seed, N, tau):
+    """At n = 1, eps = 0 the Newton step solves Delta_h u = projected rhs exactly."""
+    grid = FiberGrid(1, N)
+    chart = FiberChart.make(grid, tau=tau)
+    rng = np.random.RandomState(seed)
+    bump = random_trig_field(rng, grid, kmax=2).real
+    bump = 0.5 * bump / max(1.0, float(np.max(np.abs(bump))))
+    h = (1.0 + rng.uniform() + bump).astype(complex)[np.newaxis, np.newaxis]
+    rhs = random_trig_field(rng, grid, kmax=3).real
+    u, fallbacks = _linear_solve(h, chart, 0.0, rhs, SolverConfig())
+    det = herm_det(h).real
+    projected = rhs - np.mean(rhs * det) / np.mean(det)
+    lap = laplace_beltrami(h, u, chart).real
+    assert fallbacks == 0
+    assert np.max(np.abs(lap - projected)) < 1e-11 * max(1.0, float(np.max(np.abs(rhs))))
+    assert abs(np.mean(u)) < 1e-15 * max(1.0, float(np.max(np.abs(u))))
+
+
+def test_elliptic_eps0_solve_is_krylov_free(monkeypatch, perturbed_family):
+    def no_krylov(*args, **kwargs):
+        raise AssertionError("lgmres called on an n = 1, eps = 0 solve")
+
+    monkeypatch.setattr("cyflab.masolver.lgmres", no_krylov)
+    form = perturbed_family.omega(1j)
+    eta = eta_from_metric(form.gab, form.chart)
+    sol = solve_ma(MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=0.0))
+    assert sol.newton_iters > 0
+    assert sol.diagnostics["linear_fallbacks"] == 0
+    assert sol.diagnostics["volume_residual"] < 1e-10
+
+
 def test_config_validation():
     with pytest.raises(GeometryError):
         SolverConfig(tol=0.0)
@@ -204,6 +242,18 @@ def test_continuation_schedule_validation(elliptic_family):
         epsilon_continuation(elliptic_family, 1j, [0.1, 0.5])
     with pytest.raises(GeometryError):
         epsilon_continuation(elliptic_family, 1j, [0.5, 0.5])
+
+
+def test_continuation_table_counts_fallbacks():
+    """Each continuation row reports the Krylov fallbacks of its solve."""
+    spec = FamilySpec(kind="universal_elliptic", chi=perturbation_chi(), grid_n=16,
+                      base_samples=(1j,))
+    strict = SolverConfig(linear_rtol=1e-16, linear_maxiter=2)
+    path = epsilon_continuation(make_family(spec), 1j, [1.0, 0.5, 0.0], strict)
+    counts = [row["linear_fallbacks"] for row in path.table]
+    assert counts == [sol.diagnostics["linear_fallbacks"] for sol in path.solutions]
+    assert counts[0] >= 1 and counts[1] >= 1
+    assert counts[2] == 0       # the eps = 0 end takes the exact step
 
 
 def test_continuation_perturbed(perturbed_family):

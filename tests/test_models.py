@@ -1,7 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from cyflab.geometry import DefinitenessError, GeometryError, d_z, fiber_integral
+from cyflab.geometry import DefinitenessError, FiberGrid, GeometryError, d_z, fiber_integral
 from cyflab.masolver import BaseStencil
 from cyflab.models import (
     EllipticOracle,
@@ -195,6 +198,31 @@ def test_base_derivative_kills_fiber_coordinate():
     assert np.max(np.abs(ds_z)) < 1e-10
     ds_s = _fd_ds(s_stack, stencil.h_s)          # s has no fiber dependence
     assert np.max(np.abs(ds_s - 1.0)) < 1e-10
+
+
+def test_wave_cache_bytes_and_threads():
+    """Cached Fourier waves give the bytes of a fresh evaluation, under threads too."""
+    spec = FamilySpec(kind="universal_elliptic", chi=perturbation_chi(), grid_n=16,
+                      base_samples=())
+    points = [0.1 * j + (1.0 + 0.05 * j) * 1j for j in range(16)]
+    grid = FiberGrid(1, 16)
+    waves = {}
+    for s in points:
+        assert np.array_equal(spec.chi.eval(grid, s, waves), spec.chi.eval(grid, s))
+    assert sorted(waves) == [(-1, 0), (1, 0)]
+
+    serial = [make_family(spec).omega(s) for s in points]
+    family = make_family(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            forms = list(pool.map(family.omega, points, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for ref, form in zip(serial, forms):
+        for name in ("gab", "gsb", "gss"):
+            assert np.array_equal(getattr(ref, name), getattr(form, name))
 
 
 def test_compare_report():

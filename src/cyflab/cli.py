@@ -24,12 +24,13 @@ import numpy as np
 from . import __version__
 from .geometry import FiberChart, FiberGrid, GeometryError, ddc_fiber, herm_det
 from .green import build_green, ewald_kernel_min, k_bound, kernel_mean_residual, \
-    reproducing_residual, theorem12_assemble
+    reproducing_residual, theorem12_assemble, theorem12_row
 from .familygeom import (
     combined_form_min_eig,
     contraction_residual,
     curvature_report,
     dbar_vertical,
+    direct_image_report,
     geodesic_curvature,
     kodaira_spencer_norm,
     semmes_residual,
@@ -614,12 +615,11 @@ def suite_green(cfg: dict) -> dict:
 def suite_positivity(cfg: dict) -> dict:
     samples = [0.1 + 0.9j, 0.3 + 1.1j]
     family = _perturbed_family(cfg, samples)
-    rows = theorem12_assemble(family, samples, h_s=cfg["h_s"], config=cfg["solver"])
+    rhos = [fiberwise_ricci_flat(family, BaseStencil(center=complex(s), h_s=cfg["h_s"]),
+                                 config=cfg["solver"]) for s in samples]
+    rows = [theorem12_row(rho) for rho in rhos]
     ok = all(r["pass"] for r in rows)
-    for s in samples:
-        stencil = BaseStencil(center=complex(s), h_s=cfg["h_s"])
-        rho = fiberwise_ricci_flat(family, stencil, config=cfg["solver"])
-        from .familygeom import direct_image_report
+    for s, rho in zip(samples, rhos):
         di = direct_image_report(rho)
         ok = ok and di["positive"]
         rows.append({"s": complex(s), "direct_image": di["direct_image"],

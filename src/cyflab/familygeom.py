@@ -25,6 +25,7 @@ from .geometry import (
     fiber_integral_complex,
     herm_det,
     herm_inverse,
+    herm_min_eig,
     laplace_beltrami,
     matrix_min_eig,
 )
@@ -512,7 +513,8 @@ def vphi_cross_check(family: Family, s: complex, eps: float = 0.0,
 
     R = _vphi_rhs(family, rho_e, a_p)
     h_fiber = rho_e.form.gab
-    route_b = linearized_solve(h_fiber, chart, eps, R, config)
+    diagnostics = {"linear_fallbacks": _stencil_fallbacks(rho_e)}
+    route_b = linearized_solve(h_fiber, chart, eps, R, config, diagnostics=diagnostics)
     if eps == 0:
         det = herm_det(h_fiber)
         route_a = route_a - np.mean(route_a * det) / np.mean(det)
@@ -524,10 +526,13 @@ def vphi_cross_check(family: Family, s: complex, eps: float = 0.0,
         "vphi_fd": route_a,
         "vphi_pde": route_b,
         "rhs_integral": abs(fiber_integral_complex(R, chart, metric=h_fiber)),
-        # Krylov fallbacks of the eps stencil solves (see solve_ma)
-        "linear_fallbacks": sum(sol.diagnostics["linear_fallbacks"]
-                                for sol in rho_e.solutions.values()),
+        # Krylov fallbacks of the eps stencil solves and of route (b) (see solve_ma)
+        "linear_fallbacks": diagnostics["linear_fallbacks"],
     }
+
+
+def _stencil_fallbacks(rho: AssembledRho) -> int:
+    return sum(sol.diagnostics["linear_fallbacks"] for sol in rho.solutions.values())
 
 
 def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
@@ -589,8 +594,9 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
     bracket = -ab_zzb * u0_zb - ab_z * u0_zbzb - ab_zb * u0_zzb
 
     rhs = vbar(hup_stack) * u0_zzb + hup * bracket + vbar(R_stack)
+    diagnostics = {"linear_fallbacks": _stencil_fallbacks(rho_e)}
     route_b = linearized_solve(h_fiber, chart0, eps, rhs, config,
-                               solvability_tol=1e-4)
+                               solvability_tol=1e-4, diagnostics=diagnostics)
     if eps == 0:
         det = herm_det(h_fiber)
         route_a = route_a - np.mean(route_a * det) / np.mean(det)
@@ -605,6 +611,8 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
         "lemma_residual": lemma_res,
         "vbarvphi_fd": route_a,
         "vbarvphi_pde": route_b,
+        # Krylov fallbacks of the eps stencil solves and of route (b)
+        "linear_fallbacks": diagnostics["linear_fallbacks"],
     }
 
 
@@ -624,10 +632,14 @@ def _inner_assembly(family: Family, rho0: AssembledRho, key) -> np.ndarray:
 
 
 def combined_form_min_eig(rho: FamilyForm, bound: float) -> float:
-    """Min eigenvalue of rho + bound * (i ds ^ ds-bar) over the grid."""
+    """Min eigenvalue of rho + bound * (i ds ^ ds-bar) over the grid.
+
+    At n = 1 the matrix is a 2 x 2 Hermitian block, whose smallest
+    eigenvalue has a closed form.
+    """
     full = rho.full_matrix()
     full[0, 0] = full[0, 0] + bound
-    return matrix_min_eig(full)
+    return herm_min_eig(full) if rho.n == 1 else matrix_min_eig(full)
 
 
 def theorem12_check(rho: AssembledRho, K: float, theta: float | None = None,

@@ -36,7 +36,6 @@ from .geometry import (
     herm_det,
     herm_inverse,
     herm_min_eig,
-    laplace_beltrami,
 )
 from .models import Family, FamilyForm, YStructure
 
@@ -284,11 +283,14 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     elif eps > 0:
         normalization = NO_NORMALIZATION
 
-    h = g + ddc_fiber(phi, chart)
+    # the shift leaves dd^c phi, hence the last h, unchanged
     det_h = herm_det(h).real
     vol_g = fiber_integral(np.ones(chart.grid.shape), chart, metric=g)
     vol_h = float(np.mean(det_h)) * chart.measure
-    lap = laplace_beltrami(g, phi, chart).real
+    # Delta_g phi = g^{b a} phi_ab with phi_ab = (h - g)_ab
+    gup = herm_inverse(g)
+    lap = sum(gup[b, a] * (h[a, b] - g[a, b])
+              for a in range(chart.n) for b in range(chart.n)).real
     diagnostics = {
         "sup_phi": float(np.max(np.abs(phi))),
         "sup_lap_phi": float(np.max(np.abs(lap))),
@@ -320,8 +322,13 @@ def _normalization_shift(phi, problem: MAProblem, normalization: str) -> float:
 
 def linearized_solve(h: np.ndarray, chart: FiberChart, epsilon: float, R: np.ndarray,
                      config: SolverConfig | None = None,
-                     solvability_tol: float = 1e-9) -> np.ndarray:
-    """Solve -Delta_h u + eps u = R; mean-zero (det h weighted) branch at eps = 0."""
+                     solvability_tol: float = 1e-9,
+                     diagnostics: dict | None = None) -> np.ndarray:
+    """Solve -Delta_h u + eps u = R; mean-zero (det h weighted) branch at eps = 0.
+
+    If diagnostics is given, its "linear_fallbacks" count (see solve_ma) is
+    increased by the Krylov solves of this call accepted on the fallback.
+    """
     config = config or SolverConfig()
     if herm_min_eig(h) <= 0:
         raise DefinitenessError("linearized solve needs positive-definite h")
@@ -331,7 +338,9 @@ def linearized_solve(h: np.ndarray, chart: FiberChart, epsilon: float, R: np.nda
         if compat > solvability_tol:
             raise NormalizationError(
                 f"eps = 0 linearized problem violates solvability ({compat:.3e})")
-    u, _ = _linear_solve(h, chart, epsilon, -np.asarray(R), config)
+    u, fallbacks = _linear_solve(h, chart, epsilon, -np.asarray(R), config)
+    if diagnostics is not None:
+        diagnostics["linear_fallbacks"] = diagnostics.get("linear_fallbacks", 0) + fallbacks
     if epsilon == 0:
         u = u - np.mean(u * det) / np.mean(det)
     return u

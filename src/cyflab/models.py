@@ -36,11 +36,9 @@ from .geometry import (
     FiberGrid,
     GeometryError,
     InvalidFieldError,
-    d_z,
-    d_zbar,
-    ddc_fiber,
     herm_det,
     herm_min_eig,
+    linear_coeff_derivative,
 )
 
 
@@ -121,37 +119,56 @@ class FourierPoly:
                 out[nk] = out.get(nk, 0.0) + q * c
         return FourierPoly(self.n, out)
 
-    def eval(self, grid: FiberGrid, s: complex, waves: dict | None = None) -> np.ndarray:
-        """Values on the grid at base point s.
+    def eval(self, grid: FiberGrid, s: complex, waves: dict | None = None,
+             chart: FiberChart | None = None, derivs: tuple = ()) -> np.ndarray:
+        """Values on the grid at base point s, or of a fiber derivative.
 
-        waves, if given, caches the s-independent fields exp(2 pi i k.xi)
-        by k; it must only be shared between evaluations on the same grid.
+        derivs lists fiber derivative indices ('z', a) / ('zbar', a) of the
+        chart to apply.  They act term by term through the symbol
+        2 pi i sum_m C[a, m] k_m of d/dz^a at frequency k (its conjugate
+        form for d/dzbar^a), so the result is exact, with no transform;
+        the frequencies lie below Nyquist, where the spectral derivative
+        has the same symbol.  waves, if given, caches the s-independent
+        fields exp(2 pi i k.xi) by k; it must only be shared between
+        evaluations on the same grid.
         """
         if grid.n != self.n:
             raise GeometryError("potential/grid dimension mismatch")
         if self.max_frequency() > grid.N // 2 - 1:
             raise GeometryError("potential frequency exceeds grid Nyquist range")
-        out = np.zeros(grid.shape, dtype=complex)
         s = complex(s)
+        coeffs = {}
         for key, c in self.terms.items():
             k = key[:-2]
-            p, q = key[-2], key[-1]
+            coeffs[k] = coeffs.get(k, 0.0) + c * s ** key[-2] * np.conj(s) ** key[-1]
+        out = np.zeros(grid.shape, dtype=complex)
+        for k, c in coeffs.items():
+            for index in derivs:
+                c = c * 2j * np.pi * linear_coeff_derivative(chart, k, index)
+            if c == 0:
+                continue
             wave = None if waves is None else waves.get(k)
             if wave is None:
                 wave = _wave(grid, k)
                 if waves is not None:
                     waves[k] = wave
-            out += c * (s ** p) * (np.conj(s) ** q) * wave
+            out += c * wave
         return out
 
 
 def _wave(grid: FiberGrid, k: tuple) -> np.ndarray:
-    """exp(2 pi i k.xi) on the grid."""
-    phase = np.zeros(grid.shape)
+    """exp(2 pi i k.xi), as a product of per-axis factors broadcast to the grid.
+
+    Axes with k_m = 0 keep length 1, so a wave along one axis is a 1-D array.
+    """
+    t = np.arange(grid.N) / grid.N
+    wave = np.ones((1,) * len(k), dtype=complex)
     for axis, kv in enumerate(k):
         if kv:
-            phase = phase + kv * grid.coords[axis]
-    return np.exp(2j * np.pi * phase)
+            shape = [1] * len(k)
+            shape[axis] = grid.N
+            wave = wave * np.exp(2j * np.pi * (kv * t)).reshape(shape)
+    return wave
 
 
 VALID_KINDS = ("product", "universal_elliptic", "modulus_map")
@@ -213,8 +230,9 @@ class Family:
         self._chi_s = self.chi.ds()
         self._chi_sb = self.chi.dsbar()
         self._chi_ssb = self._chi_s.dsbar()
-        # Fourier waves of chi, shared by its s-derivatives.  Only the n = 1
-        # path caches them: an n = 2 wave is a full 4-D field.
+        # Fourier waves of chi, shared by its s- and fiber derivatives.  Only
+        # the n = 1 path caches them: an n = 2 wave with k_m != 0 on every
+        # axis is a full 4-D field.
         self._waves = {}
 
     # -- modulus -----------------------------------------------------------
@@ -249,23 +267,32 @@ class Family:
 
     def _omega_n2(self, s: complex) -> "FamilyForm":
         chart = self.chart(s)
+        grid = self.grid
         im = chart.omega_matrix.imag
         g0 = np.linalg.inv(im).astype(complex)
-        gab = np.zeros((2, 2) + self.grid.shape, dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                gab[a, b] = g0[a, b]
+        gab = np.empty((2, 2) + grid.shape, dtype=complex)
+        gab[:] = g0.reshape((2, 2) + (1,) * 4)
         if not self.chi.is_zero():
-            gab = gab + ddc_fiber(self.chi.eval(self.grid, s), chart)
-        gsb = np.zeros((2,) + self.grid.shape, dtype=complex)
-        gss = np.full(self.grid.shape, self.spec.base_coeff, dtype=complex)
+            def hess(a, b):
+                return self.chi.eval(grid, s, chart=chart, derivs=(("z", a), ("zbar", b)))
+            gab[0, 0] += hess(0, 0)
+            gab[1, 1] += hess(1, 1)
+            # chi is real, so its fiber hessian is Hermitian
+            h01 = hess(0, 1)
+            gab[0, 1] += h01
+            gab[1, 0] += np.conj(h01)
+        gsb = np.zeros((2,) + grid.shape, dtype=complex)
+        gss = np.full(grid.shape, self.spec.base_coeff, dtype=complex)
         if not self._chi_s.is_zero():
-            chi_s = self._chi_s.eval(self.grid, s)
             for b in range(2):
-                gsb[b] = d_zbar(chi_s, chart, b)
-            gss = gss + self._chi_ssb.eval(self.grid, s)
+                gsb[b] = self._chi_s.eval(grid, s, chart=chart, derivs=(("zbar", b),))
+            gss = gss + self._chi_ssb.eval(grid, s)
         return FamilyForm(chart=chart, s=s, gss=gss, gsb=gsb, gab=gab,
                           provenance="model-plus-potential")
+
+    def _d(self, poly: FourierPoly, chart: FiberChart, s: complex, *derivs) -> np.ndarray:
+        """Exact fiber derivative of an n = 1 potential, 'z'/'zbar' in order."""
+        return poly.eval(self.grid, s, self._waves, chart, tuple((d, 0) for d in derivs))
 
     def _omega_n1(self, s: complex) -> "FamilyForm":
         chart = self.chart(s)
@@ -275,20 +302,17 @@ class Family:
         D = tau - np.conj(tau)
 
         gzz = np.full(grid.shape, 1.0 / v, dtype=complex)
-        chi_z = None
         if not self.chi.is_zero():
-            chi_grid = self.chi.eval(grid, s, self._waves)
-            chi_z = d_z(chi_grid, chart)
-            gzz = gzz + d_zbar(chi_z, chart)
+            gzz = gzz + self._d(self.chi, chart, s, "z", "zbar")
 
         # periodic part of g_{s z-bar}; the full component is -tau' y gzz + msz.
         # The chain-rule term (tau'/D) chi_z comes from D_s acting on chi at
         # fixed z and is present whether or not chi depends on s.
         msz = np.zeros(grid.shape, dtype=complex)
         if not self._chi_s.is_zero():
-            msz = msz + d_zbar(self._chi_s.eval(grid, s, self._waves), chart)
-        if taup != 0 and chi_z is not None:
-            msz = msz + (taup / D) * chi_z
+            msz = msz + self._d(self._chi_s, chart, s, "zbar")
+        if taup != 0 and not self.chi.is_zero():
+            msz = msz + (taup / D) * self._d(self.chi, chart, s, "z")
 
         # g_{s s-bar} = |tau'|^2 y^2 gzz + y q1 + q0
         if self.spec.kind == "product":
@@ -300,10 +324,9 @@ class Family:
         if not self._chi_ssb.is_zero():
             q0 = q0 + self._chi_ssb.eval(grid, s, self._waves)
         if taup != 0 and not self.chi.is_zero():
-            chi_zb = d_zbar(chi_grid, chart)
-            q1 = (-np.conj(taup)) * msz + abs(taup) ** 2 / D * chi_zb
+            q1 = (-np.conj(taup)) * msz + abs(taup) ** 2 / D * self._d(self.chi, chart, s, "zbar")
             if not self._chi_sb.is_zero():
-                q1 = q1 - taup * d_z(self._chi_sb.eval(grid, s, self._waves), chart)
+                q1 = q1 - taup * self._d(self._chi_sb, chart, s, "z")
 
         y = grid.coords[1]
         gab = gzz[np.newaxis, np.newaxis]
@@ -336,14 +359,12 @@ class Family:
         out = np.full(self.grid.shape, self.ds_inv_v(s), dtype=complex)
         if self.chi.is_zero():
             return out
-        chi_grid = self.chi.eval(self.grid, s, self._waves)
-        chi_z = d_z(chi_grid, chart)
-        chi_zzb = d_zbar(chi_z, chart)
         if not self._chi_s.is_zero():
-            out = out + d_zbar(d_z(self._chi_s.eval(self.grid, s, self._waves), chart), chart)
+            out = out + self._d(self._chi_s, chart, s, "z", "zbar")
         if taup != 0:
-            out = out + (taup / D) * (d_z(chi_z, chart) - chi_zzb)
-        out = out + a_periodic * d_z(chi_zzb, chart)
+            out = out + (taup / D) * (self._d(self.chi, chart, s, "z", "z")
+                                      - self._d(self.chi, chart, s, "z", "zbar"))
+        out = out + a_periodic * self._d(self.chi, chart, s, "z", "z", "zbar")
         return out
 
     def ds_log_mean_det(self, s: complex) -> complex:

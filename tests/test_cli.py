@@ -161,6 +161,31 @@ def test_verify_convergence_suite(tmp_path):
     assert conv["fd_ratio"] >= 3
 
 
+def test_positivity_suite_solves_each_sample_once(tmp_path, monkeypatch):
+    import cyflab.cli
+    import cyflab.masolver
+
+    calls = []
+    solve = cyflab.masolver.fiberwise_ricci_flat
+
+    def counted(family, stencil, *args, **kwargs):
+        calls.append(stencil.center)
+        return solve(family, stencil, *args, **kwargs)
+
+    monkeypatch.setattr(cyflab.cli, "fiberwise_ricci_flat", counted)
+    monkeypatch.setattr(cyflab.masolver, "fiberwise_ricci_flat", counted)
+    path, doc = base_config(tmp_path)
+    doc["solver"] = {"grid_n": 16}
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--suite", "positivity"]) == EXIT_OK
+    assert calls == [0.1 + 0.9j, 0.3 + 1.1j]
+    rows = json.loads((tmp_path / "out" / "verify_report.json").read_text())[
+        "suites"]["positivity"]["rows"]
+    assert [sorted(r) for r in rows] == \
+        2 * [["K", "combined_min_eig", "mean_c", "pass", "pointwise_margin", "s", "wp"]] \
+        + 2 * [["direct_image", "lower_bound", "pass", "s"]]
+
+
 def test_green_command(tmp_path):
     path, doc = base_config(tmp_path)
     doc["family"]["base"] = {"samples": [[0.0, 1.0]]}

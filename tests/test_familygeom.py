@@ -320,6 +320,25 @@ def test_vphi_cross_check_counts_fallbacks():
     assert vphi_cross_check(family, 1j, eps=0.0, config=strict)["linear_fallbacks"] == 0
 
 
+def test_cross_checks_count_route_b_fallbacks():
+    """Both cross checks count the fallbacks of their route (b) linearized solve."""
+    spec = FamilySpec(kind="universal_elliptic", chi=perturbation_chi(), grid_n=16,
+                      base_samples=(1j,))
+    family = make_family(spec)
+    strict = SolverConfig(linear_rtol=1e-16, linear_maxiter=2)
+
+    def stencil_fallbacks(half):
+        rho = fiberwise_ricci_flat(family, BaseStencil(center=1j, half=half), eps=0.5,
+                                   config=strict)
+        return sum(sol.diagnostics["linear_fallbacks"] for sol in rho.solutions.values())
+
+    assert vphi_cross_check(family, 1j, eps=0.5, config=strict)["linear_fallbacks"] \
+        > stencil_fallbacks(1)
+    assert vbarvphi_cross_check(family, 1j, eps=0.5, config=strict)["linear_fallbacks"] \
+        > stencil_fallbacks(2)
+    assert vbarvphi_cross_check(family, 1j, eps=0.5)["linear_fallbacks"] == 0
+
+
 def test_vphi_product_trivial(elliptic_family):
     out = vphi_cross_check(elliptic_family, 1j, eps=0.0)
     assert out["sup_difference"] < 1e-10
@@ -362,6 +381,9 @@ def test_combined_form_min_eig(perturbed_rho):
     from cyflab.geometry import matrix_min_eig
     m0 = matrix_min_eig(base)
     assert combined_form_min_eig(perturbed_rho.form, 1.0) > m0
+    # the n = 1 closed form agrees with LAPACK on the 2 x 2 blocks
+    base[0, 0] = base[0, 0] + 1.0
+    assert abs(combined_form_min_eig(perturbed_rho.form, 1.0) - matrix_min_eig(base)) < 1e-12
 
 
 def test_relative_canonical_curvature(perturbed_family, perturbed_rho):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyflab.geometry import FiberChart, FiberGrid, GeometryError
 from cyflab.green import (
@@ -142,6 +143,31 @@ def test_green_representation_of_curvature():
     green = build_green(form.gab, form.chart)
     rep = mean_c + green.apply((fld.norm2 - th).astype(complex)).real
     assert np.max(np.abs(rep - c)) < 1e-5
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (1, 32), (2, 8)]))
+def test_separable_kernel_matches_direct(seed, case):
+    """The tensor-grid evaluation of the kernel equals kernel_at on its points."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    if n == 1:
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.6))
+        chart = FiberChart.make(FiberGrid(1, N), tau=tau)
+        h = np.array([[rng.uniform(0.5, 2.0)]], dtype=complex)
+    else:
+        off = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        om = np.array([[complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.4)), off],
+                       [off, complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.4))]])
+        chart = FiberChart.make(FiberGrid(2, N), omega_matrix=om)
+        b = 0.2 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        h = np.array([[rng.uniform(0.8, 1.5), b], [np.conj(b), rng.uniform(0.8, 1.5)]])
+    green = build_green(h, chart)
+    axes = [rng.uniform(0, 1, size=rng.randint(3, 6)) for _ in range(2 * n)]
+    on_grid = green.kernel_on_tensor_grid(axes)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    direct = green.kernel_at(pts).reshape(on_grid.shape)
+    assert np.max(np.abs(on_grid - direct)) < 1e-13 * np.max(np.abs(direct))
 
 
 def test_oracle_matrix_positive():

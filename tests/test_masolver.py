@@ -210,6 +210,37 @@ def test_linearized_examples(flat_setup):
         linearized_solve(g, chart, 0.0, np.ones(grid.shape))
 
 
+def test_linearized_solve_counts_fallbacks(flat_setup):
+    """linearized_solve adds its Krylov fallbacks to a diagnostics dict."""
+    grid, chart, g = flat_setup
+    x, y = grid.coords
+    R = np.cos(2 * np.pi * x) + 1j * np.sin(2 * np.pi * (x + 2 * y))
+    strict = SolverConfig(linear_rtol=1e-16, linear_maxiter=2)
+    diagnostics = {"linear_fallbacks": 3}
+    u = linearized_solve(g, chart, 1.0, R, strict, diagnostics=diagnostics)
+    assert isinstance(u, np.ndarray)
+    # the complex right-hand side is two real Krylov solves
+    assert diagnostics["linear_fallbacks"] >= 4
+    fresh = {}
+    linearized_solve(g, chart, 1.0, R, diagnostics=fresh)
+    assert fresh == {"linear_fallbacks": 0}
+
+
+def test_solve_ma_diagnostics_from_last_metric(perturbed_family):
+    """The post-solve diagnostics reuse the last h and equal a recomputation."""
+    form = perturbed_family.omega(0.2 + 1.0j)
+    eta = eta_from_metric(form.gab, form.chart)
+    sol = solve_ma(MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=0.0))
+    lap = laplace_beltrami(form.gab, sol.phi, form.chart).real
+    h = form.gab + ddc_fiber(sol.phi, form.chart)
+    det_h = herm_det(h).real
+    scale = max(1.0, float(np.max(np.abs(lap))))
+    assert abs(sol.diagnostics["sup_lap_phi"] - np.max(np.abs(lap))) < 1e-12 * scale
+    assert abs(sol.diagnostics["trace_min"] - np.min(1 + lap)) < 1e-12 * scale
+    constancy = float(np.max(np.abs(det_h - np.mean(det_h))) / np.mean(det_h))
+    assert abs(sol.diagnostics["det_h_constancy"] - constancy) < 1e-12
+
+
 def test_linearized_round_trip(flat_setup):
     grid, chart, _ = flat_setup
     rng = np.random.RandomState(9)

@@ -3,8 +3,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyflab.geometry import DefinitenessError, FiberGrid, GeometryError, d_z, fiber_integral
+from cyflab import geometry
+from cyflab.geometry import (
+    DefinitenessError,
+    FiberChart,
+    FiberGrid,
+    GeometryError,
+    d_z,
+    fiber_derivative,
+    fiber_integral,
+)
 from cyflab.masolver import BaseStencil
 from cyflab.models import (
     EllipticOracle,
@@ -223,6 +233,66 @@ def test_wave_cache_bytes_and_threads():
     for ref, form in zip(serial, forms):
         for name in ("gab", "gsb", "gss"):
             assert np.array_equal(getattr(ref, name), getattr(form, name))
+
+
+FIBER_DERIVS = {
+    1: [(("z", 0),), (("zbar", 0),), (("z", 0), ("zbar", 0)), (("z", 0), ("z", 0)),
+        (("z", 0), ("z", 0), ("zbar", 0))],
+    2: [(("z", 0),), (("zbar", 1),), (("z", 0), ("zbar", 1)), (("z", 1), ("zbar", 1))],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (1, 32), (2, 8)]))
+def test_exact_derivatives_match_spectral(seed, case):
+    """FourierPoly's term-by-term fiber derivatives equal the FFT route."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    if n == 1:
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.6))
+        chart = FiberChart.make(FiberGrid(1, N), tau=tau)
+    else:
+        off = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        om = np.array([[complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.4)), off],
+                       [off, complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.4))]])
+        chart = FiberChart.make(FiberGrid(2, N), omega_matrix=om)
+    # a random real chi: each term (k, p, q) with its conjugate (-k, q, p)
+    kmax = N // 2 - 1
+    terms = {}
+    for _ in range(4):
+        k = tuple(int(v) for v in rng.randint(-kmax, kmax + 1, size=2 * n))
+        p, q = (int(v) for v in rng.randint(0, 3, size=2))
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        for key, val in ((k + (p, q), c), (tuple(-v for v in k) + (q, p), np.conj(c))):
+            terms[key] = terms.get(key, 0.0) + val
+    chi = FourierPoly(n, terms)
+    assert chi.realness_residual() < 1e-15
+    s = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.5))
+    f = chi.eval(chart.grid, s)
+    for derivs in FIBER_DERIVS[n]:
+        spectral = f
+        for index in derivs:
+            spectral = fiber_derivative(spectral, chart, index)
+        exact = chi.eval(chart.grid, s, chart=chart, derivs=derivs)
+        # the FFT route's round-off grows with the derivative: the scale is
+        # the larger of chi and its derivative
+        scale = max(float(np.max(np.abs(f))), float(np.max(np.abs(exact))))
+        assert np.max(np.abs(exact - spectral)) < 1e-13 * scale
+
+
+def test_elliptic_omega_makes_no_transform(monkeypatch, perturbed_family):
+    """At n = 1 every fiber derivative of chi in Family.omega is analytic."""
+    def no_transform(*args, **kwargs):
+        raise AssertionError("Family.omega called a Fourier transform")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(geometry, name, no_transform)
+    for s in (1j, 0.2 + 1.0j):
+        form = perturbed_family.omega(s)
+        assert form.fiber_min_eig() > 0
+        assert np.max(np.abs(perturbed_family.vrho_gzz(s, form.a_periodic()))) > 0
+    with pytest.raises(AssertionError):
+        d_z(np.zeros(perturbed_family.grid.shape), perturbed_family.chart(1j))
 
 
 def test_compare_report():

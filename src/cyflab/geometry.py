@@ -81,6 +81,21 @@ def fourier_multiply(f: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return irfft(rfft(f) * mult[..., : f.shape[-1] // 2 + 1], f.shape)
 
 
+def drop_nyquist_modes(f: np.ndarray) -> np.ndarray:
+    """f without its pure-Nyquist modes other than the constant, in real space.
+
+    A mode whose every frequency is 0 or N/2 equals (-1)^(j.r) at grid
+    index j, so it is constant on each of the 2^ndim parity classes of j,
+    and these modes span the fields constant on the classes.  Projecting
+    them out subtracts the class means; adding back the grid mean keeps
+    the constant mode.  This is the Fourier multiplier that is 0 on those
+    modes and 1 elsewhere, without a transform.
+    """
+    classes = f.reshape(sum(((m // 2, 2) for m in f.shape), ()))
+    means = classes.mean(axis=tuple(range(0, classes.ndim, 2)), keepdims=True)
+    return (classes - means).reshape(f.shape) + np.mean(f)
+
+
 @dataclass(frozen=True)
 class FiberGrid:
     """Uniform N^(2n) lattice on [0,1)^{2n} with its spectral index set.

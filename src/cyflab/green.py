@@ -57,12 +57,14 @@ class GreenOperator:
         ks = ks[np.any(ks != 0, axis=1)]
         C = self.chart.dz_coeffs
         hup = np.linalg.inv(self.h_const)
+        # elementwise, not ks @ C[a]: that matrix-vector product is a BLAS
+        # call, which wakes the BLAS worker threads to spin for the rest of
+        # the command
+        m = [sum(ks[:, i] * C[a, i] for i in range(dim)) for a in range(self.chart.n)]
         lam = np.zeros(len(ks))
         for a in range(self.chart.n):
-            ma = ks @ C[a]
             for b in range(self.chart.n):
-                mb = ks @ C[b]
-                lam = lam + (4 * np.pi ** 2) * (hup[b, a] * ma * np.conj(mb)).real
+                lam = lam + (4 * np.pi ** 2) * (hup[b, a] * m[a] * np.conj(m[b])).real
         return ks, lam
 
     def kernel_modes(self):

@@ -8,7 +8,9 @@ solved by damped Newton iteration; each linear step inverts
 Delta_h - eps (h the current fiber metric) by preconditioned GMRES with
 the constant-coefficient spectral inverse as preconditioner, except on
 elliptic fibers (n = 1) at eps = 0, where det(h) Delta_h is the flat
-d d-bar and the step is one exact spectral division.  For eps = 0
+d d-bar and the step is one exact spectral division.  There the equation
+h_{z z-bar} = g e^(eta + extra_f) is linear in phi_{z z-bar}, and the step
+targets it rather than its linearization, so one step solves it.  For eps = 0
 the constant kernel is removed by projecting the right-hand side and
 pinning the grid mean, and the requested normalization is enforced by a
 final additive shift (solutions are unique up to constants); for eps > 0
@@ -30,6 +32,7 @@ from .geometry import (
     d_z,
     d_zbar,
     ddc_fiber,
+    drop_nyquist_modes,
     fiber_integral,
     flat_symbol,
     fourier_multiply,
@@ -171,23 +174,18 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig):
     lam = flat_symbol(chart, h_mean)
     weights = _hessian_weights(h)
 
-    # Pure-Nyquist modes are annihilated by the spectral derivative, hence
-    # sit in the kernel of Delta_h at eps = 0; their rhs content is aliasing
-    # noise and is filtered out to keep the system consistent.
-    keep = None
     if pin:
-        kernel_mask = lam == 0
-        kernel_mask.flat[0] = False       # the constant mode is pinned instead
-        if kernel_mask.any():
-            keep = (~kernel_mask).astype(float)
         with np.errstate(divide="ignore"):
             inv_denom = np.where(lam > 0, -1.0 / lam, 0.0)
         inv_denom.flat[0] = 1.0
     else:
         inv_denom = -1.0 / (lam + eps)
 
+    # Pure-Nyquist modes are annihilated by the spectral derivative, hence
+    # sit in the kernel of Delta_h at eps = 0; their rhs content is aliasing
+    # noise and is filtered out to keep the system consistent.
     def filtered(f):
-        return f if keep is None else fourier_multiply(f, keep)
+        return drop_nyquist_modes(f) if pin else f
 
     def apply(vec):
         u = vec.reshape(grid.shape)
@@ -238,7 +236,9 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     target = problem.eta.real + problem.extra_f.real
     eps = problem.epsilon
 
-    phi = np.zeros(chart.grid.shape) if initial_guess is None else initial_guess.real.copy()
+    # at n = 1, eps = 0 the equation h_{z z-bar} = g e^target is linear in
+    # phi_{z z-bar}: the step u with u_{z z-bar} = h (e^{-F} - 1) lands on it
+    exact = chart.n == 1 and eps == 0
 
     def residual_field(p):
         h = g + ddc_fiber(p, chart)
@@ -248,14 +248,20 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         F = np.log(herm_det(h).real) - logdet_g - eps * p - target
         return F, h, me
 
-    F, h, _ = residual_field(phi)
-    if F is None:
-        raise DefinitenessError("initial guess loses fiber positivity")
+    if initial_guess is None:
+        # phi = 0: h = g, whose positivity MAProblem has checked
+        phi = np.zeros(chart.grid.shape)
+        F, h = -target, g
+    else:
+        phi = initial_guess.real.copy()
+        F, h, _ = residual_field(phi)
+        if F is None:
+            raise DefinitenessError("initial guess loses fiber positivity")
     res = float(np.max(np.abs(F)))
     iters = 0
     fallbacks = 0
     while res > config.tol and iters < config.max_iters:
-        u, fb = _linear_solve(h, chart, eps, -F, config)
+        u, fb = _linear_solve(h, chart, eps, np.expm1(-F) if exact else -F, config)
         fallbacks += fb
         t = 1.0
         while True:
@@ -418,7 +424,12 @@ class AssembledRho:
 def solve_stencil(family: Family, stencil: BaseStencil, eps: float = 0.0,
                   config: SolverConfig | None = None,
                   normalization: str = KE_VOLUME) -> tuple[dict, dict]:
-    """MA solves on every stencil point, warm-started from the center."""
+    """MA solves on every stencil point.
+
+    For eps > 0 the outer points are warm-started from the center; at
+    eps = 0 every point starts from phi = 0 (an elliptic fiber then needs
+    one exact Newton step).
+    """
     config = config or SolverConfig()
     offsets = sorted(stencil.offsets(), key=lambda ij: (max(abs(ij[0]), abs(ij[1])), ij))
     solutions, omegas = {}, {}
@@ -430,7 +441,7 @@ def solve_stencil(family: Family, stencil: BaseStencil, eps: float = 0.0,
         problem = MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=eps)
         sol = solve_ma(problem, config, normalization=normalization, initial_guess=warm)
         solutions[key], omegas[key] = sol, form
-        if key == (0, 0):
+        if key == (0, 0) and eps > 0:
             warm = sol.phi
     return solutions, omegas
 

@@ -64,6 +64,9 @@ class FourierPoly:
             c = complex(c)
             if c != 0:
                 self.terms[key] = self.terms.get(key, 0.0) + c
+        # terms are fixed from here on, so their largest |k_m| is too
+        self._max_frequency = max((max(abs(v) for v in key[:-2]) for key in self.terms),
+                                  default=0)
 
     @staticmethod
     def zero(n: int = 1) -> "FourierPoly":
@@ -97,9 +100,7 @@ class FourierPoly:
         return dev
 
     def max_frequency(self) -> int:
-        if not self.terms:
-            return 0
-        return max(max(abs(v) for v in key[:-2]) for key in self.terms)
+        return self._max_frequency
 
     def ds(self) -> "FourierPoly":
         out = {}

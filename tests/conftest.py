@@ -52,3 +52,17 @@ def random_trig_field(rng, grid, kmax=3, terms=6, real=True):
         phase = sum(kk * grid.coords[ax] for ax, kk in enumerate(k))
         f += amp * np.exp(2j * np.pi * phase)
     return f.real.astype(complex) if real else f
+
+
+def random_chart_and_metric(rng, n, N):
+    """A random fiber chart on an N-grid and a constant positive metric on it."""
+    if n == 1:
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.6))
+        return FiberChart.make(FiberGrid(1, N), tau=tau), \
+            np.array([[rng.uniform(0.5, 2.0)]], dtype=complex)
+    off = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+    om = np.array([[complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.4)), off],
+                   [off, complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.4))]])
+    chart = FiberChart.make(FiberGrid(2, N), omega_matrix=om)
+    b = 0.2 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return chart, np.array([[rng.uniform(0.8, 1.5), b], [np.conj(b), rng.uniform(0.8, 1.5)]])

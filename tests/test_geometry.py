@@ -12,8 +12,11 @@ from cyflab.geometry import (
     d_z,
     d_zbar,
     ddc_fiber,
+    drop_nyquist_modes,
     fiber_derivative,
     fiber_integral,
+    flat_symbol,
+    fourier_multiply,
     herm_check,
     herm_inverse,
     herm_min_eig,
@@ -22,7 +25,7 @@ from cyflab.geometry import (
     linear_coeff_derivative,
     matrix_min_eig,
 )
-from conftest import random_trig_field
+from conftest import random_chart_and_metric, random_trig_field
 
 
 def test_grid_validation():
@@ -191,3 +194,36 @@ def test_herm_inverse_n2():
             prod = sum(g[a, b] * gup[b, c] for b in range(2))
             target = 1.0 if a == c else 0.0
             assert np.max(np.abs(prod - target)) < 1e-12
+
+
+def _flat_kernel_without_constant(chart, h_mean):
+    mask = flat_symbol(chart, h_mean) == 0
+    mask.flat[0] = False
+    return mask
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (1, 32), (2, 8)]))
+def test_nyquist_filter_matches_fourier_multiplier(seed, case):
+    """The parity-class filter is the multiplier that zeroes the flat kernel but the constant."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    chart, h_mean = random_chart_and_metric(rng, n, N)
+    keep = (~_flat_kernel_without_constant(chart, h_mean)).astype(float)
+    f = rng.standard_normal(chart.grid.shape) * rng.uniform(0.1, 10.0)
+    assert np.max(np.abs(drop_nyquist_modes(f) - fourier_multiply(f, keep))) \
+        <= 1e-14 * np.max(np.abs(f))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (1, 32), (2, 8)]))
+def test_parity_modes_are_the_flat_kernel(seed, case):
+    """lambda(k) = 0 exactly on the modes whose every frequency is 0 or N/2."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    chart, h_mean = random_chart_and_metric(rng, n, N)
+    freqs = chart.grid.freqs
+    parity = np.logical_and.reduce([(k == 0) | (np.abs(k) == N // 2) for k in freqs])
+    parity.flat[0] = False
+    assert parity.sum() == 2 ** (2 * n) - 1
+    assert np.array_equal(parity, _flat_kernel_without_constant(chart, h_mean))

@@ -14,7 +14,7 @@ from cyflab.green import (
     theorem12_assemble,
 )
 from cyflab.models import FamilySpec, make_family
-from conftest import perturbation_chi, random_trig_field
+from conftest import perturbation_chi, random_chart_and_metric, random_trig_field
 
 # frozen regression value: truncated-kernel K on the unit square torus
 # (tau = i, h = 1, N = 64); the continuum value from the Ewald oracle is
@@ -151,23 +151,28 @@ def test_separable_kernel_matches_direct(seed, case):
     """The tensor-grid evaluation of the kernel equals kernel_at on its points."""
     n, N = case
     rng = np.random.RandomState(seed)
-    if n == 1:
-        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.6))
-        chart = FiberChart.make(FiberGrid(1, N), tau=tau)
-        h = np.array([[rng.uniform(0.5, 2.0)]], dtype=complex)
-    else:
-        off = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-        om = np.array([[complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.4)), off],
-                       [off, complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.4))]])
-        chart = FiberChart.make(FiberGrid(2, N), omega_matrix=om)
-        b = 0.2 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        h = np.array([[rng.uniform(0.8, 1.5), b], [np.conj(b), rng.uniform(0.8, 1.5)]])
+    chart, h = random_chart_and_metric(rng, n, N)
     green = build_green(h, chart)
     axes = [rng.uniform(0, 1, size=rng.randint(3, 6)) for _ in range(2 * n)]
     on_grid = green.kernel_on_tensor_grid(axes)
     pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
     direct = green.kernel_at(pts).reshape(on_grid.shape)
     assert np.max(np.abs(on_grid - direct)) < 1e-13 * np.max(np.abs(direct))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (1, 64), (2, 8)]))
+def test_kernel_modes_match_matrix_product(seed, case):
+    """The elementwise eigenvalues equal 4 pi^2 Re sum h^{ba} (k.C_a) conj(k.C_b)."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    chart, h = random_chart_and_metric(rng, n, N)
+    ks, lam = build_green(h, chart).kernel_modes()
+    C = chart.dz_coeffs
+    hup = np.linalg.inv(h)
+    ref = sum((4 * np.pi ** 2) * (hup[b, a] * (ks @ C[a]) * np.conj(ks @ C[b])).real
+              for a in range(n) for b in range(n))
+    assert np.all(np.abs(lam - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_oracle_matrix_positive():

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +191,70 @@ def test_elliptic_eps0_solve_is_krylov_free(monkeypatch, perturbed_family):
     assert sol.newton_iters > 0
     assert sol.diagnostics["linear_fallbacks"] == 0
     assert sol.diagnostics["volume_residual"] < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), N=st.sampled_from([16, 32]),
+       tau=st.sampled_from([1j, 0.3 + 1.1j]), warm=st.booleans())
+def test_elliptic_eps0_one_exact_step(seed, N, tau, warm):
+    """At n = 1, eps = 0 one Newton step solves the equation, with no Krylov solve."""
+    grid = FiberGrid(1, N)
+    chart = FiberChart.make(grid, tau=tau)
+    rng = np.random.RandomState(seed)
+
+    bump = random_trig_field(rng, grid, kmax=2).real
+    bump = 0.4 * bump / max(1.0, float(np.max(np.abs(bump))))
+    g = (1.0 + rng.uniform() + bump).astype(complex)[np.newaxis, np.newaxis]
+    g_min = float(np.min(g[0, 0].real))
+
+    def potential(kmax, hess_sup):
+        # a random potential with sup |phi_{z z-bar}| = hess_sup
+        f = random_trig_field(rng, grid, kmax=kmax).real
+        return hess_sup * f / float(np.max(np.abs(ddc_fiber(f, chart)[0, 0].real)))
+
+    phi_star = potential(3, 0.5 * g_min)
+    hess = ddc_fiber(phi_star, chart)[0, 0].real
+    extra_f = np.log(g[0, 0].real + hess) - np.log(g[0, 0].real)
+    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape), epsilon=0.0,
+                        extra_f=extra_f)
+    guess = potential(2, 0.25 * g_min) if warm else None
+    with patch("cyflab.masolver.lgmres", side_effect=AssertionError("lgmres called")):
+        sol = solve_ma(problem, initial_guess=guess)
+    weight = np.exp(extra_f) * g[0, 0].real
+    expected = phi_star - np.mean(phi_star * weight) / np.mean(weight)
+    assert sol.newton_iters == 1
+    assert sol.residual_sup <= 1e-12
+    assert np.max(np.abs(sol.phi - expected)) <= 1e-12
+
+
+def _record_guesses(monkeypatch):
+    calls = []
+    real_solve_ma = solve_ma
+
+    def recording(problem, *args, initial_guess=None, **kwargs):
+        sol = real_solve_ma(problem, *args, initial_guess=initial_guess, **kwargs)
+        calls.append((initial_guess, sol))
+        return sol
+
+    monkeypatch.setattr("cyflab.masolver.solve_ma", recording)
+    return calls
+
+
+def test_stencil_eps0_points_solve_independently(monkeypatch, perturbed_family):
+    calls = _record_guesses(monkeypatch)
+    solutions, _ = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.0)
+    assert len(calls) == 9
+    assert all(guess is None for guess, _ in calls)
+    assert sum(sol.newton_iters for sol in solutions.values()) == 9
+
+
+def test_stencil_eps_positive_warm_starts_from_center(monkeypatch, perturbed_family):
+    calls = _record_guesses(monkeypatch)
+    solutions, _ = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.5)
+    center_phi = solutions[(0, 0)].phi
+    guesses = [guess for guess, sol in calls if sol is not solutions[(0, 0)]]
+    assert len(guesses) == 8
+    assert all(guess is center_phi for guess in guesses)
 
 
 def test_config_validation():

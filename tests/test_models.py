@@ -51,6 +51,18 @@ def test_fourier_poly_validation(grid64):
         big.eval(grid64, 1j)
 
 
+def test_fourier_poly_max_frequency():
+    """Each polynomial, derivatives included, carries the max |k_m| of its own terms."""
+    c = 0.3 - 0.2j
+    chi = FourierPoly(1, {(3, 0, 0, 0): 0.5, (-3, 0, 0, 0): 0.5,
+                          (1, -2, 1, 0): c, (-1, 2, 0, 1): np.conj(c)})
+    assert chi.max_frequency() == 3
+    assert chi.ds().max_frequency() == 2
+    assert chi.dsbar().max_frequency() == 2
+    assert chi.ds().dsbar().max_frequency() == 0
+    assert FourierPoly.zero(2).max_frequency() == 0
+
+
 def test_family_spec_validation():
     with pytest.raises(GeometryError):
         FamilySpec(kind="banana")

@@ -16,13 +16,15 @@ import csv
 import hashlib
 import json
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .geometry import FiberChart, FiberGrid, GeometryError, ddc_fiber, herm_det
+from .geometry import DefinitenessError, FiberChart, FiberGrid, GeometryError, ddc_fiber, \
+    herm_det, herm_min_eig
 from .green import build_green, ewald_kernel_min, k_bound, kernel_mean_residual, \
     reproducing_residual, theorem12_assemble, theorem12_row
 from .familygeom import (
@@ -42,6 +44,7 @@ from .masolver import (
     BaseStencil,
     KE_VOLUME,
     MAProblem,
+    NO_NORMALIZATION,
     REFERENCE_VOLUME,
     SolverConfig,
     SolverDivergence,
@@ -50,7 +53,7 @@ from .masolver import (
     fiberwise_ricci_flat,
     solve_ma,
 )
-from .models import FamilySpec, FourierPoly, make_family
+from .models import VALID_KINDS, FamilySpec, FourierPoly, make_family, random_positive_form
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -66,188 +69,231 @@ class ConfigError(ValueError):
 
 
 # -- config parsing ------------------------------------------------------------
-
-_TOP_KEYS = {"schema", "family", "solver", "continuation", "stencil", "outputs",
-             "suites", "seed", "threads", "fiber"}
-_FAMILY_KEYS = {"kind", "n", "tau0", "modulus_coeffs", "period_matrix", "chi",
-                "base_coeff", "base"}
-_SOLVER_KEYS = {"grid_n", "tol", "max_iters", "damping_floor"}
-_STENCIL_KEYS = {"h_s", "richardson"}
-_OUTPUT_KEYS = {"dir", "formats"}
-_BASE_KEYS = {"samples", "rect", "nx", "ny"}
-_FIBER_KEYS = {"s", "eps", "normalization", "manufactured"}
-_MANUFACTURED_KEYS = {"amplitude", "mode", "eps"}
+# A reader takes one exact JSON type and returns its Python value; true and
+# false are not numbers here, although Python counts a bool as an int.
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+def _exact(kind, wording: str):
+    def read(value, where: str):
+        if type(value) is not kind:
+            raise ConfigError(f"{where} must be {wording}, got {value!r}")
+        return value
+    return read
 
 
-def _number(value, kind, where: str):
-    """value converted by kind (int or float), or a ConfigError naming where."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+_int = _exact(int, "an integer")
+_bool = _exact(bool, "true or false")
+_str = _exact(str, "a string")
 
 
-def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_number(value[0], float, where), _number(value[1], float, where))
-    raise ConfigError(f"{where} must be a number or [re, im] pair")
+def _float(value, where: str) -> float:
+    # a JSON integer may exceed every float; NaN fails the comparison
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def parse_config(doc: dict) -> dict:
-    _check_keys(doc, _TOP_KEYS, "config")
-    if doc.get("schema") != 1:
-        raise ConfigError("config must declare \"schema\": 1")
-    if "family" not in doc:
-        raise ConfigError("config needs a family section")
+def _complex(value, where: str) -> complex:
+    re, im = value if isinstance(value, list) and len(value) == 2 else (value, 0)
+    return complex(_float(re, where), _float(im, where))
 
-    fam = doc["family"]
-    _check_keys(fam, _FAMILY_KEYS, "family")
-    kind = fam.get("kind")
-    n = _number(fam.get("n", 1), int, "family.n")
 
-    solver = doc.get("solver", {})
-    _check_keys(solver, _SOLVER_KEYS, "solver")
-    grid_n = _number(solver.get("grid_n", 64 if n == 1 else 24), int, "solver.grid_n")
-    tol = _number(solver.get("tol", 1e-11), float, "solver.tol")
-    if grid_n < 8 or grid_n % 2:
-        raise ConfigError("solver.grid_n must be even and >= 8")
-    if not (0 < tol <= 1e-4):
-        raise ConfigError("solver.tol must lie in (0, 1e-4]")
+def _list(item):
+    """Reader of a JSON list whose entries item reads."""
+    def read(value, where: str) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return read
 
-    stencil = doc.get("stencil", {})
-    _check_keys(stencil, _STENCIL_KEYS, "stencil")
-    h_s = _number(stencil.get("h_s", 1e-3), float, "stencil.h_s")
-    if h_s <= 0:
-        raise ConfigError("stencil.h_s must be positive")
 
-    outputs = doc.get("outputs", {})
-    _check_keys(outputs, _OUTPUT_KEYS, "outputs")
-    formats = outputs.get("formats", ["json", "csv"])
-    bad = set(formats) - {"json", "csv", "svg"}
-    if bad:
-        raise ConfigError(f"unknown output formats: {sorted(bad)}")
+def _chi_term(value, where: str) -> tuple:
+    """A chi row [k_1, .., k_2n, p, q, re, im] as (integer key, coefficient)."""
+    if not isinstance(value, list) or len(value) < 4:
+        raise ConfigError(f"{where} must be [k_1, .., k_2n, p, q, re, im], got {value!r}")
+    return tuple(_int(v, where) for v in value[:-2]), _complex(value[-2:], where)
 
-    suites = doc.get("suites", list(KNOWN_SUITES))
-    bad = set(suites) - set(KNOWN_SUITES)
-    if bad:
-        raise ConfigError(f"unknown suites: {sorted(bad)}")
 
-    cont = doc.get("continuation", {})
-    _check_keys(cont, {"eps_schedule"}, "continuation")
-    schedule = cont.get("eps_schedule", [1.0, 0.3, 0.1, 0.03, 0.01, 0.0])
-    if not isinstance(schedule, list) or not schedule:
-        raise ConfigError("continuation.eps_schedule must be a non-empty list")
-    schedule = [_number(e, float, "continuation.eps_schedule") for e in schedule]
-    if schedule != sorted(schedule, reverse=True) or len(set(schedule)) != len(schedule):
-        raise ConfigError("continuation.eps_schedule must be strictly decreasing")
-    if schedule[-1] < 0:
-        raise ConfigError("continuation.eps_schedule must be nonnegative")
+# A rule is a pair (check, wording): the range check of a read value and the
+# range in words, for errors and the README.
+def _one_of(choices, each=False):
+    """The value (with each, every entry) is among choices."""
+    allowed = set(choices)
+    return ((lambda v: set(v) <= allowed) if each else (lambda v: v in allowed),
+            ("each " if each else "") + "one of " + ", ".join(map(str, choices)))
 
-    base = fam.get("base", {"samples": [[0.0, 1.0]]})
-    _check_keys(base, _BASE_KEYS, "family.base")
-    if "samples" in base:
-        samples = [_as_complex(v, "family.base.samples") for v in base["samples"]]
+
+def _range(lo, hi=None, open_lo=False):
+    """lo <= value (lo < value with open_lo) and, if hi is given, value <= hi."""
+    if hi is None:
+        wording = f"{'>' if open_lo else '>='} {lo}"
+    elif open_lo:
+        wording = f"in ({lo}, {hi}]"
     else:
-        rect = base.get("rect")
-        if not isinstance(rect, list) or len(rect) != 4:
-            raise ConfigError("family.base needs samples or rect [re0, re1, im0, im1]")
-        rect = [_number(v, float, "family.base.rect") for v in rect]
-        nx = _number(base.get("nx", 5), int, "family.base.nx")
-        ny = _number(base.get("ny", 5), int, "family.base.ny")
-        res = np.linspace(rect[0], rect[1], nx)
-        ims = np.linspace(rect[2], rect[3], ny)
-        samples = [complex(a, b) for b in ims for a in res]
-    if any(s.imag <= 0 for s in samples) and kind != "product":
-        raise ConfigError("base samples must satisfy Im s > 0")
+        wording = f"{lo} to {hi}"
+    return (lambda v: (lo < v if open_lo else lo <= v) and (hi is None or v <= hi)), wording
+
+
+# A config key with its reader, default, range check and the range in words.
+# The default is JSON, read like a given value; a None default stays None, and
+# ... marks a required key.
+Key = namedtuple("Key", "read default check allowed", defaults=(None, ""))
+
+
+def _section(doc, where: str) -> dict:
+    """The section at dotted path where, each key read, range-checked and defaulted."""
+    table = CONFIG_SCHEMA[where]
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    out = {}
+    for name, key in table.items():
+        path = name if where == "config" else f"{where}.{name}"
+        value = doc.get(name, key.default)
+        if value is Ellipsis:
+            raise ConfigError(f"{path} is required")
+        out[name] = None if name not in doc and value is None else key.read(value, path)
+        if out[name] is not None and key.check is not None and not key.check(out[name]):
+            raise ConfigError(f"{path} must be {key.allowed}, got {value!r}")
+    return out
+
+
+CONFIG_SCHEMA = {
+    "config": {
+        "schema": Key(_int, ..., *_one_of((1,))),
+        "family": Key(_section, ...),
+        "solver": Key(_section, {}),
+        "stencil": Key(_section, {}),
+        "continuation": Key(_section, {}),
+        "outputs": Key(_section, {}),
+        "fiber": Key(_section, {}),
+        "suites": Key(_list(_str), list(KNOWN_SUITES), *_one_of(KNOWN_SUITES, each=True)),
+        "seed": Key(_int, 0, *_range(0, 2 ** 32 - 1)),
+        "threads": Key(_int, 1, *_range(1)),
+    },
+    "family": {
+        "kind": Key(_str, ..., *_one_of(VALID_KINDS)),
+        "n": Key(_int, 1, *_one_of((1, 2))),
+        "tau0": Key(_complex, [0, 1]),
+        "modulus_coeffs": Key(_list(_complex), [[0, 0], [1, 0]]),
+        "period_matrix": Key(_list(_list(_complex)), None),
+        "chi": Key(_list(_chi_term), []),
+        "base_coeff": Key(_float, 1.0, *_range(0, open_lo=True)),
+        "base": Key(_section, {}),
+    },
+    "family.base": {
+        "samples": Key(_list(_complex), None, bool, "non-empty"),
+        "rect": Key(_list(_float), None, lambda v: len(v) == 4, "4 entries"),
+        "nx": Key(_int, 5, *_range(1, 100)),
+        "ny": Key(_int, 5, *_range(1, 100)),
+    },
+    "solver": {
+        "grid_n": Key(_int, None, *_range(8)),
+        "tol": Key(_float, 1e-11, *_range(0, 1e-4, open_lo=True)),
+        "max_iters": Key(_int, 50, *_range(1)),
+        "damping_floor": Key(_float, 2.0 ** -20, *_range(0, 1, open_lo=True)),
+    },
+    "stencil": {
+        "h_s": Key(_float, 1e-3, *_range(0, open_lo=True)),
+        "richardson": Key(_bool, False),
+    },
+    "continuation": {
+        "eps_schedule": Key(_list(_float), [1.0, 0.3, 0.1, 0.03, 0.01, 0.0],
+                            bool, "non-empty"),
+    },
+    "outputs": {
+        "dir": Key(_str, "out"),
+        "formats": Key(_list(_str), ["json", "csv"], *_one_of(("json", "csv", "svg"), each=True)),
+    },
+    "fiber": {
+        "s": Key(_complex, None),
+        "eps": Key(_float, 0.0, *_range(0)),
+        "normalization": Key(_str, KE_VOLUME,
+                             *_one_of((KE_VOLUME, REFERENCE_VOLUME, NO_NORMALIZATION))),
+        "manufactured": Key(_section, None),
+    },
+    "fiber.manufactured": {
+        "amplitude": Key(_float, ...),
+        "mode": Key(_list(_int), ...),
+    },
+}
+
+
+def parse_config(doc) -> dict:
+    """The typed run configuration of a JSON document; ConfigError if malformed.
+    CONFIG_SCHEMA reads each key, and the rules here relate keys to each other."""
+    conf = _section(doc, "config")
+    fam, base, fiber = conf["family"], conf["family"]["base"], conf["fiber"]
+    n = fam["n"]
+    grid_n = conf["solver"]["grid_n"] or (64 if n == 1 else 24)
+    # at most 2^20 nodes per field, so grid_n <= 1024 at n = 1 and <= 32 at
+    # n = 2, where a grid-24 solve already peaks near 280 MB
+    if grid_n % 2 or grid_n ** (2 * n) > 2 ** 20:
+        raise ConfigError(f"solver.grid_n must be even with grid_n^{2 * n} <= 2^20 nodes")
+
+    if base["rect"] is None:
+        samples = base["samples"] or [1j]
+    elif base["samples"] is not None:
+        raise ConfigError("family.base takes samples or rect, not both")
+    else:
+        re0, re1, im0, im1 = base["rect"]
+        samples = [complex(a, b) for b in np.linspace(im0, im1, base["ny"])
+                   for a in np.linspace(re0, re1, base["nx"])]
+    if fiber["s"] is None:
+        fiber["s"] = samples[0]
+    if fam["kind"] != "product" and min(s.imag for s in samples + [fiber["s"]]) <= 0:
+        raise ConfigError("base samples and fiber.s must satisfy Im s > 0")
 
     chi_terms = {}
-    for row in fam.get("chi", []):
-        if not isinstance(row, list) or len(row) != 2 * n + 4:
+    for key, coeff in fam["chi"]:
+        if len(key) != 2 * n + 2:
             raise ConfigError(
-                f"chi terms must be [k_1..k_{2 * n}, p, q, re, im], got {row}")
-        key = tuple(_number(v, int, "family.chi") for v in row[:-2])
-        chi_terms[key] = chi_terms.get(key, 0.0) + _as_complex(row[-2:], "family.chi")
-    chi = FourierPoly(n, chi_terms)
-    if chi.realness_residual() > 1e-13:
-        raise ConfigError("family.chi is not closed under conjugation (not real)")
+                f"chi terms must be [k_1..k_{2 * n}, p, q, re, im], got {list(key)}")
+        chi_terms[key] = chi_terms.get(key, 0.0) + coeff
+    matrix = fam["period_matrix"]
+    if (n == 2 or matrix is not None) and [len(row) for row in matrix or []] != [n] * n:
+        raise ConfigError(f"family.period_matrix must be an {n} x {n} matrix")
+    schedule = conf["continuation"]["eps_schedule"]
+    if any(a <= b for a, b in zip(schedule, schedule[1:])) or schedule[-1] < 0:
+        raise ConfigError("continuation.eps_schedule must decrease strictly to a value >= 0")
+    manufactured = fiber["manufactured"]
+    if manufactured is not None and len(manufactured["mode"]) != 2 * n:
+        raise ConfigError(f"fiber.manufactured.mode must list {2 * n} frequencies")
+
+    try:
+        chi = FourierPoly(n, chi_terms)
+        spec = FamilySpec(
+            kind=fam["kind"], n=n, tau0=fam["tau0"],
+            modulus_coeffs=tuple(fam["modulus_coeffs"]),
+            omega_matrix=None if matrix is None else np.array(matrix),
+            chi=chi, base_coeff=fam["base_coeff"], grid_n=grid_n,
+            base_samples=tuple(samples))
+    except GeometryError as exc:
+        raise ConfigError(f"invalid family: {exc}") from exc
     if chi.max_frequency() > grid_n // 2 - 1:
         raise ConfigError("family.chi frequency exceeds the grid Nyquist range")
 
+    # the sections as read, plus the values the commands take from them
+    solver, stencil = conf["solver"], conf["stencil"]
+    return dict(conf, spec=spec, samples=samples, schedule=schedule, raw=doc,
+                solver=SolverConfig(tol=solver["tol"], max_iters=solver["max_iters"],
+                                    damping_floor=solver["damping_floor"]),
+                h_s=stencil["h_s"], richardson=stencil["richardson"])
+
+
+def read_config(path: str):
+    """The JSON document at path, or a ConfigError."""
     try:
-        spec = FamilySpec(
-            kind=kind, n=n,
-            tau0=_as_complex(fam.get("tau0", [0.0, 1.0]), "family.tau0"),
-            modulus_coeffs=tuple(_as_complex(c, "family.modulus_coeffs")
-                                 for c in fam.get("modulus_coeffs", [[0, 0], [1, 0]])),
-            omega_matrix=(np.array([[_as_complex(v, "period_matrix") for v in row]
-                                    for row in fam["period_matrix"]])
-                          if "period_matrix" in fam else None),
-            chi=chi, base_coeff=_number(fam.get("base_coeff", 1.0), float, "family.base_coeff"),
-            grid_n=grid_n, base_samples=tuple(samples))
-    except (GeometryError, TypeError) as exc:
-        raise ConfigError(f"invalid family: {exc}") from exc
-
-    fiber = doc.get("fiber", {})
-    _check_keys(fiber, _FIBER_KEYS, "fiber")
-    if "s" in fiber:
-        _as_complex(fiber["s"], "fiber.s")
-    _number(fiber.get("eps", 0.0), float, "fiber.eps")
-    manufactured = fiber.get("manufactured")
-    if manufactured is not None:
-        _check_keys(manufactured, _MANUFACTURED_KEYS, "fiber.manufactured")
-    if manufactured:
-        missing = {"amplitude", "mode"} - set(manufactured)
-        if missing:
-            raise ConfigError(f"fiber.manufactured needs {sorted(missing)}")
-        _number(manufactured["amplitude"], float, "fiber.manufactured.amplitude")
-        _number(manufactured.get("eps", 0.0), float, "fiber.manufactured.eps")
-        mode = manufactured["mode"]
-        if not isinstance(mode, list) or len(mode) != 2 * n:
-            raise ConfigError(
-                f"fiber.manufactured.mode must list {2 * n} integer frequencies, got {mode}")
-        for v in mode:
-            _number(v, int, "fiber.manufactured.mode")
-
-    threads = _number(doc.get("threads", 1), int, "threads")
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-
-    return {
-        "spec": spec,
-        "solver": SolverConfig(
-            tol=tol, max_iters=_number(solver.get("max_iters", 50), int, "solver.max_iters"),
-            damping_floor=_number(solver.get("damping_floor", 2.0 ** -20), float,
-                                  "solver.damping_floor")),
-        "h_s": h_s,
-        "richardson": bool(stencil.get("richardson", False)),
-        "schedule": schedule,
-        "outputs": {"dir": outputs.get("dir", "out"), "formats": list(formats)},
-        "suites": list(suites),
-        "seed": _number(doc.get("seed", 0), int, "seed"),
-        "threads": threads,
-        "fiber": fiber,
-        "samples": samples,
-        "raw": doc,
-    }
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(read_config(path))
 
 
 def provenance_block(cfg: dict) -> dict:
@@ -337,40 +383,32 @@ def write_heatmap_svg(path: Path, samples: list, values: list, cell: int = 40):
 
 
 def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
-    spec = cfg["spec"]
-    family = make_family(spec)
+    family = make_family(cfg["spec"])
     fiber = cfg["fiber"]
-    s = _as_complex(fiber.get("s", [spec.base_samples[0].real,
-                                    spec.base_samples[0].imag]), "fiber.s")
-    eps = float(fiber.get("eps", 0.0))
-    normalization = fiber.get("normalization", KE_VOLUME)
-    if normalization not in (KE_VOLUME, REFERENCE_VOLUME, "none"):
-        raise ConfigError(f"unknown normalization {normalization!r}")
-
+    s = fiber["s"]
+    eps = fiber["eps"]
     form = family.omega(s)
-    manufactured = fiber.get("manufactured")
+    manufactured = fiber["manufactured"]
     report = {"provenance": provenance_block(cfg), "s": s, "eps": eps}
-    if manufactured:
-        amp = float(manufactured["amplitude"])
-        mode = tuple(int(v) for v in manufactured["mode"])
-        eps = float(manufactured.get("eps", eps))
+    if manufactured is not None:
         grid = family.grid
-        phase = sum(k * grid.coords[ax] for ax, k in enumerate(mode))
-        phi_star = amp * np.cos(2 * np.pi * phase)
-        hess = ddc_fiber(phi_star, form.chart)
-        extra_f = np.log(herm_det(form.gab + hess).real) \
-            - np.log(herm_det(form.gab).real) - eps * phi_star
+        phase = sum(k * grid.coords[ax] for ax, k in enumerate(manufactured["mode"]))
+        phi_star = manufactured["amplitude"] * np.cos(2 * np.pi * phase)
+        h_star = form.gab + ddc_fiber(phi_star, form.chart)
+        if herm_min_eig(h_star) <= 0:
+            raise DefinitenessError("manufactured phi* breaks fiber positivity")
+        det_g = herm_det(form.gab).real
+        extra_f = np.log(herm_det(h_star).real) - np.log(det_g) - eps * phi_star
         problem = MAProblem(chart=form.chart, gab=form.gab,
                             eta=np.zeros(grid.shape), epsilon=eps, extra_f=extra_f)
         sol = solve_ma(problem, cfg["solver"],
                        normalization=REFERENCE_VOLUME if eps == 0 else "none")
-        shift = float(np.mean(phi_star * herm_det(form.gab).real)
-                      / np.mean(herm_det(form.gab).real)) if eps == 0 else 0.0
+        shift = float(np.mean(phi_star * det_g) / np.mean(det_g)) if eps == 0 else 0.0
         report["recovery_error"] = float(np.max(np.abs(sol.phi - (phi_star - shift))))
     else:
         eta = eta_from_metric(form.gab, form.chart)
         problem = MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=eps)
-        sol = solve_ma(problem, cfg["solver"], normalization=normalization)
+        sol = solve_ma(problem, cfg["solver"], normalization=fiber["normalization"])
 
     report.update({
         "residual_sup": sol.residual_sup,
@@ -449,43 +487,6 @@ def cmd_run_family(cfg: dict, out_dir: Path, plot: bool = False) -> int:
 # -- verify suites --------------------------------------------------------------
 
 
-def random_positive_form(rng: np.random.RandomState, grid: FiberGrid,
-                         chart: FiberChart) -> "object":
-    """Seeded fiberwise-positive random form with O(1) band-limited entries."""
-    from .models import FamilyForm
-
-    n = grid.n
-
-    def band_field(scale=1.0):
-        f = np.zeros(grid.shape, dtype=complex)
-        for _ in range(4):
-            k = rng.randint(-3, 4, size=2 * n)
-            amp = (rng.standard_normal() + 1j * rng.standard_normal()) * scale / 4
-            phase = sum(kk * grid.coords[ax] for ax, kk in enumerate(k))
-            f += amp * np.exp(2j * np.pi * phase)
-        return f
-
-    gab = np.zeros((n, n) + grid.shape, dtype=complex)
-    for a in range(n):
-        for b in range(a, n):
-            f = band_field(0.25)
-            if a == b:
-                gab[a, b] = 1.5 + f.real
-            else:
-                gab[a, b] = f
-                gab[b, a] = np.conj(f)
-    # push up the diagonal until comfortably positive
-    from .geometry import herm_min_eig
-    me = herm_min_eig(gab)
-    if me < 0.25:
-        for a in range(n):
-            gab[a, a] += 0.5 - me
-    gsb = np.stack([band_field(0.5) for _ in range(n)])
-    gss = 2.0 + band_field(0.3).real.astype(complex)
-    return FamilyForm(chart=chart, s=1j, gss=gss, gsb=gsb, gab=gab,
-                      provenance="model")
-
-
 def suite_identities(cfg: dict) -> dict:
     rng = np.random.RandomState(cfg["seed"])
     results = {"semmes_max": 0.0, "contraction_max": 0.0, "det_oracle_max": 0.0,
@@ -538,11 +539,8 @@ def suite_elliptic(cfg: dict) -> dict:
 
 
 def suite_product(cfg: dict) -> dict:
-    chi = FourierPoly.real_cosine(1, (1, 0), {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5}, 0.05)
-    spec = FamilySpec(kind="product", tau0=1j, chi=chi, grid_n=cfg["spec"].grid_n,
-                      base_samples=(0.2 + 0.3j,))
-    family = make_family(spec)
-    s = spec.base_samples[0]
+    s = 0.2 + 0.3j
+    family = _perturbed_family(cfg, (s,), kind="product")
     stencil = BaseStencil(center=s, h_s=cfg["h_s"])
     rho = fiberwise_ricci_flat(family, stencil, config=cfg["solver"])
     fld = dbar_vertical(rho.form)
@@ -557,11 +555,11 @@ def suite_product(cfg: dict) -> dict:
     return out
 
 
-def _perturbed_family(cfg: dict, samples=(1j,)):
+def _perturbed_family(cfg: dict, samples=(1j,), kind="universal_elliptic"):
+    """The family of kind over tau0 = i with a small chi perturbation."""
     chi = FourierPoly.real_cosine(1, (1, 0), {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5}, 0.05)
-    spec = FamilySpec(kind="universal_elliptic", chi=chi, grid_n=cfg["spec"].grid_n,
-                      base_samples=tuple(samples))
-    return make_family(spec)
+    return make_family(FamilySpec(kind=kind, tau0=1j, chi=chi, grid_n=cfg["spec"].grid_n,
+                                  base_samples=tuple(samples)))
 
 
 def suite_epsilon(cfg: dict) -> dict:
@@ -675,14 +673,8 @@ SUITE_RUNNERS = {
 
 
 def cmd_verify(cfg: dict, out_dir: Path, suites=None) -> int:
-    suites = suites or cfg["suites"]
-    results = {}
-    ok = True
-    for name in suites:
-        if name not in SUITE_RUNNERS:
-            raise ConfigError(f"unknown suite {name!r}")
-        results[name] = SUITE_RUNNERS[name](cfg)
-        ok = ok and results[name]["pass"]
+    results = {name: SUITE_RUNNERS[name](cfg) for name in suites or cfg["suites"]}
+    ok = all(r["pass"] for r in results.values())
     report = {"provenance": provenance_block(cfg), "suites": results, "pass": ok}
     if "json" in cfg["outputs"]["formats"]:
         write_json(out_dir / "verify_report.json", report)
@@ -719,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "run-family":
             p.add_argument("--plot", action="store_true", help="emit the SVG heatmap")
         if name == "verify":
-            p.add_argument("--suite", default=None,
+            p.add_argument("--suite", default=None, choices=KNOWN_SUITES,
                            help="run a single named suite instead of the configured set")
     return parser
 
@@ -727,13 +719,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.grid is not None:
-            cfg["raw"].setdefault("solver", {})["grid_n"] = args.grid
-            cfg = parse_config(cfg["raw"])
-        if args.fd_step is not None:
-            cfg["raw"].setdefault("stencil", {})["h_s"] = args.fd_step
-            cfg = parse_config(cfg["raw"])
+        doc = read_config(args.config)
+        # the overrides enter the document, hence the provenance hash
+        for section, key, value in (("solver", "grid_n", args.grid),
+                                    ("stencil", "h_s", args.fd_step)):
+            if value is not None and isinstance(doc, dict) \
+                    and isinstance(doc.setdefault(section, {}), dict):
+                doc[section][key] = value
+        cfg = parse_config(doc)
         if args.threads is not None:
             if args.threads < 1:
                 raise ConfigError(f"--threads must be at least 1, got {args.threads}")
@@ -746,16 +739,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             suites = [args.suite] if args.suite else None
             return cmd_verify(cfg, out_dir, suites=suites)
-        if args.command == "green":
-            return cmd_green(cfg, out_dir)
-        raise ConfigError(f"unknown command {args.command}")
+        return cmd_green(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverDivergence as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except GeometryError as exc:
+    except (SolverDivergence, GeometryError, OverflowError) as exc:
+        # OverflowError: a chi power of s past the float range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

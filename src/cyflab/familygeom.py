@@ -12,7 +12,7 @@ gab[a, b] = g_{alpha beta-bar}, inverse hup[b, a] = h^{beta-bar alpha}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -264,11 +264,6 @@ def dbar_star_residual(rho: FamilyForm, omega: FamilyForm, eps: float) -> float:
 # -- section norms and the direct image curvature ----------------------------
 
 
-def section_norm_sq(family: Family, s: complex) -> float:
-    """L^2 norm squared of the canonical holomorphic n-form u on the fiber."""
-    return family.section_norm_sq(s)
-
-
 def theta_E(family: Family, stencil: BaseStencil, richardson: bool = False) -> float:
     """Theta_ss(E) = -d^2/ds ds-bar log |u|^2_s by central differences.
 
@@ -289,18 +284,15 @@ def theta_E(family: Family, stencil: BaseStencil, richardson: bool = False) -> f
     return (4.0 * fine - coarse) / 3.0
 
 
-def wp_norm(rho: FamilyForm, normalize_volume: bool = True) -> float:
-    """|V|^2_WP = integral of |dbar v|^2 against the rho fiber volume.
-
-    With normalize_volume the integral is divided by the fiber volume,
-    which realizes the unit-volume convention in which it equals the
+def wp_norm(rho: FamilyForm) -> float:
+    """|V|^2_WP = integral of |dbar v|^2 against the rho fiber volume, divided
+    by the fiber volume: the unit-volume convention in which it equals the
     direct image curvature.
     """
     field = dbar_vertical(rho)
     chart = rho.chart
     total = fiber_integral(field.norm2, chart, metric=rho.gab)
-    if normalize_volume:
-        total /= fiber_integral(np.ones(chart.grid.shape), chart, metric=rho.gab)
+    total /= fiber_integral(np.ones(chart.grid.shape), chart, metric=rho.gab)
     return float(total)
 
 
@@ -392,7 +384,6 @@ class CurvatureReport:
     semmes: float
     contraction: float
     ricci_constancy: float
-    extras: dict = dc_field(default_factory=dict)
 
     def row(self) -> dict:
         return {
@@ -435,7 +426,6 @@ def curvature_report(family: Family, s: complex, h_s: float = 1e-3,
         semmes=semmes_residual(rho.form),
         contraction=contraction_residual(rho.form),
         ricci_constancy=rho.ricci_constancy(),
-        extras={"pde_residual_field": res},
     )
 
 
@@ -642,8 +632,7 @@ def combined_form_min_eig(rho: FamilyForm, bound: float) -> float:
     return herm_min_eig(full) if rho.n == 1 else matrix_min_eig(full)
 
 
-def theorem12_check(rho: AssembledRho, K: float, theta: float | None = None,
-                    tol: float = 1e-6) -> dict:
+def theorem12_check(rho: AssembledRho, K: float, tol: float = 1e-6) -> dict:
     """Pointwise Green-kernel lower bound and combined-form positivity.
 
     Returns min(c + K wp - int c rho^n) (non-negative up to tol by the

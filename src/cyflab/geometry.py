@@ -139,15 +139,6 @@ class FiberGrid:
         k[self.N // 2] = 0.0
         return list(np.meshgrid(*([k] * 2 * self.n), indexing="ij"))
 
-    def fft(self, f: np.ndarray) -> np.ndarray:
-        return fft(f)
-
-    def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return ifft(fh)
-
-    def mean(self, f: np.ndarray) -> complex:
-        return complex(np.mean(f))
-
 
 @dataclass(frozen=True)
 class FiberChart:

@@ -88,19 +88,6 @@ class MAProblem:
         if herm_min_eig(self.gab) <= 0:
             raise DefinitenessError("MA problem needs a fiber-positive reference form")
 
-    def compatibility_residual(self) -> float:
-        """|int e^(eta+f) omega^n - int omega^n| / int omega^n (eps = 0 solvability)."""
-        chart = self.chart
-        vol = fiber_integral(np.ones(chart.grid.shape), chart, metric=self.gab)
-        lhs = fiber_integral(np.exp(self.eta.real + self.extra_f.real), chart, metric=self.gab)
-        return abs(lhs - vol) / abs(vol)
-
-    def validate(self):
-        if self.epsilon == 0 and self.compatibility_residual() > 1e-10:
-            raise NormalizationError(
-                "eps = 0 problem violates the solvability normalization "
-                f"(residual {self.compatibility_residual():.3e})")
-
 
 @dataclass
 class MASolution:
@@ -229,12 +216,23 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
              normalization: str = KE_VOLUME, initial_guess=None) -> MASolution:
     """Damped Newton solve of the fiber Monge-Ampere equation."""
     config = config or SolverConfig()
-    problem.validate()
     chart = problem.chart
     g = problem.gab
-    logdet_g = np.log(herm_det(g).real)
     target = problem.eta.real + problem.extra_f.real
     eps = problem.epsilon
+    # a non-finite eta + f would pass every test below as NaN
+    chart.check_field(target)
+    # det g is the reference volume density and e^(eta+f) det g the
+    # Ricci-flat one; at eps = 0 their integrals must agree for solvability
+    det_g = herm_det(g).real
+    vol_g = float(np.mean(det_g))
+    if eps == 0:
+        compat = abs(float(np.mean(np.exp(target) * det_g)) - vol_g) / vol_g
+        if not compat <= 1e-10:
+            raise NormalizationError(
+                "eps = 0 problem violates the solvability normalization "
+                f"(residual {compat:.3e})")
+    logdet_g = np.log(det_g)
 
     # at n = 1, eps = 0 the equation h_{z z-bar} = g e^target is linear in
     # phi_{z z-bar}: the step u with u_{z z-bar} = h (e^{-F} - 1) lands on it
@@ -279,20 +277,25 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         F, h, res = F_new, h_new, float(np.max(np.abs(F_new)))
         iters += 1
 
-    if res > config.tol:
+    if not res <= config.tol:
         raise SolverDivergence(
             f"Newton did not converge in {config.max_iters} iterations "
             f"(residual {res:.3e})", residual=res)
 
     if eps == 0 and normalization != NO_NORMALIZATION:
-        phi = phi - _normalization_shift(phi, problem, normalization)
+        if normalization == REFERENCE_VOLUME:
+            weight = det_g
+        elif normalization == KE_VOLUME:
+            # e^(eta+f) omega^n is the solved Ricci-flat volume rho^n
+            weight = np.exp(target) * det_g
+        else:
+            raise GeometryError(f"unknown normalization {normalization!r}")
+        phi = phi - float(np.mean(phi * weight) / np.mean(weight))
     elif eps > 0:
         normalization = NO_NORMALIZATION
 
     # the shift leaves dd^c phi, hence the last h, unchanged
     det_h = herm_det(h).real
-    vol_g = fiber_integral(np.ones(chart.grid.shape), chart, metric=g)
-    vol_h = float(np.mean(det_h)) * chart.measure
     # Delta_g phi = g^{b a} phi_ab with phi_ab = (h - g)_ab
     gup = herm_inverse(g)
     lap = sum(gup[b, a] * (h[a, b] - g[a, b])
@@ -303,7 +306,7 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         # trace-form positivity monitor: 0 <= n + Delta_omega phi
         "trace_min": float(np.min(chart.n + lap)),
         "fiber_min_eig": herm_min_eig(h),
-        "volume_residual": abs(vol_h - vol_g) / abs(vol_g),
+        "volume_residual": abs(float(np.mean(det_h)) - vol_g) / vol_g,
         "det_h_constancy": float(np.max(np.abs(det_h - np.mean(det_h))) / np.mean(det_h)),
         # Newton steps whose Krylov solve missed rtol and was accepted on
         # its true residual
@@ -311,19 +314,6 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     }
     return MASolution(phi=phi, residual_sup=res, newton_iters=iters,
                       normalization=normalization, diagnostics=diagnostics)
-
-
-def _normalization_shift(phi, problem: MAProblem, normalization: str) -> float:
-    chart = problem.chart
-    det_g = herm_det(problem.gab).real
-    if normalization == REFERENCE_VOLUME:
-        weight = det_g
-    elif normalization == KE_VOLUME:
-        # e^(eta+f) omega^n is the solved Ricci-flat volume rho^n
-        weight = np.exp(problem.eta.real + problem.extra_f.real) * det_g
-    else:
-        raise GeometryError(f"unknown normalization {normalization!r}")
-    return float(np.mean(phi * weight) / np.mean(weight))
 
 
 def linearized_solve(h: np.ndarray, chart: FiberChart, epsilon: float, R: np.ndarray,
@@ -526,8 +516,7 @@ class EpsilonPath:
     sup_lap_max: float
 
 
-def epsilon_continuation(family: Family, s: complex, schedule, config=None,
-                         eta_weight: bool = True) -> EpsilonPath:
+def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> EpsilonPath:
     """Warm-started solves along a decreasing eps schedule on one fiber.
 
     Records the normalization integrals int phi_eps e^eta omega^n, whose
@@ -545,8 +534,7 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None,
     chart = form.chart
     eta = eta_from_metric(form.gab, chart)
     det_g = herm_det(form.gab).real
-    weight = (np.exp(eta) * det_g) if eta_weight else det_g
-    vol = float(np.mean(det_g)) * chart.measure
+    weight = np.exp(eta) * det_g
 
     solutions, table = [], []
     warm = None

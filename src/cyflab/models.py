@@ -62,6 +62,8 @@ class FourierPoly:
             if key[-1] < 0 or key[-2] < 0:
                 raise GeometryError(f"potential powers must be nonnegative in {key}")
             c = complex(c)
+            if not np.isfinite(c):
+                raise GeometryError(f"potential coefficient of {key} is not finite")
             if c != 0:
                 self.terms[key] = self.terms.get(key, 0.0) + c
         # terms are fixed from here on, so their largest |k_m| is too
@@ -424,10 +426,6 @@ class FamilyForm:
     def n(self) -> int:
         return self.chart.n
 
-    def gbs(self) -> np.ndarray:
-        """g_{alpha s-bar} = conj(g_{s alpha-bar})."""
-        return np.conj(self.gsb)
-
     def full_matrix(self) -> np.ndarray:
         """(n+1) x (n+1) component matrix per node, base index first."""
         n = self.n
@@ -450,9 +448,39 @@ class FamilyForm:
             return -self.ystruct.msz / self.gab[0, 0]
         return -self.gsb[0] / self.gab[0, 0]
 
-    def lift_linear(self) -> complex:
-        """Constant y-coefficient of the horizontal lift (tau'(s) for families)."""
-        return self.ystruct.taup if self.ystruct is not None else 0.0
+
+def random_positive_form(rng: np.random.RandomState, grid: FiberGrid,
+                         chart: FiberChart) -> FamilyForm:
+    """Seeded fiberwise-positive random form with O(1) band-limited entries."""
+    n = grid.n
+
+    def band_field(scale=1.0):
+        f = np.zeros(grid.shape, dtype=complex)
+        for _ in range(4):
+            k = rng.randint(-3, 4, size=2 * n)
+            amp = (rng.standard_normal() + 1j * rng.standard_normal()) * scale / 4
+            phase = sum(kk * grid.coords[ax] for ax, kk in enumerate(k))
+            f += amp * np.exp(2j * np.pi * phase)
+        return f
+
+    gab = np.zeros((n, n) + grid.shape, dtype=complex)
+    for a in range(n):
+        for b in range(a, n):
+            f = band_field(0.25)
+            if a == b:
+                gab[a, b] = 1.5 + f.real
+            else:
+                gab[a, b] = f
+                gab[b, a] = np.conj(f)
+    # push up the diagonal until comfortably positive
+    me = herm_min_eig(gab)
+    if me < 0.25:
+        for a in range(n):
+            gab[a, a] += 0.5 - me
+    gsb = np.stack([band_field(0.5) for _ in range(n)])
+    gss = 2.0 + band_field(0.3).real.astype(complex)
+    return FamilyForm(chart=chart, s=1j, gss=gss, gsb=gsb, gab=gab,
+                      provenance="model")
 
 
 # -- the closed-form universal elliptic family (the exact oracle) -----------

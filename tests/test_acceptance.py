@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from cyflab.familygeom import (
-    dbar_vertical,
     direct_image_report,
-    geodesic_curvature,
     kodaira_spencer_norm,
     pde_residual,
     theta_E,
@@ -40,7 +38,7 @@ from cyflab.masolver import (
     solve_ma,
 )
 from cyflab.models import FamilySpec, FourierPoly, make_family
-from cyflab.cli import suite_identities
+from cyflab.cli import parse_config, suite_elliptic, suite_identities
 from conftest import perturbation_chi, random_trig_field
 
 
@@ -51,28 +49,18 @@ def _report(num: int, name: str, ok: bool, detail: str):
 
 
 def test_criterion_1_elliptic_reproduction():
+    # the verify suite holds the samples (i, 0.3 + 0.8i, 2i) and the four bounds
     t0 = time.monotonic()
-    fam = make_family(FamilySpec(kind="universal_elliptic", grid_n=64,
-                                 base_samples=(1j, 0.3 + 0.8j, 2j)))
-    worst = {"phi": 0.0, "c": 0.0, "dbv": 0.0, "theta": 0.0}
-    for s in (1j, 0.3 + 0.8j, 2j):
-        stencil = BaseStencil(center=s, h_s=1e-3)
-        rho = fiberwise_ricci_flat(fam, stencil)
-        v = s.imag
-        c = geodesic_curvature(rho.form)
-        fld = dbar_vertical(rho.form)
-        th = theta_E(fam, stencil)
-        worst["phi"] = max(worst["phi"], float(np.max(np.abs(rho.phi))))
-        worst["c"] = max(worst["c"], float(np.max(np.abs(c - 1 / v ** 2))) * v ** 2)
-        worst["dbv"] = max(worst["dbv"],
-                           float(np.max(np.abs(fld.norm2 - 0.25 / v ** 2))) * 4 * v ** 2)
-        worst["theta"] = max(worst["theta"], abs(th - 0.25 / v ** 2))
+    cfg = parse_config({"schema": 1, "family": {"kind": "universal_elliptic"},
+                        "solver": {"grid_n": 64}, "stencil": {"h_s": 1e-3}})
+    suite = suite_elliptic(cfg)
+    worst = {k: max(row[k] for row in suite["rows"])
+             for k in ("phi_sup", "c_rel_err", "dbarv_rel_err", "theta_err")}
     elapsed = time.monotonic() - t0
-    ok = (worst["phi"] < 1e-10 and worst["c"] < 1e-8 and worst["dbv"] < 1e-8
-          and worst["theta"] < 1e-5 and elapsed < 10.0)
+    ok = suite["pass"] and elapsed < 10.0
     _report(1, "section-8 reproduction", ok,
-            f"phi={worst['phi']:.2e} c={worst['c']:.2e} dbv={worst['dbv']:.2e} "
-            f"theta={worst['theta']:.2e} {elapsed:.1f}s")
+            f"phi={worst['phi_sup']:.2e} c={worst['c_rel_err']:.2e} "
+            f"dbv={worst['dbarv_rel_err']:.2e} theta={worst['theta_err']:.2e} {elapsed:.1f}s")
 
 
 def test_criterion_2_perturbed_family():

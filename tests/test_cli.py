@@ -1,11 +1,15 @@
+import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyflab.cli import ConfigError, EXIT_CONFIG, EXIT_OK, load_config, main
+from cyflab.cli import CONFIG_SCHEMA, ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, \
+    load_config, main, parse_config
 
 
 def base_config(tmp_path, **overrides):
@@ -237,18 +241,186 @@ def test_grid_override(tmp_path):
                  "--grid", "32"]) == EXIT_OK
 
 
+RECT = [-0.1, 0.1, 0.9, 1.1]
+
+
+# Each edit sets the value at a dotted path of the base config (grid 16).
 @pytest.mark.parametrize("command, edit", [
     (["solve-fiber"], {"fiber": {"manufactured": {"mode": [1, 0]}}}),
     (["solve-fiber"], {"fiber": {"manufactured": {"amplitude": 0.05, "mode": [1, 0, 0]}}}),
     (["solve-fiber"], {"solver": {"grid_n": "x"}}),
     (["verify", "--suite", "epsilon"], {"continuation": {"eps_schedule": []}}),
     (["run-family"], {"threads": 0}),
+    (["run-family"], {"family.chi": 5}),
+    (["run-family"], {"family.base.samples": 5}),
+    (["verify"], {"suites": 5}),
+    (["run-family"], {"outputs.formats": 5}),
+    (["run-family"], {"family.base": {"rect": RECT, "nx": -1}}),
+    (["verify", "--suite", "identities"], {"seed": -1}),
+    (["verify", "--suite", "identities"], {"seed": 2 ** 40}),
+    (["run-family"], {"family.base": {"rect": RECT, "nx": 0}}),
+    (["run-family"], {"family.base.samples": []}),
+    (["run-family"], {"family.chi": [[1, 0, -1, 0, 0.01, 0.0], [-1, 0, 0, -1, 0.01, 0.0]]}),
+    (["run-family"], {"solver.max_iters": 0}),
+    (["run-family"], {"stencil.h_s": float("inf")}),
+    (["solve-fiber"], {"fiber.eps": -1}),
+    (["solve-fiber"], {"fiber.s": [0, -1]}),
+    (["run-family"], {"solver.grid_n": 16.7}),
+    (["run-family"], {"family.chi": [[1.5, 0, 0, 0, 0.01, 0.0], [-1.5, 0, 0, 0, 0.01, 0.0]]}),
+    (["run-family"], {"stencil.richardson": "no"}),
+    (["run-family"], {"solver.damping_floor": 2}),
+    (["run-family"], {"outputs.dir": 5}),
+    (["run-family"], {"fiber.normalization": "bad"}),
+    (["run-family"], {"family.chi": 2 * [[1, 0, 0, 0, 1e308, 0.0], [-1, 0, 0, 0, 1e308, 0.0]]}),
+    (["run-family"], {"family": {"kind": "product", "n": 2,
+                                 "period_matrix": [[[0, 1], 0], [0, [0, 1]]]},
+                      "solver.grid_n": 34}),
+    (["run-family"], {"solver.grid_n": 17}),
 ], ids=["manufactured-no-amplitude", "mode-3-entries", "grid-n-string",
-        "empty-eps-schedule", "threads-0"])
+        "empty-eps-schedule", "threads-0",
+        "chi-5", "samples-5", "suites-5", "formats-5", "nx-negative", "seed-negative",
+        "seed-2-40", "nx-0", "samples-empty", "chi-power-negative", "max-iters-0",
+        "h-s-infinite", "fiber-eps-negative", "fiber-s-below-axis", "grid-n-float",
+        "chi-frequency-float", "richardson-string", "damping-floor-2", "dir-5",
+        "normalization-bad", "chi-coefficient-overflow", "grid-n2-past-node-bound",
+        "grid-n-odd"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, edit):
-    path, _ = base_config(tmp_path, **edit)
+    path, doc = base_config(tmp_path)
+    doc["solver"]["grid_n"] = 16
+    for dotted, value in edit.items():
+        *parents, last = dotted.split(".")
+        node = doc
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[last] = value
+    path.write_text(json.dumps(doc))
     assert main(command + ["--config", str(path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command, edit", [
+    (["run-family"], {"family": {"kind": "product", "tau0": [0.0, -1.0],
+                                 "base": {"samples": [[0.2, 0.3]]}}}),
+    (["solve-fiber"], {"fiber": {"manufactured": {"amplitude": 1.0, "mode": [1, 0]}}}),
+    (["solve-fiber"], {"fiber": {"eps": 0.5,
+                                 "manufactured": {"amplitude": 1.0, "mode": [1, 0]}}}),
+    (["run-family"], {"family": {"kind": "universal_elliptic",
+                                 "base": {"samples": [[0.0, 1.2]]},
+                                 "chi": [[1, 0, 4000, 0, 0.01, 0.0],
+                                         [-1, 0, 0, 4000, 0.01, 0.0]]}}),
+], ids=["tau0-below-axis", "manufactured-not-positive-eps-0",
+        "manufactured-not-positive-eps-positive", "chi-power-overflow"])
+def test_numerical_failure_exits_3(tmp_path, capsys, command, edit):
+    """Well-formed configs whose numerics fail exit 3, never with a traceback
+    or a report of non-finite values: a family whose fibers are not tori, a
+    manufactured phi* whose g + dd^c phi* is not positive (its forcing would
+    be NaN), and a chi power of s past the float range."""
+    path, doc = base_config(tmp_path)
+    doc.update(edit)
+    doc["solver"]["grid_n"] = 16
+    path.write_text(json.dumps(doc))
+    assert main(command + ["--config", str(path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure")
+    assert not (tmp_path / "out" / "fiber_solution.json").exists()
+
+
+def test_damping_floor_one_is_undamped_newton(tmp_path):
+    """damping_floor = 1 (no step halving) is a valid config."""
+    _, doc = base_config(tmp_path)
+    doc["solver"]["damping_floor"] = 1
+    assert parse_config(doc)["solver"].damping_floor == 1.0
+
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _schema_keys():
+    return {name if where == "config" else f"{where}.{name}": key
+            for where, table in CONFIG_SCHEMA.items() for name, key in table.items()}
+
+
+def test_readme_config_reference_matches_schema():
+    """Every key of the README's config reference, with its default and range,
+    is a key of the schema table, and the reverse; each range gives its reason."""
+    section = _readme().split("## Config reference")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells
+    keys = _schema_keys()
+    assert sorted(rows) == sorted(keys)
+    for name, key in keys.items():
+        _, _, default, allowed, why = rows[name]
+        assert allowed == key.allowed, name
+        assert bool(why) == bool(allowed), f"{name}: a range needs its reason"
+        if key.default is Ellipsis:
+            assert default == "required", name
+        elif key.default is not None:
+            assert default == f"`{json.dumps(key.default)}`", name
+
+
+N2_CONFIG = {
+    "schema": 1,
+    "family": {"kind": "product", "n": 2,
+               "period_matrix": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]],
+               "chi": [[1, 0, 0, 0, 0, 0, 0.01, 0.0], [-1, 0, 0, 0, 0, 0, 0.01, 0.0]]},
+    "solver": {"grid_n": 24, "tol": 1e-11},
+    "fiber": {"eps": 0.0, "manufactured": {"amplitude": 0.05, "mode": [1, 0, 0, 0]}},
+    "outputs": {"dir": "out", "formats": ["json", "csv"]},
+}
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+# values near the valid ones, so that mutations also reach the later rules
+_NEAR = st.sampled_from([0, 1, 2, -1, 7, 16, 24, 2 ** 40, 0.5, 1e-11, 1e300, [], {},
+                         [0, 1], [0, -1], [1, 0], [0.2, 0.3], [[0, 1]], [1, 0, 0, 0],
+                         [-0.2, 0.2, 0.8, 1.2], [[1, 0, 0, 0, 0.01, 0.0]],
+                         "product", "modulus_map", "ke_volume", "json", "epsilon"])
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _nodes(child, path + (i,))
+
+
+@pytest.mark.parametrize("base", ["readme", "n2"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_config_mutations_raise_only_config_error(base, data):
+    """parse_config returns or raises ConfigError for any mutation of a valid config."""
+    doc = json.loads(_readme().split("```json\n")[1].split("```")[0]) if base == "readme" \
+        else copy.deepcopy(N2_CONFIG)
+    names = st.sampled_from(sorted({k.split(".")[-1] for k in _schema_keys()}))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, node = data.draw(st.sampled_from(list(_nodes(doc))))
+        op = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        value = copy.deepcopy(data.draw(_JSON | _NEAR))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "replace":
+            if path:
+                parent[path[-1]] = value
+            else:
+                doc = value
+        elif op == "delete" and path:
+            del parent[path[-1]]
+        elif op == "add" and isinstance(node, dict):
+            node[data.draw(names | st.text(max_size=4))] = value
+        elif op == "add" and isinstance(node, list):
+            node.append(value)
+    try:
+        parse_config(doc)
+    except ConfigError:
+        pass
 
 
 def _csv_module_phi(path, phi):

@@ -13,6 +13,7 @@ from cyflab.geometry import (
     d_zbar,
     ddc_fiber,
     drop_nyquist_modes,
+    fft,
     fiber_derivative,
     fiber_integral,
     flat_symbol,
@@ -20,6 +21,7 @@ from cyflab.geometry import (
     herm_check,
     herm_inverse,
     herm_min_eig,
+    ifft,
     invert_flat_laplacian,
     laplace_beltrami,
     linear_coeff_derivative,
@@ -45,7 +47,7 @@ def test_chart_needs_upper_half_plane(grid64):
 def test_spectral_round_trip(grid64):
     rng = np.random.RandomState(0)
     f = rng.standard_normal(grid64.shape) + 1j * rng.standard_normal(grid64.shape)
-    back = grid64.ifft(grid64.fft(f))
+    back = ifft(fft(f))
     assert np.max(np.abs(back - f)) < 1e-13 * np.max(np.abs(f))
 
 

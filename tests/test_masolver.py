@@ -8,6 +8,7 @@ from cyflab.geometry import (
     FiberChart,
     FiberGrid,
     GeometryError,
+    InvalidFieldError,
     NormalizationError,
     ddc_fiber,
     fiber_integral,
@@ -127,6 +128,19 @@ def test_compatibility_enforced(flat_setup):
     grid, chart, g = flat_setup
     problem = MAProblem(chart=chart, gab=g, eta=0.1 * np.ones(grid.shape), epsilon=0.0)
     with pytest.raises(NormalizationError):
+        solve_ma(problem)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_non_finite_target_rejected(flat_setup, eps):
+    """A NaN in eta + f fails every comparison, so it must be caught before
+    the solvability check and the Newton tests, at every eps."""
+    grid, chart, g = flat_setup
+    extra_f = np.zeros(grid.shape)
+    extra_f[3, 5] = np.nan
+    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
+                        epsilon=eps, extra_f=extra_f)
+    with pytest.raises(InvalidFieldError):
         solve_ma(problem)
 
 

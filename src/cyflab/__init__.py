@@ -38,7 +38,7 @@ from .familygeom import (
     vphi_cross_check,
     wp_norm,
 )
-from .green import build_green, k_bound, theorem12_assemble
+from .green import build_green, k_bound
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,6 @@ __all__ = [
     "fiberwise_ricci_flat", "geodesic_curvature", "horizontal_lift",
     "invert_flat_laplacian", "k_bound", "kodaira_spencer_norm",
     "laplace_beltrami", "linearized_solve", "make_family", "pde_residual",
-    "semiflat_shift", "solve_ma", "theorem12_assemble", "theta_E",
+    "semiflat_shift", "solve_ma", "theta_E",
     "vphi_cross_check", "wp_norm",
 ]

@@ -8,6 +8,11 @@ AssembledRho, i.e. a stencil of Monge-Ampere solves.
 
 Index conventions follow the package-wide rule: gsb[b] = g_{s beta-bar},
 gab[a, b] = g_{alpha beta-bar}, inverse hup[b, a] = h^{beta-bar alpha}.
+
+The optional arguments c, lift, field and vol of a function are
+geodesic_curvature, horizontal_lift, dbar_vertical and fiber_volume of its
+form, computed when not given; curvature_report computes each once per base
+point and passes it on.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .geometry import (
     laplace_beltrami,
     matrix_min_eig,
 )
+from .green import build_green, k_bound
 from .masolver import (
     AssembledRho,
     BaseStencil,
@@ -40,6 +46,9 @@ from .masolver import (
     linearized_solve,
 )
 from .models import Family, FamilyForm
+
+# slack of the direct-image and Green-kernel positivity checks
+POSITIVITY_TOL = 1e-6
 
 
 # -- pointwise tensor algebra ------------------------------------------------
@@ -102,7 +111,7 @@ def omega_lift_pairing(omega: FamilyForm, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def semmes_residual(form: FamilyForm) -> float:
+def semmes_residual(form: FamilyForm, c: np.ndarray | None = None) -> float:
     """sup | det(full) - c(tau) det(fiber) |: the wedge-power identity
     tau^{n+1} = c(tau) tau^n ^ i ds ^ ds-bar in component arithmetic."""
     full = form.full_matrix()
@@ -112,7 +121,7 @@ def semmes_residual(form: FamilyForm) -> float:
     else:
         det_full = _det3(full)
     det_fib = herm_det(form.gab)
-    c = geodesic_curvature(form)
+    c = geodesic_curvature(form) if c is None else c
     return float(np.max(np.abs(det_full - c * det_fib)))
 
 
@@ -122,14 +131,15 @@ def _det3(m: np.ndarray) -> np.ndarray:
             + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
 
 
-def contraction_residual(form: FamilyForm) -> float:
+def contraction_residual(form: FamilyForm, c: np.ndarray | None = None,
+                         lift: np.ndarray | None = None) -> float:
     """Residual of i_v tau = i c(tau) d s-bar for the horizontal lift v.
 
     Checks both that the dz-bar components of the contraction vanish and
     that the ds-bar component equals c(tau).
     """
-    a = horizontal_lift(form)
-    c = geodesic_curvature(form)
+    a = horizontal_lift(form) if lift is None else lift
+    c = geodesic_curvature(form) if c is None else c
     n = form.n
     dev = float(np.max(np.abs(omega_lift_sbar_component(form, a) - c)))
     for be in range(n):
@@ -284,19 +294,24 @@ def theta_E(family: Family, stencil: BaseStencil, richardson: bool = False) -> f
     return (4.0 * fine - coarse) / 3.0
 
 
-def wp_norm(rho: FamilyForm) -> float:
+def fiber_volume(rho: FamilyForm) -> float:
+    """The volume int rho^n of the fiber."""
+    return fiber_integral(np.ones(rho.chart.grid.shape), rho.chart, metric=rho.gab)
+
+
+def wp_norm(rho: FamilyForm, field: DbarVField | None = None,
+            vol: float | None = None) -> float:
     """|V|^2_WP = integral of |dbar v|^2 against the rho fiber volume, divided
     by the fiber volume: the unit-volume convention in which it equals the
     direct image curvature.
     """
-    field = dbar_vertical(rho)
-    chart = rho.chart
-    total = fiber_integral(field.norm2, chart, metric=rho.gab)
-    total /= fiber_integral(np.ones(chart.grid.shape), chart, metric=rho.gab)
+    field = dbar_vertical(rho) if field is None else field
+    total = fiber_integral(field.norm2, rho.chart, metric=rho.gab)
+    total /= fiber_volume(rho) if vol is None else vol
     return float(total)
 
 
-def kodaira_spencer_norm(rho: FamilyForm) -> float:
+def kodaira_spencer_norm(rho: FamilyForm, field: DbarVField | None = None) -> float:
     """Norm of the harmonic representative acting on the canonical section.
 
     A is projected onto the fiber-constant (harmonic) matrices; the class
@@ -304,7 +319,7 @@ def kodaira_spencer_norm(rho: FamilyForm) -> float:
     |K(v) u|^2 / |u|^2 is returned. For a line-bundle direct image this
     equals Theta_ss(E).
     """
-    field = dbar_vertical(rho)
+    field = dbar_vertical(rho) if field is None else field
     n = rho.n
     Abar = field.harmonic_mean
     hbar = np.array([[np.mean(rho.gab[a, b]) for b in range(n)] for a in range(n)])
@@ -319,7 +334,9 @@ def kodaira_spencer_norm(rho: FamilyForm) -> float:
     return float(val.real)
 
 
-def direct_image_report(rho: AssembledRho, tol: float = 1e-6) -> dict:
+def direct_image_report(rho: AssembledRho, tol: float = POSITIVITY_TOL,
+                        c: np.ndarray | None = None,
+                        lift: np.ndarray | None = None) -> dict:
     """Direct image of rho^{n+1} and its lower bound at one base point.
 
     direct_image = int c(rho) rho^n; lower_bound = int omega(v, conj v) rho^n
@@ -328,8 +345,8 @@ def direct_image_report(rho: AssembledRho, tol: float = 1e-6) -> dict:
     """
     form, omega = rho.form, rho.omega
     chart = form.chart
-    c = geodesic_curvature(form)
-    a = horizontal_lift(form)
+    c = geodesic_curvature(form) if c is None else c
+    a = horizontal_lift(form) if lift is None else lift
     pairing = omega_lift_pairing(omega, a).real
     di = fiber_integral(c, chart, metric=form.gab)
     lb = fiber_integral(pairing, chart, metric=form.gab)
@@ -343,7 +360,9 @@ def direct_image_report(rho: AssembledRho, tol: float = 1e-6) -> dict:
 # -- the elliptic PDE of the geodesic curvature -------------------------------
 
 
-def pde_residual(rho: AssembledRho, theta: float | None = None) -> np.ndarray:
+def pde_residual(rho: AssembledRho, theta: float | None = None,
+                 c: np.ndarray | None = None, field: DbarVField | None = None,
+                 lift: np.ndarray | None = None) -> np.ndarray:
     """Residual field of the geodesic-curvature PDE on the center fiber.
 
     eps = 0:  -Delta_rho c(rho) - |dbar v|^2 + Theta_ss(E);
@@ -354,79 +373,63 @@ def pde_residual(rho: AssembledRho, theta: float | None = None) -> np.ndarray:
     chart = form.chart
     if theta is None:
         theta = theta_E(rho.family, rho.stencil)
-    c = geodesic_curvature(form)
+    c = geodesic_curvature(form) if c is None else c
     lap = laplace_beltrami(form.gab, c, chart).real
-    field = dbar_vertical(form)
+    field = dbar_vertical(form) if field is None else field
     res = -lap - field.norm2 + theta
     if rho.eps > 0:
-        a = horizontal_lift(form)
+        a = horizontal_lift(form) if lift is None else lift
         pairing = omega_lift_pairing(rho.omega, a).real
         res = res + rho.eps * (c - pairing)
     return res
 
 
-# -- curvature report orchestration -------------------------------------------
-
-
-@dataclass
-class CurvatureReport:
-    s: complex
-    c_rho: np.ndarray
-    dbarv_norm2: np.ndarray
-    theta_E: float
-    wp: float
-    kodaira_spencer_norm: float
-    section_norm_sq: float
-    pde_residual_sup: float
-    direct_image: float
-    lower_bound: float
-    positive: bool
-    semmes: float
-    contraction: float
-    ricci_constancy: float
-
-    def row(self) -> dict:
-        return {
-            "s_re": self.s.real, "s_im": self.s.imag,
-            "direct_image": self.direct_image, "lower_bound": self.lower_bound,
-            "theta_E": self.theta_E, "wp": self.wp,
-            "ks_norm": self.kodaira_spencer_norm,
-            "c_min": float(np.min(self.c_rho)), "c_max": float(np.max(self.c_rho)),
-            "pde_residual_sup": self.pde_residual_sup,
-            "semmes": self.semmes, "contraction": self.contraction,
-            "ricci_constancy": self.ricci_constancy,
-            "positive": self.positive,
-        }
+# -- the evaluation of one base point -------------------------------------------
 
 
 def curvature_report(family: Family, s: complex, h_s: float = 1e-3,
-                     config: SolverConfig | None = None,
-                     eps: float = 0.0, richardson: bool = False,
-                     rho: AssembledRho | None = None) -> CurvatureReport:
-    """Solve, assemble and evaluate every fiber identity at one base point."""
-    stencil = BaseStencil(center=complex(s), h_s=h_s)
+                     config: SolverConfig | None = None, richardson: bool = False,
+                     rho: AssembledRho | None = None) -> dict:
+    """Solve, assemble and evaluate every fiber identity at one base point.
+
+    rho is the fiberwise Ricci-flat form at s, solved when not given.  Besides
+    the identity residuals the report holds both positivity results: the direct
+    image int c(rho) rho^n with its lower bound ("positive"), and, for the
+    Green-kernel bound K of the fiber, the pointwise margin
+    min(c + K wp - mean c) and the least eigenvalue of rho + K omega^WP
+    ("pass": margin >= -POSITIVITY_TOL and a positive eigenvalue).
+    """
+    s = complex(s)
+    stencil = BaseStencil(center=s, h_s=h_s)
     if rho is None:
-        rho = fiberwise_ricci_flat(family, stencil, eps=eps, config=config)
+        rho = fiberwise_ricci_flat(family, stencil, config=config)
+    form = rho.form
+    c = geodesic_curvature(form)
+    lift = horizontal_lift(form)
+    field = dbar_vertical(form)
+    vol = fiber_volume(form)
     th = theta_E(family, stencil, richardson=richardson)
-    field = dbar_vertical(rho.form)
-    res = pde_residual(rho, theta=th)
-    di = direct_image_report(rho)
-    return CurvatureReport(
-        s=complex(s),
-        c_rho=geodesic_curvature(rho.form),
-        dbarv_norm2=field.norm2,
-        theta_E=th,
-        wp=wp_norm(rho.form),
-        kodaira_spencer_norm=kodaira_spencer_norm(rho.form),
-        section_norm_sq=family.section_norm_sq(s),
-        pde_residual_sup=float(np.max(np.abs(res))),
-        direct_image=di["direct_image"],
-        lower_bound=di["lower_bound"],
-        positive=di["positive"],
-        semmes=semmes_residual(rho.form),
-        contraction=contraction_residual(rho.form),
-        ricci_constancy=rho.ricci_constancy(),
-    )
+    res = pde_residual(rho, theta=th, c=c, field=field, lift=lift)
+    di = direct_image_report(rho, c=c, lift=lift)
+    wp = wp_norm(form, field=field, vol=vol)
+    K = k_bound(build_green(form.gab, form.chart)).K
+    mean_c = di["direct_image"] / vol
+    margin = float(np.min(c + K * wp - mean_c))
+    min_eig = combined_form_min_eig(form, K * wp)
+    return {
+        "s": s, "s_re": s.real, "s_im": s.imag,
+        "direct_image": di["direct_image"], "lower_bound": di["lower_bound"],
+        "positive": di["positive"],
+        "theta_E": th, "wp": wp, "ks_norm": kodaira_spencer_norm(form, field=field),
+        "c_min": float(np.min(c)), "c_max": float(np.max(c)),
+        "pde_residual_sup": float(np.max(np.abs(res))),
+        "semmes": semmes_residual(form, c=c),
+        "contraction": contraction_residual(form, c=c, lift=lift),
+        "ricci_constancy": rho.ricci_constancy(),
+        "K": K, "mean_c": mean_c, "pointwise_margin": margin,
+        "combined_min_eig": min_eig,
+        "pass": bool(margin >= -POSITIVITY_TOL and min_eig > 0),
+    }
 
 
 def relative_canonical_curvature(rho: AssembledRho) -> float:
@@ -618,7 +621,7 @@ def _inner_assembly(family: Family, rho0: AssembledRho, key) -> np.ndarray:
     return -msz / hzz
 
 
-# -- Theorem 1.2 style positivity assembly ------------------------------------
+# -- the combined form of Theorem 1.2 --------------------------------------------
 
 
 def combined_form_min_eig(rho: FamilyForm, bound: float) -> float:
@@ -630,25 +633,3 @@ def combined_form_min_eig(rho: FamilyForm, bound: float) -> float:
     full = rho.full_matrix()
     full[0, 0] = full[0, 0] + bound
     return herm_min_eig(full) if rho.n == 1 else matrix_min_eig(full)
-
-
-def theorem12_check(rho: AssembledRho, K: float, tol: float = 1e-6) -> dict:
-    """Pointwise Green-kernel lower bound and combined-form positivity.
-
-    Returns min(c + K wp - int c rho^n) (non-negative up to tol by the
-    kernel inequality) and the min eigenvalue of rho + K omega^WP.
-    """
-    form = rho.form
-    c = geodesic_curvature(form)
-    wp = wp_norm(form)
-    vol = fiber_integral(np.ones(form.chart.grid.shape), form.chart, metric=form.gab)
-    mean_c = fiber_integral(c, form.chart, metric=form.gab) / vol
-    margin = float(np.min(c + K * wp - mean_c))
-    min_eig = combined_form_min_eig(form, K * wp)
-    return {
-        "pointwise_margin": margin,
-        "combined_min_eig": min_eig,
-        "wp": wp,
-        "mean_c": mean_c,
-        "pass": bool(margin >= -tol and min_eig > 0),
-    }

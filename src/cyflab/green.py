@@ -244,39 +244,6 @@ def ewald_kernel(green: GreenOperator, points: np.ndarray, t: float = 0.02,
     return (recip + real - t) / green.volume
 
 
-def theorem12_row(rho, tol: float = 1e-6) -> dict:
-    """Green-kernel lower bound for an assembled rho at its base point.
-
-    Builds the Green operator of rho's (constant) fiber metric, computes
-    K, and checks both the pointwise inequality
-    c(rho) + K wp >= int c(rho) rho^n and positivity of the combined form
-    rho + K omega^WP.
-    """
-    from .familygeom import theorem12_check
-
-    green = build_green(rho.form.gab, rho.form.chart)
-    kb = k_bound(green)
-    check = theorem12_check(rho, kb.K, tol=tol)
-    return {
-        "s": rho.stencil.center, "K": kb.K,
-        "wp": check["wp"], "mean_c": check["mean_c"],
-        "pointwise_margin": check["pointwise_margin"],
-        "combined_min_eig": check["combined_min_eig"],
-        "pass": check["pass"],
-    }
-
-
-def theorem12_assemble(family, samples, h_s: float = 1e-3, config=None,
-                       tol: float = 1e-6) -> list:
-    """theorem12_row across base samples, solving the fiberwise Ricci-flat
-    form at each."""
-    from .masolver import BaseStencil, fiberwise_ricci_flat
-
-    return [theorem12_row(fiberwise_ricci_flat(family, BaseStencil(center=complex(s), h_s=h_s),
-                                               config=config), tol)
-            for s in samples]
-
-
 def ewald_kernel_min(green: GreenOperator, coarse: int = 96,
                      refine_rounds: int = 4) -> float:
     """Minimum of the continuum kernel, located by coarse scan + refinement."""

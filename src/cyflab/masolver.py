@@ -516,12 +516,27 @@ class EpsilonPath:
     sup_lap_max: float
 
 
+def ke_identity_residual(phi: np.ndarray, eps: float, weight: np.ndarray) -> float:
+    """Residual of the fiber equation at eps > 0, integrated over the fiber.
+
+    Integrating (omega + dd^c phi)^n = e^(eps phi + eta) omega^n gives
+    int (e^(eps phi) - 1) e^eta omega^n = 0, as dd^c phi is exact and
+    int e^eta omega^n = int omega^n.  With weight the density e^eta det g,
+    returns |eps int phi e^eta omega^n + int (e^(eps phi) - 1 - eps phi) e^eta omega^n|
+    divided by int e^eta omega^n.
+    """
+    second_order = np.expm1(eps * phi) - eps * phi
+    total = eps * float(np.mean(phi * weight)) + float(np.mean(second_order * weight))
+    return abs(total) / float(np.mean(weight))
+
+
 def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> EpsilonPath:
     """Warm-started solves along a decreasing eps schedule on one fiber.
 
     Records the normalization integrals int phi_eps e^eta omega^n, whose
-    decay order in eps is fitted, and the convergence table against the
-    eps = 0 solution.
+    decay order in eps is fitted, the residual of the integrated fiber
+    equation at each eps > 0 (ke_identity_residual), and the convergence
+    table against the eps = 0 solution.
     """
     config = config or SolverConfig()
     schedule = tuple(float(e) for e in schedule)
@@ -557,6 +572,8 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
             "volume_residual": sol.diagnostics["volume_residual"],
             "linear_fallbacks": sol.diagnostics["linear_fallbacks"],
         })
+        if eps > 0:
+            table[-1]["ke_identity_residual"] = ke_identity_residual(sol.phi, eps, weight)
 
     if failed is not None:
         eps, exc = failed

@@ -25,7 +25,6 @@ the pipeline stores them as (periodic array, exact y-structure) pairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,6 @@ from .geometry import (
     FiberGrid,
     GeometryError,
     InvalidFieldError,
-    herm_det,
     herm_min_eig,
     linear_coeff_derivative,
 )
@@ -371,17 +369,11 @@ class Family:
         return out
 
     def ds_log_mean_det(self, s: complex) -> complex:
-        """Exact c'(s) for the eta normalization constant c(s) = log mean(det g)."""
-        if self.n == 1:
-            v = self.tau(s).imag
-            return self.ds_inv_v(s) * v
-        # constant modulus, mean(det g) varies only through chi
-        h = 1e-6
-        vals = []
-        for ds in (h, -h, 1j * h, -1j * h):
-            g = self.omega(s + ds).gab
-            vals.append(np.log(np.mean(herm_det(g)).real))
-        return complex((vals[0] - vals[1]) / (2 * h) - 1j * (vals[2] - vals[3]) / (2 * h)) / 2.0
+        """Exact c'(s) for the eta normalization constant c(s) = log mean(det g) (n=1)."""
+        if self.n != 1:
+            raise GeometryError("ds_log_mean_det is n=1 machinery")
+        v = self.tau(s).imag
+        return self.ds_inv_v(s) * v
 
     def section_norm_sq(self, s: complex) -> float:
         """Quadrature of c_n u ^ conj(u) for the canonical section u = dz^1^...^dz^n."""
@@ -561,23 +553,3 @@ class EllipticOracle:
         # n_shift only translates x, which no component depends on
         dev = max(float(np.max(np.abs(t_sz - h_sz))), float(np.max(np.abs(t_ss - h_ss))))
         return dev
-
-
-def compare_report(computed: dict, expected: dict, tolerances: dict) -> dict:
-    """Per-quantity error table with pass/fail against configured tolerances."""
-    rows = {}
-    ok = True
-    for key, tol in tolerances.items():
-        got = computed.get(key)
-        want = expected.get(key)
-        if got is None or want is None:
-            rows[key] = {"error": math.nan, "tolerance": tol, "pass": False}
-            ok = False
-            continue
-        err = abs(got - want)
-        rel = err / max(1.0, abs(want))
-        entry = {"computed": float(np.real(got)), "expected": float(np.real(want)),
-                 "error": float(rel), "tolerance": float(tol), "pass": bool(rel <= tol)}
-        rows[key] = entry
-        ok = ok and entry["pass"]
-    return {"rows": rows, "pass": ok}

@@ -122,12 +122,60 @@ def test_run_family_outputs_and_determinism(tmp_path):
 
 
 def test_run_family_threads_deterministic(tmp_path):
+    """run-family and green write the same rows on one thread and on four."""
     path, doc = base_config(tmp_path)
+    for command, name in (("run-family", "family_report.json"), ("green", "green_report.json")):
+        assert main([command, "--config", str(path)]) == EXIT_OK
+        ref = json.loads((tmp_path / "out" / name).read_text())
+        assert main([command, "--config", str(path), "--threads", "4"]) == EXIT_OK
+        out = json.loads((tmp_path / "out" / name).read_text())
+        assert out["rows"] == ref["rows"]
+
+
+@pytest.mark.parametrize("command, name", [("run-family", "family_report.json"),
+                                           ("green", "green_report.json")])
+def test_divergence_keeps_rows_before_it(tmp_path, monkeypatch, capsys, command, name):
+    """A divergent solve at the second of three samples exits 3, and the report
+    holds the first sample's row and the failure."""
+    import cyflab.cli
+    from cyflab.masolver import SolverDivergence
+
+    report = cyflab.cli.sample_report
+    calls = []
+
+    def diverging(family, s, *args, **kwargs):
+        calls.append(s)
+        if len(calls) == 2:
+            raise SolverDivergence("Newton did not converge")
+        return report(family, s, *args, **kwargs)
+
+    monkeypatch.setattr(cyflab.cli, "sample_report", diverging)
+    path, doc = base_config(tmp_path)
+    doc["family"]["base"]["samples"] = [[0.0, 1.0], [0.0, 2.0], [0.0, 1.5]]
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure at s = 2j")
+    rep = json.loads((tmp_path / "out" / name).read_text())
+    assert len(rep["rows"]) == 1
+    assert rep["failure"]["s"] == [0.0, 2.0]
+    if command == "run-family":
+        assert len((tmp_path / "out" / "family.csv").read_text().splitlines()) == 2
+
+
+def test_run_family_evaluates_each_point_once(tmp_path, monkeypatch):
+    """run-family takes dbar v and c(rho) once per base point: the curvature
+    report hands them to every identity that needs them."""
+    import cyflab.familygeom
+
+    calls = []
+    for name in ("dbar_vertical", "geodesic_curvature"):
+        def counted(*args, _name=name, _real=getattr(cyflab.familygeom, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cyflab.familygeom, name, counted)
+    path, _ = base_config(tmp_path)
     assert main(["run-family", "--config", str(path)]) == EXIT_OK
-    ref = json.loads((tmp_path / "out" / "family_report.json").read_text())
-    assert main(["run-family", "--config", str(path), "--threads", "4"]) == EXIT_OK
-    out = json.loads((tmp_path / "out" / "family_report.json").read_text())
-    assert out["rows"] == ref["rows"]
+    assert sorted(calls) == 2 * ["dbar_vertical"] + 2 * ["geodesic_curvature"]
 
 
 def test_run_family_svg(tmp_path):
@@ -167,6 +215,7 @@ def test_verify_convergence_suite(tmp_path):
 
 def test_positivity_suite_solves_each_sample_once(tmp_path, monkeypatch):
     import cyflab.cli
+    import cyflab.familygeom
     import cyflab.masolver
 
     calls = []
@@ -177,6 +226,7 @@ def test_positivity_suite_solves_each_sample_once(tmp_path, monkeypatch):
         return solve(family, stencil, *args, **kwargs)
 
     monkeypatch.setattr(cyflab.cli, "fiberwise_ricci_flat", counted)
+    monkeypatch.setattr(cyflab.familygeom, "fiberwise_ricci_flat", counted)
     monkeypatch.setattr(cyflab.masolver, "fiberwise_ricci_flat", counted)
     path, doc = base_config(tmp_path)
     doc["solver"] = {"grid_n": 16}

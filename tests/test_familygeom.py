@@ -15,7 +15,6 @@ from cyflab.familygeom import (
     lift_orthogonality_residual,
     pde_residual,
     semmes_residual,
-    theorem12_check,
     theta_E,
     vbarvphi_cross_check,
     vphi_cross_check,
@@ -368,8 +367,9 @@ def test_vbarvphi_monitor_decreasing(perturbed_family):
 # -- Theorem 1.2 assembly ---------------------------------------------------------
 
 
-def test_theorem12_check(perturbed_rho):
-    out = theorem12_check(perturbed_rho, K=0.25)
+def test_theorem12_check(perturbed_family, perturbed_rho):
+    """The Green-kernel bound of the curvature report, at the fiber's own K."""
+    out = curvature_report(perturbed_family, 0.2 + 1.0j, rho=perturbed_rho)
     assert out["pass"]
     assert out["combined_min_eig"] > 0
     # the pointwise inequality holds with margin on the near-constant fiber
@@ -427,8 +427,7 @@ def test_semiflat_direct_image_shift(perturbed_family):
 
 
 def test_curvature_report_row(perturbed_family):
-    rep = curvature_report(perturbed_family, 0.2 + 1.0j)
-    row = rep.row()
+    row = curvature_report(perturbed_family, 0.2 + 1.0j)
     assert row["positive"]
     assert row["pde_residual_sup"] < 5e-5
     assert set(row) >= {"s_re", "s_im", "direct_image", "lower_bound", "theta_E",

@@ -11,7 +11,6 @@ from cyflab.green import (
     k_bound,
     kernel_mean_residual,
     reproducing_residual,
-    theorem12_assemble,
 )
 from cyflab.models import FamilySpec, make_family
 from conftest import perturbation_chi, random_chart_and_metric, random_trig_field
@@ -186,11 +185,14 @@ def test_oracle_matrix_positive():
 
 
 def test_theorem12_assemble():
+    """The Green-kernel bound of the curvature report at two base points."""
+    from cyflab.familygeom import curvature_report
+
     spec = FamilySpec(kind="universal_elliptic", chi=perturbation_chi(), grid_n=64,
                       base_samples=(0.1 + 0.9j,))
     fam = make_family(spec)
-    rows = theorem12_assemble(fam, [0.1 + 0.9j, 0.3 + 1.1j])
-    for row in rows:
+    for s in (0.1 + 0.9j, 0.3 + 1.1j):
+        row = curvature_report(fam, s)
         assert row["pass"]
         assert row["combined_min_eig"] > 0
         assert row["pointwise_margin"] >= -1e-6

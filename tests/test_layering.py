@@ -1,0 +1,29 @@
+"""Module layering: cyflab.green depends on the geometry layer only, so the
+curvature report in cyflab.familygeom can use it without an import cycle."""
+
+import ast
+from pathlib import Path
+
+import cyflab
+
+
+def imported_cyflab_modules(path: Path) -> set:
+    """The cyflab modules a source file imports, at module level or in a function."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names if alias.name.split(".")[0] == "cyflab")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                # relative to the package: "from . import x" names the module x
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                found.update(f"cyflab.{name}" for name in names)
+            elif node.module.split(".")[0] == "cyflab":
+                found.add(node.module)
+    return found
+
+
+def test_green_imports_only_geometry():
+    green = Path(cyflab.__file__).parent / "green.py"
+    assert imported_cyflab_modules(green) <= {"cyflab.geometry"}
+

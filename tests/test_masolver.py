@@ -373,10 +373,32 @@ def test_continuation_perturbed(perturbed_family):
     for row in path.table:
         assert row["volume_residual"] < 1e-10
         if row["eps"] > 0:
-            assert abs(row["ke_integral"]) <= path.c_normalization * row["eps"] * (1 + 1e-9)
+            assert row["ke_identity_residual"] <= 10 * SolverConfig().tol
     diffs = [row["sup_diff_to_limit"] for row in path.table if row["eps"] > 0]
     assert all(a > b for a, b in zip(diffs, diffs[1:]))
     assert np.isfinite(path.sup_phi_max) and np.isfinite(path.sup_lap_max)
+
+
+def test_ke_identity_detects_shifted_potential(monkeypatch, perturbed_family):
+    """phi_eps + 1e-6 fails the integrated fiber equation at every eps > 0, while
+    |ke_integral| <= C eps holds by construction: C is the largest
+    |ke_integral| / eps of the same rows."""
+    import cyflab.masolver
+
+    solve = cyflab.masolver.solve_ma
+
+    def shifted(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        if problem.epsilon > 0:
+            sol.phi = sol.phi + 1e-6
+        return sol
+
+    monkeypatch.setattr(cyflab.masolver, "solve_ma", shifted)
+    path = epsilon_continuation(perturbed_family, 1j, [1.0, 0.3, 0.1, 0.03, 0.01, 0.0])
+    rows = [row for row in path.table if row["eps"] > 0]
+    assert all(abs(row["ke_integral"]) <= path.c_normalization * row["eps"] * (1 + 1e-9)
+               for row in rows)
+    assert all(row["ke_identity_residual"] > 10 * SolverConfig().tol for row in rows)
 
 
 def test_stencil_offsets():

@@ -20,7 +20,6 @@ from cyflab.models import (
     EllipticOracle,
     FamilySpec,
     FourierPoly,
-    compare_report,
     make_family,
 )
 from conftest import perturbation_chi
@@ -305,10 +304,3 @@ def test_elliptic_omega_makes_no_transform(monkeypatch, perturbed_family):
         assert np.max(np.abs(perturbed_family.vrho_gzz(s, form.a_periodic()))) > 0
     with pytest.raises(AssertionError):
         d_z(np.zeros(perturbed_family.grid.shape), perturbed_family.chart(1j))
-
-
-def test_compare_report():
-    out = compare_report({"c": 1.0 + 1e-12}, {"c": 1.0}, {"c": 1e-10})
-    assert out["pass"]
-    out = compare_report({"c": 1.1}, {"c": 1.0}, {"c": 1e-10})
-    assert not out["pass"]

@@ -4,17 +4,25 @@ The fiber equation in coordinates is
 
     log det(g_ab + phi_ab) - log det(g_ab) = eps * phi + eta + extra_f,
 
-solved by damped Newton iteration; each linear step inverts
-Delta_h - eps (h the current fiber metric) by preconditioned GMRES with
-the constant-coefficient spectral inverse as preconditioner, except on
-elliptic fibers (n = 1) at eps = 0, where det(h) Delta_h is the flat
-d d-bar and the step is one exact spectral division.  There the equation
-h_{z z-bar} = g e^(eta + extra_f) is linear in phi_{z z-bar}, and the step
-targets it rather than its linearization, so one step solves it.  For eps = 0
-the constant kernel is removed by projecting the right-hand side and
-pinning the grid mean, and the requested normalization is enforced by a
-final additive shift (solutions are unique up to constants); for eps > 0
-the solution is intrinsically unique and no shift is applied.
+solved by damped Newton iteration; each linear step inverts Delta_h - eps
+(h the current fiber metric) in one of three ways:
+
+* elliptic fibers (n = 1) at eps = 0: det(h) Delta_h is the flat d d-bar,
+  and the step is one exact spectral division.  There the equation
+  h_{z z-bar} = g e^(eta + extra_f) is linear in phi_{z z-bar}, and the
+  step targets it rather than its linearization, so one step solves it;
+* elliptic fibers at eps > 0: det(h) (Delta_h - eps) is the flat d d-bar
+  minus eps det(h), symmetric and negative definite, and the step is a
+  preconditioned conjugate gradient solve (Hestenes & Stiefel 1952) with
+  the spectral preconditioner 1/(lambda + eps mean det h);
+* n >= 2: preconditioned lgmres with the constant-coefficient spectral
+  inverse as preconditioner, stopped at the inexact-Newton forcing term
+  max(linear_rtol, min(1e-2, 0.1 sup|F|)) (Eisenstat & Walker 1996).
+
+For eps = 0 the constant kernel is removed by projecting the right-hand
+side and pinning the grid mean, and the requested normalization is
+enforced by a final additive shift (solutions are unique up to constants);
+for eps > 0 the solution is intrinsically unique and no shift is applied.
 """
 
 from __future__ import annotations
@@ -61,6 +69,19 @@ class SolverDivergence(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """Newton and linear-solve settings.
+
+    tol: sup |F| at which Newton stops.
+    max_iters: Newton steps allowed before SolverDivergence.
+    damping_floor: smallest step fraction t of the backtracking line search.
+    linear_rtol: relative residual of a final linear solve (linearized_solve)
+        and of every n = 1, eps > 0 Newton step; the lower bound of the
+        n >= 2 forcing terms.
+    linear_maxiter: lgmres restart cycles (inner_m = 30 each); the conjugate
+        gradient solve at n = 1, eps > 0 is capped at 30 * linear_maxiter
+        iterations, the same number of matvecs.
+    """
+
     tol: float = 1e-11
     max_iters: int = 50
     damping_floor: float = 2.0 ** -20
@@ -130,24 +151,42 @@ def _hessian_weights(h) -> list:
     return weights
 
 
-def _linear_solve(h, chart, eps, rhs, config: SolverConfig):
-    """Solve Delta_h u - eps u = rhs; returns (u, fallbacks).
+def _accept_unconverged(rel, solver):
+    """Fallback count of a Krylov solve that stopped short of its rtol.
+
+    Conditioning can put the Krylov floor slightly above rtol: the iterate
+    is accepted, and counted, if its true relative residual is below 1e-8.
+    """
+    if not rel <= 1e-8:
+        raise SolverDivergence(f"linear solve did not converge ({solver}, rel {rel:.3e})")
+    return 1
+
+
+def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
+    """Solve Delta_h u - eps u = rhs; returns (u, fallbacks, iterations).
 
     For Hermitian h the operator maps real fields to real fields, so a real
     right-hand side is solved in real arithmetic and a complex one as two
     real systems.  For eps = 0 the right-hand side is projected onto the
     solvable range (zero det(h)-weighted mean) and the unique grid-mean-zero
-    solution is returned; at n = 1 that solve is exact and Krylov-free.
-    fallbacks counts the Krylov solves that stopped short of rtol but were
-    accepted on a true residual below 1e-8.
+    solution is returned; at n = 1 that solve is exact and Krylov-free.  At
+    n = 1, eps > 0 the solve is conjugate gradients (_elliptic_cg).
+    rtol (default config.linear_rtol) is the relative residual the Krylov
+    solve stops at.  fallbacks counts the Krylov solves that stopped short
+    of rtol but were accepted on a true residual below 1e-8; iterations
+    counts the lgmres matvecs or CG iterations (0 for the exact step).
     """
+    rtol = config.linear_rtol if rtol is None else rtol
     if np.iscomplexobj(rhs):
-        re, fb_re = _linear_solve(h, chart, eps, rhs.real, config)
-        im, fb_im = _linear_solve(h, chart, eps, rhs.imag, config)
-        return re + 1j * im, fb_re + fb_im
+        re, fb_re, it_re = _linear_solve(h, chart, eps, rhs.real, config, rtol)
+        im, fb_im, it_im = _linear_solve(h, chart, eps, rhs.imag, config, rtol)
+        return re + 1j * im, fb_re + fb_im, it_re + it_im
     grid = chart.grid
     n = chart.n
     pin = eps == 0
+    if n == 1 and not pin:
+        return _elliptic_cg(herm_det(h).real, chart, eps, rhs, rtol,
+                            30 * config.linear_maxiter)
     if pin:
         det = herm_det(h).real
         rhs = rhs - np.mean(rhs * det) / np.mean(det)
@@ -156,7 +195,7 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig):
             # is one division by the flat symbol, whose zeroed kernel modes
             # drop the constant and the pure-Nyquist content of det(h) rhs
             u = fourier_multiply(det * rhs, chart.flat_inverse_mult)
-            return u - np.mean(u), 0
+            return u - np.mean(u), 0, 0
     h_mean = np.array([[np.mean(h[a, b]) for b in range(n)] for a in range(n)])
     lam = flat_symbol(chart, h_mean)
     weights = _hessian_weights(h)
@@ -174,7 +213,11 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig):
     def filtered(f):
         return drop_nyquist_modes(f) if pin else f
 
+    matvecs = 0
+
     def apply(vec):
+        nonlocal matvecs
+        matvecs += 1
         u = vec.reshape(grid.shape)
         hess = ddc_fiber(u, chart)
         out = -eps * u if eps else np.zeros(grid.shape)
@@ -194,22 +237,56 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig):
     op = LinearOperator((size, size), matvec=apply, dtype=float)
     pre = LinearOperator((size, size), matvec=precond, dtype=float)
     b = filtered(np.asarray(rhs, dtype=float)).ravel()
-    sol, info = lgmres(op, b, M=pre, rtol=config.linear_rtol,
-                       atol=0.0, maxiter=config.linear_maxiter)
+    sol, info = lgmres(op, b, M=pre, rtol=rtol, atol=0.0, maxiter=config.linear_maxiter)
+    iterations = matvecs
     fallbacks = 0
     if info != 0:
-        # conditioning can put the Krylov floor slightly above rtol; accept
-        # the iterate if its true residual is still small, and count it
         bnorm = np.linalg.norm(b)
         rel = np.linalg.norm(apply(sol) - b) / bnorm if bnorm > 0 else 0.0
-        if rel > 1e-8:
-            raise SolverDivergence(
-                f"linear solve did not converge (lgmres info {info}, rel {rel:.3e})")
-        fallbacks = 1
+        fallbacks = _accept_unconverged(rel, f"lgmres info {info}")
     u = sol.reshape(grid.shape)
     if pin:
         u = u - np.mean(u)
-    return u, fallbacks
+    return u, fallbacks, iterations
+
+
+def _elliptic_cg(det, chart, eps, rhs, rtol, maxiter):
+    """Conjugate gradients for Delta_h u - eps u = rhs on an elliptic fiber, eps > 0.
+
+    At n = 1, det(h) Delta_h u = u_{z z-bar}, so multiplying by -det(h)
+    gives A u = -u_{z z-bar} + eps det(h) u = -det(h) rhs, with A symmetric
+    positive definite in the flat l2 product.  The preconditioner is the
+    Fourier multiplier 1/(lambda + eps mean det h), lambda the flat symbol.
+    Reductions are elementwise sums, so no BLAS call is made.  Returns
+    (u, fallbacks, iterations) as _linear_solve does, judged on the true
+    relative residual of A u = b.
+    """
+    lam = flat_symbol(chart)
+    inv_denom = 1.0 / (lam + eps * np.mean(det))
+
+    def apply(u):
+        return fourier_multiply(u, lam) + eps * det * u
+
+    b = -det * rhs
+    bnorm = np.sqrt(np.sum(b * b))
+    u = np.zeros_like(b)
+    r = b.copy()
+    z = fourier_multiply(r, inv_denom)
+    p = z
+    rz = np.sum(r * z)
+    iterations = 0
+    while iterations < maxiter and np.sqrt(np.sum(r * r)) > rtol * bnorm:
+        Ap = apply(p)
+        alpha = rz / np.sum(p * Ap)
+        u += alpha * p
+        r -= alpha * Ap
+        z = fourier_multiply(r, inv_denom)
+        rz, rz_old = np.sum(r * z), rz
+        p = z + (rz / rz_old) * p
+        iterations += 1
+    rel = np.sqrt(np.sum((apply(u) - b) ** 2)) / bnorm if bnorm > 0 else 0.0
+    fallbacks = 0 if rel <= rtol else _accept_unconverged(rel, f"cg, {iterations} iterations")
+    return u, fallbacks, iterations
 
 
 def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
@@ -237,6 +314,9 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     # at n = 1, eps = 0 the equation h_{z z-bar} = g e^target is linear in
     # phi_{z z-bar}: the step u with u_{z z-bar} = h (e^{-F} - 1) lands on it
     exact = chart.n == 1 and eps == 0
+    # inexact Newton forcing terms on the lgmres steps (n >= 2); at n = 1
+    # conjugate gradients reach linear_rtol in a few iterations anyway
+    forcing = chart.n > 1
 
     def residual_field(p):
         h = g + ddc_fiber(p, chart)
@@ -258,8 +338,12 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     res = float(np.max(np.abs(F)))
     iters = 0
     fallbacks = 0
+    trace = {"residual_history": [], "step_lengths": [], "linear_iterations": [],
+             "linear_rtol": []}
     while res > config.tol and iters < config.max_iters:
-        u, fb = _linear_solve(h, chart, eps, np.expm1(-F) if exact else -F, config)
+        rtol = max(config.linear_rtol, min(1e-2, 0.1 * res)) if forcing else config.linear_rtol
+        u, fb, lin_iters = _linear_solve(h, chart, eps, np.expm1(-F) if exact else -F,
+                                         config, rtol)
         fallbacks += fb
         t = 1.0
         while True:
@@ -273,6 +357,10 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
                 raise SolverDivergence(
                     "damping floor reached (stagnation or positivity loss) "
                     f"at residual {res:.3e}", residual=res)
+        trace["residual_history"].append(res)
+        trace["step_lengths"].append(t)
+        trace["linear_iterations"].append(lin_iters)
+        trace["linear_rtol"].append(rtol)
         phi = phi + t * u
         F, h, res = F_new, h_new, float(np.max(np.abs(F_new)))
         iters += 1
@@ -311,6 +399,9 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         # Newton steps whose Krylov solve missed rtol and was accepted on
         # its true residual
         "linear_fallbacks": fallbacks,
+        # one entry per Newton step: sup |F| before the step, the damping t,
+        # the linear solve's iterations (0 for the exact step) and its rtol
+        **trace,
     }
     return MASolution(phi=phi, residual_sup=res, newton_iters=iters,
                       normalization=normalization, diagnostics=diagnostics)
@@ -334,7 +425,7 @@ def linearized_solve(h: np.ndarray, chart: FiberChart, epsilon: float, R: np.nda
         if compat > solvability_tol:
             raise NormalizationError(
                 f"eps = 0 linearized problem violates solvability ({compat:.3e})")
-    u, fallbacks = _linear_solve(h, chart, epsilon, -np.asarray(R), config)
+    u, fallbacks, _ = _linear_solve(h, chart, epsilon, -np.asarray(R), config)
     if diagnostics is not None:
         diagnostics["linear_fallbacks"] = diagnostics.get("linear_fallbacks", 0) + fallbacks
     if epsilon == 0:

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,10 @@ def test_solve_fiber_manufactured(tmp_path):
     assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
     rep = json.loads((tmp_path / "out" / "fiber_solution.json").read_text())
     assert rep["recovery_error"] < 1e-10
+    # the per-step solve trace: one entry per Newton step
+    for key in ("residual_history", "step_lengths", "linear_iterations", "linear_rtol"):
+        assert len(rep["diagnostics"][key]) == rep["newton_iters"]
+    assert all(its > 0 for its in rep["diagnostics"]["linear_iterations"])
     assert (tmp_path / "out" / "phi.csv").exists()
 
 
@@ -251,11 +256,15 @@ def test_green_command(tmp_path):
 
 def test_cli_entry_point(tmp_path):
     path, _ = base_config(tmp_path)
+    # the subprocess does not inherit pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "cyflab.cli", "verify", "--config", str(path),
          "--suite", "identities"],
-        capture_output=True, text=True)
-    assert proc.returncode == EXIT_OK
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 def test_solve_fiber_divergence_exit3(tmp_path):

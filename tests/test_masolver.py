@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyflab.masolver
 from cyflab.geometry import (
     FiberChart,
     FiberGrid,
@@ -32,7 +33,7 @@ from cyflab.masolver import (
     solve_ma,
     solve_stencil,
 )
-from cyflab.models import FamilySpec, make_family
+from cyflab.models import FamilySpec, FourierPoly, make_family
 from conftest import perturbation_chi, random_trig_field
 
 
@@ -185,13 +186,92 @@ def test_exact_n1_step(seed, N, tau):
     bump = 0.5 * bump / max(1.0, float(np.max(np.abs(bump))))
     h = (1.0 + rng.uniform() + bump).astype(complex)[np.newaxis, np.newaxis]
     rhs = random_trig_field(rng, grid, kmax=3).real
-    u, fallbacks = _linear_solve(h, chart, 0.0, rhs, SolverConfig())
+    u, fallbacks, iterations = _linear_solve(h, chart, 0.0, rhs, SolverConfig())
     det = herm_det(h).real
     projected = rhs - np.mean(rhs * det) / np.mean(det)
     lap = laplace_beltrami(h, u, chart).real
-    assert fallbacks == 0
+    assert fallbacks == 0 and iterations == 0
     assert np.max(np.abs(lap - projected)) < 1e-11 * max(1.0, float(np.max(np.abs(rhs))))
     assert abs(np.mean(u)) < 1e-15 * max(1.0, float(np.max(np.abs(u))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), N=st.sampled_from([16, 32]),
+       tau=st.sampled_from([1j, 0.3 + 1.1j]), eps=st.floats(0.01, 1.0))
+def test_elliptic_cg_solves_eps_positive(seed, N, tau, eps):
+    """At n = 1, eps > 0 the conjugate gradient step solves Delta_h u - eps u = rhs."""
+    grid = FiberGrid(1, N)
+    chart = FiberChart.make(grid, tau=tau)
+    rng = np.random.RandomState(seed)
+    bump = random_trig_field(rng, grid, kmax=2).real
+    bump = 0.5 * bump / max(1.0, float(np.max(np.abs(bump))))
+    h = (1.0 + rng.uniform() + bump).astype(complex)[np.newaxis, np.newaxis]
+    rhs = random_trig_field(rng, grid, kmax=3).real
+    with patch("cyflab.masolver.lgmres", side_effect=AssertionError("lgmres called")):
+        u, _, iterations = _linear_solve(h, chart, eps, rhs, SolverConfig())
+    back = laplace_beltrami(h, u, chart).real - eps * u
+    # worst measured over 400 random cases: 2.0e-11
+    assert np.max(np.abs(back - rhs)) < 2e-10 * max(1.0, float(np.max(np.abs(rhs))))
+    assert 0 < iterations <= 30 * SolverConfig().linear_maxiter
+
+
+def test_elliptic_eps_positive_solves_are_lgmres_free(monkeypatch, perturbed_family):
+    """Newton, linearized and continuation solves at n = 1, eps > 0 use CG only."""
+    def no_lgmres(*args, **kwargs):
+        raise AssertionError("lgmres called on an n = 1 solve")
+
+    monkeypatch.setattr("cyflab.masolver.lgmres", no_lgmres)
+    form = perturbed_family.omega(1j)
+    eta = eta_from_metric(form.gab, form.chart)
+    sol = solve_ma(MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=0.1))
+    assert sol.residual_sup <= SolverConfig().tol
+    assert all(its > 0 for its in sol.diagnostics["linear_iterations"])
+    assert sol.diagnostics["linear_rtol"] == [SolverConfig().linear_rtol] * sol.newton_iters
+    h = form.gab + ddc_fiber(sol.phi, form.chart)
+    x, y = form.chart.grid.coords
+    R = np.cos(2 * np.pi * x) + 1j * np.sin(2 * np.pi * (x + 2 * y))
+    u = linearized_solve(h, form.chart, 0.1, R)
+    back = -laplace_beltrami(h, u, form.chart) + 0.1 * u
+    assert np.max(np.abs(back - R)) < 1e-9
+    path = epsilon_continuation(perturbed_family, 1j, [1.0, 0.1, 0.01, 0.0])
+    assert path.order > 0.95
+
+
+def test_forcing_terms_n2():
+    """Forcing terms keep the n = 2 Newton path and its answer, with fewer matvecs.
+
+    The acceptance-4 potential chi gives the flat metric <g> as the
+    Ricci-flat one, so phi = -(chi - mean chi) exactly.
+    """
+    grid = FiberGrid(2, 16)
+    chart = FiberChart.make(grid, omega_matrix=1j * np.eye(2))
+    g = np.zeros((2, 2) + grid.shape, dtype=complex)
+    g[0, 0] = g[1, 1] = 1.0
+    chi = FourierPoly(2, {
+        (1, 0, 0, 0, 0, 0): 0.01, (-1, 0, 0, 0, 0, 0): 0.01,
+        (0, 0, 0, 1, 0, 0): 0.008, (0, 0, 0, -1, 0, 0): 0.008,
+    }).eval(grid, 0.0).real
+    g2 = g + ddc_fiber(chi, chart)
+    problem = MAProblem(chart=chart, gab=g2, eta=eta_from_metric(g2, chart), epsilon=0.0)
+    config = SolverConfig()
+    forced = solve_ma(problem, config)
+
+    solve = cyflab.masolver._linear_solve
+
+    def at_linear_rtol(h, chart, eps, rhs, config, rtol=None):
+        return solve(h, chart, eps, rhs, config)
+
+    with patch("cyflab.masolver._linear_solve", at_linear_rtol):
+        strict = solve_ma(problem, config)
+
+    assert np.max(np.abs(forced.phi + chi - np.mean(chi))) < 1e-12
+    assert forced.newton_iters == strict.newton_iters
+    diag = forced.diagnostics
+    assert sum(diag["linear_iterations"]) < sum(strict.diagnostics["linear_iterations"])
+    assert diag["linear_rtol"] == [max(config.linear_rtol, min(1e-2, 0.1 * res))
+                                   for res in diag["residual_history"]]
+    assert diag["residual_history"][0] == pytest.approx(float(np.max(np.abs(problem.eta))))
+    assert all(0 < t <= 1 for t in diag["step_lengths"])
 
 
 def test_elliptic_eps0_solve_is_krylov_free(monkeypatch, perturbed_family):
@@ -237,6 +317,7 @@ def test_elliptic_eps0_one_exact_step(seed, N, tau, warm):
     weight = np.exp(extra_f) * g[0, 0].real
     expected = phi_star - np.mean(phi_star * weight) / np.mean(weight)
     assert sol.newton_iters == 1
+    assert sol.diagnostics["linear_iterations"] == [0]
     assert sol.residual_sup <= 1e-12
     assert np.max(np.abs(sol.phi - expected)) <= 1e-12
 

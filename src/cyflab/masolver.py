@@ -15,9 +15,13 @@ solved by damped Newton iteration; each linear step inverts Delta_h - eps
   minus eps det(h), symmetric and negative definite, and the step is a
   preconditioned conjugate gradient solve (Hestenes & Stiefel 1952) with
   the spectral preconditioner 1/(lambda + eps mean det h);
-* n >= 2: preconditioned lgmres with the constant-coefficient spectral
-  inverse as preconditioner, stopped at the inexact-Newton forcing term
-  max(linear_rtol, min(1e-2, 0.1 sup|F|)) (Eisenstat & Walker 1996).
+* n >= 2: restarted GMRES (Saad & Schultz 1986) right-preconditioned by
+  the constant-coefficient spectral inverse, stopped at the inexact-Newton
+  forcing term max(linear_rtol, min(1e-2, 0.1 sup|F|)) (Eisenstat & Walker
+  1996) and judged on its true residual.
+
+The Krylov solves reduce with elementwise sums and update with ufuncs, so
+they make no BLAS call on field-sized vectors.
 
 For eps = 0 the constant kernel is removed by projecting the right-hand
 side and pinning the grid mean, and the requested normalization is
@@ -27,10 +31,11 @@ for eps > 0 the solution is intrinsically unique and no shift is applied.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .geometry import (
     DefinitenessError,
@@ -77,9 +82,9 @@ class SolverConfig:
     linear_rtol: relative residual of a final linear solve (linearized_solve)
         and of every n = 1, eps > 0 Newton step; the lower bound of the
         n >= 2 forcing terms.
-    linear_maxiter: lgmres restart cycles (inner_m = 30 each); the conjugate
-        gradient solve at n = 1, eps > 0 is capped at 30 * linear_maxiter
-        iterations, the same number of matvecs.
+    linear_maxiter: GMRES restart cycles of RESTART = 30 iterations each
+        (n >= 2); the conjugate gradient solve at n = 1, eps > 0 is capped at
+        RESTART * linear_maxiter iterations, the same number of matvecs.
     """
 
     tol: float = 1e-11
@@ -91,6 +96,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise GeometryError("solver tolerance must be positive")
+        # with no cycle to run, GMRES would report its x = 0 as converged
+        if self.linear_maxiter < 1:
+            raise GeometryError("linear_maxiter must be at least 1")
 
 
 @dataclass
@@ -162,31 +170,123 @@ def _accept_unconverged(rel, solver):
     return 1
 
 
+@dataclass(frozen=True)
+class Operator:
+    """A linear map given by its matvec; shape and dtype are for trace hooks."""
+
+    shape: tuple
+    matvec: Callable
+    dtype: type = float
+
+
+def _dot(x, y) -> float:
+    # an elementwise sum: a BLAS dot on a field-sized vector wakes
+    # OpenBLAS's second thread, which then spins
+    return float(np.sum(x * y))
+
+
+# Krylov iterations per GMRES restart cycle; the conjugate gradient cap is
+# counted in the same cycles
+RESTART = 30
+
+
+def lgmres(A, b, *, M, rtol, atol, maxiter, callback=None):
+    """Right-preconditioned restarted GMRES(RESTART) from x = 0 (Saad & Schultz 1986).
+
+    Solves A x = b, with A and M (an approximate inverse of A) read through
+    .matvec.  Each cycle builds an Arnoldi basis V of A M by modified
+    Gram-Schmidt and moves to the x + M V y that minimizes |b - A x| on it;
+    the Givens rotations and the triangular solve run on Python scalars, and
+    field-sized vectors are reduced by elementwise sums and updated by
+    ufuncs, so no BLAS call is made.  A cycle stops early once its estimate
+    of |b - A x| reaches max(atol, rtol |b|), and ends with the true
+    residual b - A x, from which the next cycle restarts.  callback, if
+    given, receives |b - A x| at x = 0 and after each cycle.
+
+    Returns (x, info): info is 0 if the last true residual is at most
+    max(atol, rtol |b|), else maxiter (the cycles run).  The name and call
+    form are those of scipy.sparse.linalg.lgmres, kept for the benchmark's
+    trace hook and for the tests that patch cyflab.masolver.lgmres.
+    """
+    x = np.zeros_like(b)
+    r = b
+    rnorm = math.sqrt(_dot(r, r))
+    tol = max(atol, rtol * rnorm)
+    if callback is not None:
+        callback(rnorm)
+    for _ in range(maxiter):
+        if rnorm <= tol:
+            break
+        V, Z, R, rotations, g = [r / rnorm], [], [], [], [rnorm]
+        for j in range(RESTART):
+            Z.append(M.matvec(V[j]))
+            w = A.matvec(Z[j])
+            col = []
+            for v in V:
+                c = _dot(w, v)
+                w -= c * v
+                col.append(c)
+            w_norm = math.sqrt(_dot(w, w))
+            for i, (cs, sn) in enumerate(rotations):
+                top, low = col[i], col[i + 1]
+                col[i], col[i + 1] = cs * top + sn * low, cs * low - sn * top
+            d = math.hypot(col[j], w_norm)
+            if d == 0:
+                # A M is singular on the new direction: end the cycle without it
+                Z.pop()
+                break
+            cs, sn = col[j] / d, w_norm / d
+            col[j] = d
+            rotations.append((cs, sn))
+            R.append(col)
+            g.append(-sn * g[j])
+            g[j] *= cs
+            # |g[j + 1]| is the cycle's estimate of |b - A x|; w_norm = 0
+            # means the Krylov space is invariant and the cycle exact
+            if abs(g[j + 1]) <= tol or w_norm == 0:
+                break
+            V.append(w / w_norm)
+        y = [0.0] * len(R)
+        for i in reversed(range(len(R))):
+            y[i] = (g[i] - sum(R[m][i] * y[m] for m in range(i + 1, len(R)))) / R[i][i]
+        for yi, z in zip(y, Z):
+            x += yi * z
+        r = b - A.matvec(x)
+        rnorm = math.sqrt(_dot(r, r))
+        if callback is not None:
+            callback(rnorm)
+    return x, 0 if rnorm <= tol else maxiter
+
+
 def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
-    """Solve Delta_h u - eps u = rhs; returns (u, fallbacks, iterations).
+    """Solve Delta_h u - eps u = rhs; returns (u, fallbacks, iterations, residual).
 
     For Hermitian h the operator maps real fields to real fields, so a real
     right-hand side is solved in real arithmetic and a complex one as two
     real systems.  For eps = 0 the right-hand side is projected onto the
     solvable range (zero det(h)-weighted mean) and the unique grid-mean-zero
     solution is returned; at n = 1 that solve is exact and Krylov-free.  At
-    n = 1, eps > 0 the solve is conjugate gradients (_elliptic_cg).
-    rtol (default config.linear_rtol) is the relative residual the Krylov
-    solve stops at.  fallbacks counts the Krylov solves that stopped short
-    of rtol but were accepted on a true residual below 1e-8; iterations
-    counts the lgmres matvecs or CG iterations (0 for the exact step).
+    n = 1, eps > 0 the solve is conjugate gradients (_elliptic_cg), and at
+    n >= 2 it is GMRES (lgmres).  rtol (default config.linear_rtol) is the
+    relative residual the Krylov solve stops at.  fallbacks counts the
+    Krylov solves whose true residual missed rtol but was accepted below
+    1e-8; iterations counts the GMRES matvecs or CG iterations; residual is
+    the true relative residual the solve ended at (the larger of the two
+    for a complex right-hand side).  The exact step returns 0 iterations
+    and residual None.
     """
     rtol = config.linear_rtol if rtol is None else rtol
     if np.iscomplexobj(rhs):
-        re, fb_re, it_re = _linear_solve(h, chart, eps, rhs.real, config, rtol)
-        im, fb_im, it_im = _linear_solve(h, chart, eps, rhs.imag, config, rtol)
-        return re + 1j * im, fb_re + fb_im, it_re + it_im
+        re, fb_re, it_re, res_re = _linear_solve(h, chart, eps, rhs.real, config, rtol)
+        im, fb_im, it_im, res_im = _linear_solve(h, chart, eps, rhs.imag, config, rtol)
+        residual = None if res_re is None else max(res_re, res_im)
+        return re + 1j * im, fb_re + fb_im, it_re + it_im, residual
     grid = chart.grid
     n = chart.n
     pin = eps == 0
     if n == 1 and not pin:
         return _elliptic_cg(herm_det(h).real, chart, eps, rhs, rtol,
-                            30 * config.linear_maxiter)
+                            RESTART * config.linear_maxiter)
     if pin:
         det = herm_det(h).real
         rhs = rhs - np.mean(rhs * det) / np.mean(det)
@@ -195,7 +295,7 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
             # is one division by the flat symbol, whose zeroed kernel modes
             # drop the constant and the pure-Nyquist content of det(h) rhs
             u = fourier_multiply(det * rhs, chart.flat_inverse_mult)
-            return u - np.mean(u), 0, 0
+            return u - np.mean(u), 0, 0, None
     h_mean = np.array([[np.mean(h[a, b]) for b in range(n)] for a in range(n)])
     lam = flat_symbol(chart, h_mean)
     weights = _hessian_weights(h)
@@ -233,21 +333,17 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
     def precond(vec):
         return fourier_multiply(vec.reshape(grid.shape), inv_denom).ravel()
 
-    size = grid.num_nodes
-    op = LinearOperator((size, size), matvec=apply, dtype=float)
-    pre = LinearOperator((size, size), matvec=precond, dtype=float)
+    shape = (grid.num_nodes, grid.num_nodes)
     b = filtered(np.asarray(rhs, dtype=float)).ravel()
-    sol, info = lgmres(op, b, M=pre, rtol=rtol, atol=0.0, maxiter=config.linear_maxiter)
-    iterations = matvecs
-    fallbacks = 0
-    if info != 0:
-        bnorm = np.linalg.norm(b)
-        rel = np.linalg.norm(apply(sol) - b) / bnorm if bnorm > 0 else 0.0
-        fallbacks = _accept_unconverged(rel, f"lgmres info {info}")
+    residuals = []
+    sol, info = lgmres(Operator(shape, apply), b, M=Operator(shape, precond), rtol=rtol,
+                       atol=0.0, maxiter=config.linear_maxiter, callback=residuals.append)
+    rel = residuals[-1] / residuals[0] if residuals[0] > 0 else 0.0
+    fallbacks = 0 if info == 0 else _accept_unconverged(rel, f"gmres, {info} cycles")
     u = sol.reshape(grid.shape)
     if pin:
         u = u - np.mean(u)
-    return u, fallbacks, iterations
+    return u, fallbacks, matvecs, rel
 
 
 def _elliptic_cg(det, chart, eps, rhs, rtol, maxiter):
@@ -258,8 +354,8 @@ def _elliptic_cg(det, chart, eps, rhs, rtol, maxiter):
     positive definite in the flat l2 product.  The preconditioner is the
     Fourier multiplier 1/(lambda + eps mean det h), lambda the flat symbol.
     Reductions are elementwise sums, so no BLAS call is made.  Returns
-    (u, fallbacks, iterations) as _linear_solve does, judged on the true
-    relative residual of A u = b.
+    (u, fallbacks, iterations, residual) as _linear_solve does, judged on
+    the true relative residual of A u = b.
     """
     lam = flat_symbol(chart)
     inv_denom = 1.0 / (lam + eps * np.mean(det))
@@ -286,7 +382,7 @@ def _elliptic_cg(det, chart, eps, rhs, rtol, maxiter):
         iterations += 1
     rel = np.sqrt(np.sum((apply(u) - b) ** 2)) / bnorm if bnorm > 0 else 0.0
     fallbacks = 0 if rel <= rtol else _accept_unconverged(rel, f"cg, {iterations} iterations")
-    return u, fallbacks, iterations
+    return u, fallbacks, iterations, rel
 
 
 def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
@@ -314,7 +410,7 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     # at n = 1, eps = 0 the equation h_{z z-bar} = g e^target is linear in
     # phi_{z z-bar}: the step u with u_{z z-bar} = h (e^{-F} - 1) lands on it
     exact = chart.n == 1 and eps == 0
-    # inexact Newton forcing terms on the lgmres steps (n >= 2); at n = 1
+    # inexact Newton forcing terms on the GMRES steps (n >= 2); at n = 1
     # conjugate gradients reach linear_rtol in a few iterations anyway
     forcing = chart.n > 1
 
@@ -339,11 +435,11 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     iters = 0
     fallbacks = 0
     trace = {"residual_history": [], "step_lengths": [], "linear_iterations": [],
-             "linear_rtol": []}
+             "linear_rtol": [], "linear_residual": []}
     while res > config.tol and iters < config.max_iters:
         rtol = max(config.linear_rtol, min(1e-2, 0.1 * res)) if forcing else config.linear_rtol
-        u, fb, lin_iters = _linear_solve(h, chart, eps, np.expm1(-F) if exact else -F,
-                                         config, rtol)
+        u, fb, lin_iters, lin_res = _linear_solve(
+            h, chart, eps, np.expm1(-F) if exact else -F, config, rtol)
         fallbacks += fb
         t = 1.0
         while True:
@@ -361,6 +457,7 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         trace["step_lengths"].append(t)
         trace["linear_iterations"].append(lin_iters)
         trace["linear_rtol"].append(rtol)
+        trace["linear_residual"].append(lin_res)
         phi = phi + t * u
         F, h, res = F_new, h_new, float(np.max(np.abs(F_new)))
         iters += 1
@@ -400,7 +497,8 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         # its true residual
         "linear_fallbacks": fallbacks,
         # one entry per Newton step: sup |F| before the step, the damping t,
-        # the linear solve's iterations (0 for the exact step) and its rtol
+        # the linear solve's iterations (0 for the exact step), its rtol and
+        # the true relative residual it ended at (None for the exact step)
         **trace,
     }
     return MASolution(phi=phi, residual_sup=res, newton_iters=iters,
@@ -425,7 +523,7 @@ def linearized_solve(h: np.ndarray, chart: FiberChart, epsilon: float, R: np.nda
         if compat > solvability_tol:
             raise NormalizationError(
                 f"eps = 0 linearized problem violates solvability ({compat:.3e})")
-    u, fallbacks, _ = _linear_solve(h, chart, epsilon, -np.asarray(R), config)
+    u, fallbacks, _, _ = _linear_solve(h, chart, epsilon, -np.asarray(R), config)
     if diagnostics is not None:
         diagnostics["linear_fallbacks"] = diagnostics.get("linear_fallbacks", 0) + fallbacks
     if epsilon == 0:

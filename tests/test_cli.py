@@ -92,7 +92,8 @@ def test_solve_fiber_manufactured(tmp_path):
     rep = json.loads((tmp_path / "out" / "fiber_solution.json").read_text())
     assert rep["recovery_error"] < 1e-10
     # the per-step solve trace: one entry per Newton step
-    for key in ("residual_history", "step_lengths", "linear_iterations", "linear_rtol"):
+    for key in ("residual_history", "step_lengths", "linear_iterations", "linear_rtol",
+                "linear_residual"):
         assert len(rep["diagnostics"][key]) == rep["newton_iters"]
     assert all(its > 0 for its in rep["diagnostics"]["linear_iterations"])
     assert (tmp_path / "out" / "phi.csv").exists()

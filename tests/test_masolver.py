@@ -12,8 +12,10 @@ from cyflab.geometry import (
     InvalidFieldError,
     NormalizationError,
     ddc_fiber,
+    drop_nyquist_modes,
     fiber_integral,
     herm_det,
+    herm_min_eig,
     laplace_beltrami,
 )
 from cyflab.masolver import (
@@ -34,7 +36,7 @@ from cyflab.masolver import (
     solve_stencil,
 )
 from cyflab.models import FamilySpec, FourierPoly, make_family
-from conftest import perturbation_chi, random_trig_field
+from conftest import perturbation_chi, random_chart_and_metric, random_trig_field
 
 
 @pytest.fixture(scope="module")
@@ -186,11 +188,11 @@ def test_exact_n1_step(seed, N, tau):
     bump = 0.5 * bump / max(1.0, float(np.max(np.abs(bump))))
     h = (1.0 + rng.uniform() + bump).astype(complex)[np.newaxis, np.newaxis]
     rhs = random_trig_field(rng, grid, kmax=3).real
-    u, fallbacks, iterations = _linear_solve(h, chart, 0.0, rhs, SolverConfig())
+    u, fallbacks, iterations, residual = _linear_solve(h, chart, 0.0, rhs, SolverConfig())
     det = herm_det(h).real
     projected = rhs - np.mean(rhs * det) / np.mean(det)
     lap = laplace_beltrami(h, u, chart).real
-    assert fallbacks == 0 and iterations == 0
+    assert fallbacks == 0 and iterations == 0 and residual is None
     assert np.max(np.abs(lap - projected)) < 1e-11 * max(1.0, float(np.max(np.abs(rhs))))
     assert abs(np.mean(u)) < 1e-15 * max(1.0, float(np.max(np.abs(u))))
 
@@ -208,11 +210,12 @@ def test_elliptic_cg_solves_eps_positive(seed, N, tau, eps):
     h = (1.0 + rng.uniform() + bump).astype(complex)[np.newaxis, np.newaxis]
     rhs = random_trig_field(rng, grid, kmax=3).real
     with patch("cyflab.masolver.lgmres", side_effect=AssertionError("lgmres called")):
-        u, _, iterations = _linear_solve(h, chart, eps, rhs, SolverConfig())
+        u, _, iterations, residual = _linear_solve(h, chart, eps, rhs, SolverConfig())
     back = laplace_beltrami(h, u, chart).real - eps * u
     # worst measured over 400 random cases: 2.0e-11
     assert np.max(np.abs(back - rhs)) < 2e-10 * max(1.0, float(np.max(np.abs(rhs))))
     assert 0 < iterations <= 30 * SolverConfig().linear_maxiter
+    assert residual <= 1e-8
 
 
 def test_elliptic_eps_positive_solves_are_lgmres_free(monkeypatch, perturbed_family):
@@ -272,6 +275,78 @@ def test_forcing_terms_n2():
                                    for res in diag["residual_history"]]
     assert diag["residual_history"][0] == pytest.approx(float(np.max(np.abs(problem.eta))))
     assert all(0 < t <= 1 for t in diag["step_lengths"])
+
+
+def random_n2_metric(rng, N=8):
+    """A random n = 2 chart and h = g + dd^c psi, psi small and band-limited."""
+    chart, g0 = random_chart_and_metric(rng, 2, N)
+    g = g0[:, :, np.newaxis, np.newaxis, np.newaxis, np.newaxis] * np.ones(chart.grid.shape)
+    psi = random_trig_field(rng, chart.grid, kmax=1, terms=4).real
+    hess = ddc_fiber(psi, chart)
+    h = g + 0.3 * herm_min_eig(g) / float(np.max(np.abs(hess))) * hess
+    assert herm_min_eig(h) > 0
+    return chart, h
+
+
+def projected(rhs, h):
+    det = herm_det(h).real
+    return rhs - np.mean(rhs * det) / np.mean(det)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), eps=st.sampled_from([0.0, 0.4]))
+def test_gmres_solves_n2(seed, eps):
+    """At n = 2 the GMRES step solves Delta_h u - eps u = rhs for h = g + dd^c psi."""
+    rng = np.random.RandomState(seed)
+    chart, h = random_n2_metric(rng)
+    rhs = random_trig_field(rng, chart.grid, kmax=3).real
+    if eps == 0:
+        rhs = projected(rhs, h)
+    config = SolverConfig()
+    u, fallbacks, iterations, residual = _linear_solve(h, chart, eps, rhs, config)
+    back = laplace_beltrami(h, u, chart).real - eps * u
+    if eps == 0:
+        # at eps = 0 the solve drops the pure-Nyquist aliasing of Delta_h u
+        back = drop_nyquist_modes(back)
+    # worst measured over 1200 random cases: 5.4e-11
+    assert np.max(np.abs(back - rhs)) < 5e-10 * max(1.0, float(np.max(np.abs(rhs))))
+    assert fallbacks == 0 and iterations > 0
+    assert residual <= config.linear_rtol
+
+
+def test_gmres_counts_true_residual_misses_n2():
+    """An n = 2 solve that misses rtol on its true residual is counted, not trusted."""
+    rng = np.random.RandomState(3)
+    chart, h = random_n2_metric(rng)
+    strict = SolverConfig(linear_rtol=1e-16, linear_maxiter=2)
+    for eps in (0.4, 0.0):
+        R = random_trig_field(rng, chart.grid, kmax=3).real
+        if eps == 0:
+            R = projected(R, h)
+        diagnostics = {}
+        linearized_solve(h, chart, eps, R, strict, diagnostics=diagnostics)
+        assert diagnostics["linear_fallbacks"] >= 1
+        fresh = {}
+        linearized_solve(h, chart, eps, R, diagnostics=fresh)
+        assert fresh == {"linear_fallbacks": 0}
+
+
+def test_linear_residual_per_newton_step(perturbed_family):
+    """Each Newton step records the true relative residual its linear solve ended at."""
+    form = perturbed_family.omega(1j)
+    eta = eta_from_metric(form.gab, form.chart)
+    exact = solve_ma(MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=0.0))
+    assert exact.diagnostics["linear_residual"] == [None] * exact.newton_iters
+    cg = solve_ma(MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=0.1))
+    chart, g = random_n2_metric(np.random.RandomState(5))
+    gmres = solve_ma(MAProblem(chart=chart, gab=g, eta=eta_from_metric(g, chart),
+                               epsilon=0.0))
+    for sol in (cg, gmres):
+        diag = sol.diagnostics
+        assert diag["linear_fallbacks"] == 0
+        assert len(diag["linear_residual"]) == sol.newton_iters > 0
+        assert all(0 < res <= rtol
+                   for res, rtol in zip(diag["linear_residual"], diag["linear_rtol"]))
 
 
 def test_elliptic_eps0_solve_is_krylov_free(monkeypatch, perturbed_family):
@@ -355,6 +430,8 @@ def test_stencil_eps_positive_warm_starts_from_center(monkeypatch, perturbed_fam
 def test_config_validation():
     with pytest.raises(GeometryError):
         SolverConfig(tol=0.0)
+    with pytest.raises(GeometryError):
+        SolverConfig(linear_maxiter=0)
 
 
 def test_linearized_examples(flat_setup):

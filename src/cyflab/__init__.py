@@ -11,7 +11,7 @@ from .geometry import (
     invert_flat_laplacian,
     laplace_beltrami,
 )
-from .models import EllipticOracle, FamilySpec, FourierPoly, make_family
+from .models import FamilySpec, FourierPoly, make_family
 from .masolver import (
     BaseStencil,
     KE_VOLUME,
@@ -43,7 +43,7 @@ from .green import build_green, k_bound
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseStencil", "EllipticOracle", "FamilySpec", "FiberChart", "FiberGrid",
+    "BaseStencil", "FamilySpec", "FiberChart", "FiberGrid",
     "FourierPoly", "KE_VOLUME", "MAProblem", "MASolution", "REFERENCE_VOLUME",
     "SolverConfig", "build_green", "compute_eta", "curvature_report",
     "d_z", "d_zbar", "dbar_vertical", "ddc_fiber", "direct_image_report",

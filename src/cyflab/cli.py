@@ -530,16 +530,17 @@ def suite_elliptic(cfg: dict) -> dict:
     for s in spec.base_samples:
         stencil = BaseStencil(center=s, h_s=cfg["h_s"])
         rho = fiberwise_ricci_flat(family, stencil, config=cfg["solver"])
+        exact = family.ricci_flat_closed_form(s)
         v = s.imag
         c = geodesic_curvature(rho.form)
         fld = dbar_vertical(rho.form)
         th = theta_E(family, stencil)
         row = {
             "s": s,
-            "phi_sup": float(np.max(np.abs(rho.phi))),
-            "c_rel_err": float(np.max(np.abs(c - 1 / v ** 2)) * v ** 2),
-            "dbarv_rel_err": float(np.max(np.abs(fld.norm2 - 0.25 / v ** 2)) * 4 * v ** 2),
-            "theta_err": abs(th - 0.25 / v ** 2),
+            "phi_sup": float(np.max(np.abs(rho.phi - exact.phi))),
+            "c_rel_err": float(np.max(np.abs(c - exact.c)) * v ** 2),
+            "dbarv_rel_err": float(np.max(np.abs(fld.norm2 - exact.theta)) * 4 * v ** 2),
+            "theta_err": abs(th - exact.theta),
         }
         ok = ok and row["phi_sup"] < 1e-10 and row["c_rel_err"] < 1e-8 \
             and row["dbarv_rel_err"] < 1e-8 and row["theta_err"] < 1e-5
@@ -604,7 +605,7 @@ def suite_green(cfg: dict) -> dict:
         f = f + rng.standard_normal() * np.cos(2 * np.pi * (k1 * x + k2 * y)) \
             + rng.standard_normal() * np.sin(2 * np.pi * (k1 * x + k2 * y))
     kb = k_bound(green)
-    exact = -ewald_kernel_min(green, coarse=48)
+    exact = -ewald_kernel_min(green)
     out = {
         "reproducing_residual": reproducing_residual(green, f),
         "kernel_mean": kernel_mean_residual(green),

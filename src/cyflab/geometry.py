@@ -259,14 +259,11 @@ def linear_coeff_derivative(chart: FiberChart, linear: tuple, index: tuple) -> c
     return complex(sum(row[m] * linear[m] for m in range(2 * chart.n)))
 
 
-def fiber_derivative(f: np.ndarray, chart: FiberChart, index: tuple,
-                     linear: tuple | None = None) -> np.ndarray:
+def fiber_derivative(f: np.ndarray, chart: FiberChart, index: tuple) -> np.ndarray:
     """Exact spectral derivative in holomorphic fiber coordinates.
 
     index is ('z', a) or ('zbar', a) with 0 <= a < n.  f must be periodic;
-    a field with an affine part sum_m c_m xi_m is passed as its periodic
-    remainder together with linear = (c_1, ..., c_2n), whose contribution
-    is differentiated exactly through the chart chain rule.
+    the affine part of a field is differentiated by linear_coeff_derivative.
     """
     f = chart.check_field(f)
     kind, a = index
@@ -278,8 +275,6 @@ def fiber_derivative(f: np.ndarray, chart: FiberChart, index: tuple,
         out = ifft(fh * (-np.conj(m)))
     else:
         raise GeometryError(f"unknown derivative index {index!r}")
-    if linear is not None:
-        out = out + linear_coeff_derivative(chart, linear, index)
     return out
 
 

@@ -208,7 +208,7 @@ def kernel_mean_residual(green: GreenOperator) -> float:
 # -- Ewald oracle for the continuum kernel (n = 1) ---------------------------
 
 
-def ewald_kernel(green: GreenOperator, points: np.ndarray, t: float = 0.02,
+def ewald_kernel(green: GreenOperator, axes, t: float = 0.02,
                  freq_cut: int = 40, image_cut: int = 6) -> np.ndarray:
     """Continuum Green kernel by Ewald splitting (independent of truncation).
 
@@ -217,7 +217,8 @@ def ewald_kernel(green: GreenOperator, points: np.ndarray, t: float = 0.02,
                       - t ],
     lambda_k = k^T B k, d_m = xi + m; the reciprocal tail is Gaussian-damped
     and the heat-kernel integral is summed in closed form over images.  The
-    result is t-independent up to the cutoffs.
+    result is t-independent up to the cutoffs.  Entry (i, j) is G at
+    (axes[0][i], axes[1][j]); one phase table per axis, as in kernel_on_tensor_grid.
     """
     if green.chart.n != 1:
         raise GeometryError("the Ewald oracle is implemented for n = 1 fibers")
@@ -228,36 +229,39 @@ def ewald_kernel(green: GreenOperator, points: np.ndarray, t: float = 0.02,
     B = 4 * np.pi ** 2 * hup * M
     Binv = np.linalg.inv(B)
     detB = np.linalg.det(B)
+    x, y = (np.asarray(a, dtype=float) for a in axes)
 
-    ks = np.array([(k1, k2) for k1 in range(-freq_cut, freq_cut + 1)
-                   for k2 in range(-freq_cut, freq_cut + 1) if (k1, k2) != (0, 0)])
-    lam = np.einsum("ki,ij,kj->k", ks, B, ks)
-    phase = points @ ks.T
-    recip = (np.exp(2j * np.pi * phase) * (np.exp(-lam * t) / lam)).sum(axis=1).real
+    k = np.arange(-freq_cut, freq_cut + 1)
+    k1, k2 = k[:, None], k[None, :]
+    lam = B[0, 0] * k1 * k1 + 2 * B[0, 1] * k1 * k2 + B[1, 1] * k2 * k2
+    lam[freq_cut, freq_cut] = 1.0
+    recip = np.exp(-lam * t) / lam
+    recip[freq_cut, freq_cut] = 0.0          # k = 0 is left out
+    for pts in (x, y):
+        # contracting the leading mode axis appends this axis' points last
+        recip = np.tensordot(recip, np.exp(2j * np.pi * np.outer(pts, k)), axes=([0], [1]))
 
-    ms = np.array([(m1, m2) for m1 in range(-image_cut, image_cut + 1)
-                   for m2 in range(-image_cut, image_cut + 1)])
-    d = points[:, None, :] + ms[None, :, :]
-    c = np.pi ** 2 * np.einsum("pmi,ij,pmj->pm", d, Binv, d)
-    real = (np.pi / np.sqrt(detB)) * exp1(c / t).sum(axis=1)
+    m = np.arange(-image_cut, image_cut + 1)
+    d1 = (x[:, None] + m)[:, None, :, None]
+    d2 = (y[:, None] + m)[None, :, None, :]
+    c = np.pi ** 2 * (Binv[0, 0] * d1 * d1 + 2 * Binv[0, 1] * d1 * d2 + Binv[1, 1] * d2 * d2)
+    real = (np.pi / np.sqrt(detB)) * exp1(c / t).sum(axis=(2, 3))
 
-    return (recip + real - t) / green.volume
+    return (recip.real + real - t) / green.volume
 
 
-def ewald_kernel_min(green: GreenOperator, coarse: int = 96,
-                     refine_rounds: int = 4) -> float:
-    """Minimum of the continuum kernel, located by coarse scan + refinement."""
+def ewald_kernel_min(green: GreenOperator) -> float:
+    """Minimum of the continuum kernel: a 48^2 scan polished on four shrinking
+    5^2 tensor grids around the best point."""
+    coarse = 48
     u = (np.arange(coarse) + 0.5) / coarse
-    pts = np.array([(a, b) for a in u for b in u])
-    vals = ewald_kernel(green, pts)
-    best = pts[int(np.argmin(vals))]
-    val = float(np.min(vals))
+    axes = [u, u]
     step = 1.0 / coarse
-    for _ in range(refine_rounds):
-        offs = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)], dtype=float)
-        local = (best[None, :] + offs * (step / 2.0)) % 1.0
-        lv = ewald_kernel(green, local)
-        j = int(np.argmin(lv))
-        best, val = local[j], float(lv[j])
+    offsets = np.arange(-2, 3)
+    for _ in range(5):
+        vals = ewald_kernel(green, axes)
+        j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        best = [a[i] for a, i in zip(axes, j)]
+        axes = [(b + offsets * (step / 2.0)) % 1.0 for b in best]
         step /= 2.0
-    return val
+    return float(vals[j])

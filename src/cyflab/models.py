@@ -5,7 +5,7 @@ Three family kinds over a one-dimensional base are provided:
 * ``product``            -- fixed modulus tau0, flat fibers;
 * ``universal_elliptic`` -- modulus map tau(s) = s over the upper half
   plane, whose unperturbed total-space form is the classical invariant
-  metric on the universal family of elliptic curves (the exact oracle);
+  metric on the universal family of elliptic curves;
 * ``modulus_map``        -- polynomial modulus map tau(s).
 
 The total-space Kahler form is a semi-flat model plus a base term plus
@@ -21,6 +21,10 @@ which holds because the fiber coordinate z = x + tau(s) y drags with s.
 Mixed components of the model form carry explicit y-polynomial parts
 (they are components of a global form in a y-shifting trivialization);
 the pipeline stores them as (periodic array, exact y-structure) pairs.
+
+Family.ricci_flat_closed_form is every family's exact eps = 0 answer: the
+Ricci-flat fiber metric is constant, so the solve, the assembled form and
+its curvatures follow from tau, tau', base_coeff and the fiber mean of chi.
 """
 
 from __future__ import annotations
@@ -316,11 +320,7 @@ class Family:
             msz = msz + (taup / D) * self._d(self.chi, chart, s, "z")
 
         # g_{s s-bar} = |tau'|^2 y^2 gzz + y q1 + q0
-        if self.spec.kind == "product":
-            base = self.spec.base_coeff
-        else:
-            base = self.spec.base_coeff * abs(taup) ** 2 / v ** 2
-        q0 = np.full(grid.shape, base, dtype=complex)
+        q0 = np.full(grid.shape, self._base(taup, v), dtype=complex)
         q1 = np.zeros(grid.shape, dtype=complex)
         if not self._chi_ssb.is_zero():
             q0 = q0 + self._chi_ssb.eval(grid, s, self._waves)
@@ -340,6 +340,44 @@ class Family:
                           provenance="model-plus-potential")
         form.ystruct = YStructure(taup=taup, msz=msz, q1=q1, q0=q0)
         return form
+
+    def _base(self, taup: complex, v: float) -> float:
+        """The n = 1 base term of omega: base_coeff, times |tau'|^2 / v^2 off products."""
+        if self.spec.kind == "product":
+            return self.spec.base_coeff
+        return self.spec.base_coeff * abs(taup) ** 2 / v ** 2
+
+    def ricci_flat_closed_form(self, s: complex) -> "RicciFlatClosedForm":
+        """The eps = 0 fiberwise Ricci-flat data at s, in closed form.
+
+        On a flat torus the Ricci-flat metric in the class of g = g_0 + dd^c chi
+        is the constant h = <g> = g_0, reached by phi = -(chi - <chi>) (mean
+        zero: the KE-volume normalization); <chi> is the k = 0 part of chi.  At
+        n = 1, rho = tau^* omega_U + (base(s) + d_s d_sbar <chi>) i ds ^ ds-bar
+        with the lift a = tau' y: c = base(s) + d_s d_sbar <chi> is also the
+        direct image (the fiber volume is 1), Theta(E) = |dbar v|^2 = wp
+        = |tau'|^2 / (4 (Im tau)^2) and dbar a = -tau' / (tau - tau-bar).
+        Nothing here goes through omega(s): it checks the solve and assembly.
+        """
+        s = complex(s)
+        if self.n == 1 and self.tau(s).imag <= 0:
+            raise DefinitenessError(f"Im tau(s) <= 0 at s = {s}")
+        osc = FourierPoly(self.n, {key: c for key, c in self.chi.terms.items()
+                                   if any(key[:-2])})
+        phi = -osc.eval(self.grid, s).real
+        if self.n == 2:
+            h = np.linalg.inv(self.spec.omega_matrix.imag).astype(complex)
+            return RicciFlatClosedForm(phi=phi, h=h)
+        tau, taup = self.tau(s), self.tau_prime(s)
+        v = tau.imag
+        mean = {key[-2:]: c for key, c in self.chi.terms.items() if not any(key[:-2])}
+        ddbar_mean = sum(c * p * q * s ** (p - 1) * np.conj(s) ** (q - 1)
+                         for (p, q), c in mean.items() if p and q)
+        return RicciFlatClosedForm(
+            phi=phi, h=np.array([[1.0 / v]], dtype=complex),
+            c=self._base(taup, v) + float(np.real(ddbar_mean)),
+            theta=abs(taup) ** 2 / (4 * v ** 2),
+            dbar_a=-taup / (tau - np.conj(tau)))
 
     def ds_inv_v(self, s: complex) -> complex:
         """Exact d/ds of 1/Im(tau(s))."""
@@ -379,6 +417,17 @@ class Family:
         """Quadrature of c_n u ^ conj(u) for the canonical section u = dz^1^...^dz^n."""
         chart = self.chart(s)
         return (2.0 ** self.n) * chart.measure
+
+
+@dataclass(frozen=True)
+class RicciFlatClosedForm:
+    """Family.ricci_flat_closed_form at one base point; c, theta, dbar_a at n = 1 only."""
+
+    phi: np.ndarray               # the eps = 0 solution, mean zero
+    h: np.ndarray                 # the constant Ricci-flat fiber metric, (n, n)
+    c: float | None = None        # c(rho), which is also the direct image
+    theta: float | None = None    # Theta(E) = |dbar v|^2 = wp = Kodaira-Spencer norm
+    dbar_a: complex | None = None
 
 
 @dataclass
@@ -451,8 +500,7 @@ def random_positive_form(rng: np.random.RandomState, grid: FiberGrid,
         for _ in range(4):
             k = rng.randint(-3, 4, size=2 * n)
             amp = (rng.standard_normal() + 1j * rng.standard_normal()) * scale / 4
-            phase = sum(kk * grid.coords[ax] for ax, kk in enumerate(k))
-            f += amp * np.exp(2j * np.pi * phase)
+            f += amp * _wave(grid, tuple(k))
         return f
 
     gab = np.zeros((n, n) + grid.shape, dtype=complex)
@@ -473,83 +521,3 @@ def random_positive_form(rng: np.random.RandomState, grid: FiberGrid,
     gss = 2.0 + band_field(0.3).real.astype(complex)
     return FamilyForm(chart=chart, s=1j, gss=gss, gsb=gsb, gab=gab,
                       provenance="model")
-
-
-# -- the closed-form universal elliptic family (the exact oracle) -----------
-
-@dataclass(frozen=True)
-class EllipticOracle:
-    """Closed forms for the universal family of elliptic curves.
-
-    With y the second grid coordinate and v = Im s:
-    h_zz = 1/v, h_sz = -y/v, h_ss = 1/v^2 + y^2/v, c = 1/v^2,
-    Theta = |dbar v|^2 = 1/|s - sbar|^2, a = y, dbar a = -1/(s - sbar).
-    """
-
-    grid: FiberGrid
-
-    def evaluate(self, which: str, s: complex):
-        s = complex(s)
-        v = s.imag
-        if v <= 0:
-            raise DefinitenessError(f"oracle needs Im s > 0, got {s}")
-        y = self.grid.coords[1]
-        if which == "c":
-            return 1.0 / v ** 2
-        if which == "theta":
-            return 1.0 / abs(s - np.conj(s)) ** 2
-        if which == "dbarv_norm2":
-            return 1.0 / abs(s - np.conj(s)) ** 2
-        if which == "h_zz":
-            return np.full(self.grid.shape, 1.0 / v, dtype=complex)
-        if which == "h_sz":
-            return (-y / v).astype(complex)
-        if which == "h_ss":
-            return (1.0 / v ** 2 + y ** 2 / v).astype(complex)
-        if which == "lift_a":
-            return y.astype(complex)
-        if which == "dbar_a":
-            return complex(-1.0 / (s - np.conj(s)))
-        if which == "direct_image_density":
-            return 1.0 / v ** 2
-        if which == "volume":
-            return 1.0
-        raise GeometryError(f"unknown oracle quantity {which!r}")
-
-    def form(self, s: complex) -> FamilyForm:
-        chart = FiberChart.make(self.grid, tau=complex(s))
-        y = self.grid.coords[1]
-        v = complex(s).imag
-        gzz = np.full(self.grid.shape, 1.0 / v, dtype=complex)
-        form = FamilyForm(
-            chart=chart, s=complex(s),
-            gss=(1.0 / v ** 2 + y ** 2 / v).astype(complex),
-            gsb=(-y / v).astype(complex)[np.newaxis],
-            gab=gzz[np.newaxis, np.newaxis],
-            provenance="model")
-        form.ystruct = YStructure(
-            taup=1.0,
-            msz=np.zeros(self.grid.shape, dtype=complex),
-            q1=np.zeros(self.grid.shape, dtype=complex),
-            q0=np.full(self.grid.shape, 1.0 / v ** 2, dtype=complex))
-        return form
-
-    def invariance_residual(self, s: complex, m: int = 1, n_shift: int = 1) -> float:
-        """Deck-transformation invariance of the oracle form, g = (z+n+ms, s).
-
-        The pullback mixes components through dz -> dz + m tau' ds; the
-        residual compares the pulled-back matrix at y with the matrix at
-        y + m (tau = s here, so tau' = 1).
-        """
-        s = complex(s)
-        v = s.imag
-        y = self.grid.coords[1]
-        h_zz = 1.0 / v
-        h_sz = -y / v
-        h_ss = 1.0 / v ** 2 + y ** 2 / v
-        ys = y + m
-        t_sz = (-ys / v) + m * h_zz
-        t_ss = (1.0 / v ** 2 + ys ** 2 / v) + m * (-ys / v) + m * np.conj(-ys / v) + m * m * h_zz
-        # n_shift only translates x, which no component depends on
-        dev = max(float(np.max(np.abs(t_sz - h_sz))), float(np.max(np.abs(t_ss - h_ss))))
-        return dev

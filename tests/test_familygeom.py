@@ -22,7 +22,7 @@ from cyflab.familygeom import (
 )
 from cyflab.geometry import FiberChart, FiberGrid, fiber_integral
 from cyflab.masolver import BaseStencil, SolverConfig, fiberwise_ricci_flat
-from cyflab.models import EllipticOracle, FamilySpec, make_family
+from cyflab.models import FamilySpec, make_family
 from cyflab.cli import random_positive_form
 from conftest import perturbation_chi
 
@@ -82,41 +82,40 @@ def test_product_metric_lift(grid64):
 # -- section 8 closed forms -----------------------------------------------------
 
 
-def test_elliptic_geodesic_curvature(elliptic_rho):
+def test_elliptic_geodesic_curvature(elliptic_rho, elliptic_family):
     for s, rho in elliptic_rho.items():
-        v = s.imag
         c = geodesic_curvature(rho.form)
-        assert np.max(np.abs(c - 1.0 / v ** 2)) < 1e-12
+        assert np.max(np.abs(c - elliptic_family.ricci_flat_closed_form(s).c)) < 1e-12
         assert semmes_residual(rho.form) < 1e-12
         assert contraction_residual(rho.form) < 1e-12
 
 
 def test_elliptic_lift_and_dbar(elliptic_rho, elliptic_family):
-    oracle = EllipticOracle(elliptic_family.grid)
+    y = elliptic_family.grid.coords[1]
     for s, rho in elliptic_rho.items():
+        exact = elliptic_family.ricci_flat_closed_form(s)
         a = horizontal_lift(rho.form)
-        assert np.max(np.abs(a[0] - oracle.evaluate("lift_a", s))) < 1e-10
+        assert np.max(np.abs(a[0] - elliptic_family.tau_prime(s) * y)) < 1e-10
         fld = dbar_vertical(rho.form)
-        assert np.max(np.abs(fld.A[0, 0] - oracle.evaluate("dbar_a", s))) < 1e-10
-        assert np.max(np.abs(fld.norm2 - oracle.evaluate("dbarv_norm2", s))) < 1e-10
+        assert np.max(np.abs(fld.A[0, 0] - exact.dbar_a)) < 1e-10
+        assert np.max(np.abs(fld.norm2 - exact.theta)) < 1e-10
 
 
 def test_elliptic_theta_and_wp(elliptic_rho, elliptic_family):
     for s, rho in elliptic_rho.items():
         th = theta_E(elliptic_family, rho.stencil)
-        expected = 1.0 / abs(s - np.conj(s)) ** 2
+        expected = elliptic_family.ricci_flat_closed_form(s).theta
         assert abs(th - expected) < 1e-5
         assert abs(wp_norm(rho.form) - expected) < 1e-12
         assert abs(kodaira_spencer_norm(rho.form) - expected) < 1e-12
 
 
-def test_elliptic_pde_and_positivity(elliptic_rho):
+def test_elliptic_pde_and_positivity(elliptic_rho, elliptic_family):
     for s, rho in elliptic_rho.items():
         res = pde_residual(rho)
         assert np.max(np.abs(res)) < 1e-5
         di = direct_image_report(rho)
-        v = s.imag
-        assert abs(di["direct_image"] - 1.0 / v ** 2) < 1e-10
+        assert abs(di["direct_image"] - elliptic_family.ricci_flat_closed_form(s).c) < 1e-10
         assert di["positive"]
 
 

@@ -73,7 +73,7 @@ def test_k_bound_regression(square_green):
 
 def test_k_bound_matches_ewald(square_green):
     """Truncated K converges to the continuum (Ewald) value like O(N^-2)."""
-    exact = -ewald_kernel_min(square_green, coarse=48)
+    exact = -ewald_kernel_min(square_green)
     kb64 = k_bound(square_green)
     assert abs(kb64.K - exact) < 1e-4
     grid = FiberGrid(1, 128)
@@ -83,10 +83,39 @@ def test_k_bound_matches_ewald(square_green):
 
 
 def test_ewald_t_independence(square_green):
-    pts = np.array([[0.5, 0.5], [0.25, 0.4]])
-    vals = [ewald_kernel(square_green, pts, t=t) for t in (0.01, 0.02, 0.05)]
+    # the tensor grid of these axes holds the points (0.5, 0.5) and (0.25, 0.4)
+    axes = (np.array([0.5, 0.25]), np.array([0.5, 0.4]))
+    vals = [ewald_kernel(square_green, axes, t=t) for t in (0.01, 0.02, 0.05)]
     for v in vals[1:]:
         assert np.max(np.abs(v - vals[0])) < 1e-10
+
+
+def test_ewald_tensor_grid_matches_pointwise():
+    """The tensor-grid Ewald sum equals the sum taken point by point."""
+    from scipy.special import exp1
+
+    grid = FiberGrid(1, 16)
+    green = build_green(np.array([[1.3 + 0j]]), FiberChart.make(grid, tau=0.3 + 0.9j))
+    axes = (np.array([0.1, 0.5, 0.77]), np.array([0.25, 0.6]))
+    t, freq_cut, image_cut = 0.02, 12, 3
+    on_grid = ewald_kernel(green, axes, t=t, freq_cut=freq_cut, image_cut=image_cut)
+    C = green.chart.dz_coeffs[0]
+    cross = (C[0] * np.conj(C[1])).real
+    B = 4 * np.pi ** 2 / 1.3 * np.array([[abs(C[0]) ** 2, cross], [cross, abs(C[1]) ** 2]])
+    Binv = np.linalg.inv(B)
+    r = range(-freq_cut, freq_cut + 1)
+    ks = [np.array(k) for k in ((a, b) for a in r for b in r) if k != (0, 0)]
+    ms = [np.array((a, b)) for a in range(-image_cut, image_cut + 1)
+          for b in range(-image_cut, image_cut + 1)]
+    for i, x in enumerate(axes[0]):
+        for j, y in enumerate(axes[1]):
+            xi = np.array([x, y])
+            recip = sum((np.exp(2j * np.pi * (k @ xi)) * np.exp(-(k @ B @ k) * t)
+                         / (k @ B @ k)).real for k in ks)
+            real = np.pi / np.sqrt(np.linalg.det(B)) \
+                * sum(exp1(np.pi ** 2 * ((xi + m) @ Binv @ (xi + m)) / t) for m in ms)
+            direct = (recip + real - t) / green.volume
+            assert abs(on_grid[i, j] - direct) < 1e-12 * max(1.0, abs(direct))
 
 
 def test_scale_homogeneity():
@@ -175,13 +204,12 @@ def test_kernel_modes_match_matrix_product(seed, case):
 
 
 def test_oracle_matrix_positive():
-    """The closed-form family matrix is positive at every node."""
+    """The unperturbed elliptic family matrix is positive at every node."""
     from cyflab.geometry import matrix_min_eig
-    from cyflab.models import EllipticOracle
 
-    oracle = EllipticOracle(FiberGrid(1, 32))
+    family = make_family(FamilySpec(kind="universal_elliptic", grid_n=32, base_samples=()))
     for s in (1j, 0.3 + 0.8j, 2j):
-        assert matrix_min_eig(oracle.form(s).full_matrix()) > 0
+        assert matrix_min_eig(family.omega(s).full_matrix()) > 0
 
 
 def test_theorem12_assemble():

@@ -1,5 +1,7 @@
 """Module layering: cyflab.green depends on the geometry layer only, so the
-curvature report in cyflab.familygeom can use it without an import cycle."""
+curvature report in cyflab.familygeom can use it without an import cycle;
+cyflab.models does too, so the closed-form eps = 0 answer it holds shares no
+code with the solver (cyflab.masolver) or the Green kernels it checks."""
 
 import ast
 from pathlib import Path
@@ -27,3 +29,13 @@ def test_green_imports_only_geometry():
     green = Path(cyflab.__file__).parent / "green.py"
     assert imported_cyflab_modules(green) <= {"cyflab.geometry"}
 
+
+def test_models_imports_only_geometry():
+    models = Path(cyflab.__file__).parent / "models.py"
+    assert imported_cyflab_modules(models) <= {"cyflab.geometry"}
+
+
+def test_public_names_resolve():
+    """Every name the package exports exists."""
+    missing = [name for name in cyflab.__all__ if not hasattr(cyflab, name)]
+    assert missing == []

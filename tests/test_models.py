@@ -17,7 +17,6 @@ from cyflab.geometry import (
 )
 from cyflab.masolver import BaseStencil
 from cyflab.models import (
-    EllipticOracle,
     FamilySpec,
     FourierPoly,
     make_family,
@@ -78,32 +77,55 @@ def test_family_spec_validation():
 
 
 def test_elliptic_oracle_values(elliptic_family):
-    oracle = EllipticOracle(elliptic_family.grid)
-    assert oracle.evaluate("c", 1j) == 1.0
-    assert abs(oracle.evaluate("theta", 0.5 + 2j) - 1.0 / 16.0) < 1e-15
-    hzz = oracle.evaluate("h_zz", 2j)
-    assert np.max(np.abs(hzz - 0.5)) < 1e-15
+    closed_form = elliptic_family.ricci_flat_closed_form
+    assert closed_form(1j).c == 1.0
+    assert abs(closed_form(0.5 + 2j).theta - 1.0 / 16.0) < 1e-15
+    assert np.max(np.abs(closed_form(2j).h - 0.5)) < 1e-15
     with pytest.raises(DefinitenessError):
-        oracle.evaluate("c", 1.0)
-    with pytest.raises(GeometryError):
-        oracle.evaluate("nonsense", 1j)
+        closed_form(1.0)
 
 
-def test_oracle_deck_invariance(elliptic_family):
-    oracle = EllipticOracle(elliptic_family.grid)
-    for s in (1j, 0.3 + 0.8j):
-        for m in (1, 2):
-            assert oracle.invariance_residual(s, m=m) < 1e-12
+def deck_residual(form, m):
+    """Invariance of an n = 1 family form under the deck map z -> z + m tau(s).
+
+    The pullback mixes components through dz -> dz + m tau' ds; built from the
+    form's exact y-structure at y + m, the pulled-back matrix must equal the
+    matrix at y (the periodic parts are the same at y and y + m).
+    """
+    ys, gzz = form.ystruct, form.gab[0, 0]
+    taup = ys.taup
+    y = form.chart.grid.coords[1] + m
+    gsz = -taup * y * gzz + ys.msz
+    gss = abs(taup) ** 2 * y ** 2 * gzz + y * ys.q1 + ys.q0
+    t_sz = gsz + m * taup * gzz
+    t_ss = gss + m * np.conj(taup) * gsz + m * taup * np.conj(gsz) \
+        + m * m * abs(taup) ** 2 * gzz
+    return max(float(np.max(np.abs(t_sz - form.gsb[0]))),
+               float(np.max(np.abs(t_ss - form.gss))))
+
+
+def test_oracle_deck_invariance(elliptic_family, perturbed_family):
+    """Family.omega is deck invariant, with chi = 0 and with an s-dependent chi."""
+    modulus = make_family(FamilySpec(kind="modulus_map", modulus_coeffs=(0.1, 1.0, 0.2),
+                                     chi=perturbation_chi(), grid_n=32, base_samples=()))
+    for family in (elliptic_family, perturbed_family, modulus):
+        for s in (1j, 0.3 + 0.8j):
+            form = family.omega(s)
+            for m in (1, 2):
+                assert deck_residual(form, m) < 1e-12
 
 
 def test_model_matches_oracle_exactly(elliptic_family):
-    oracle = EllipticOracle(elliptic_family.grid)
+    """At chi = 0 the model form is its own Ricci-flat metric: g_zz = h,
+    g_sz = -a h with the lift a = tau' y, and g_ss = c + |tau'|^2 y^2 h."""
+    y = elliptic_family.grid.coords[1]
     for s in (1j, 0.3 + 0.8j, 2j):
         form = elliptic_family.omega(s)
-        ofrm = oracle.form(s)
-        assert np.max(np.abs(form.gab - ofrm.gab)) < 1e-15
-        assert np.max(np.abs(form.gsb - ofrm.gsb)) < 1e-15
-        assert np.max(np.abs(form.gss - ofrm.gss)) < 1e-15
+        exact = elliptic_family.ricci_flat_closed_form(s)
+        taup, h = elliptic_family.tau_prime(s), exact.h[0, 0]
+        assert np.max(np.abs(form.gab - h)) < 1e-15
+        assert np.max(np.abs(form.gsb - (-taup) * y * h)) < 1e-15
+        assert np.max(np.abs(form.gss - (abs(taup) ** 2 * y ** 2 * h + exact.c))) < 1e-15
 
 
 def test_closedness_residual(perturbed_family):

@@ -386,27 +386,27 @@ def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
     fiber = cfg["fiber"]
     s = fiber["s"]
     eps = fiber["eps"]
-    form = family.omega(s)
+    metric = family.fiber_metric(s)
     manufactured = fiber["manufactured"]
     report = {"provenance": provenance_block(cfg), "s": s, "eps": eps}
     if manufactured is not None:
         grid = family.grid
         phase = sum(k * grid.coords[ax] for ax, k in enumerate(manufactured["mode"]))
         phi_star = manufactured["amplitude"] * np.cos(2 * np.pi * phase)
-        h_star = form.gab + ddc_fiber(phi_star, form.chart)
+        h_star = metric.gab + ddc_fiber(phi_star, metric.chart)
         if herm_min_eig(h_star) <= 0:
             raise DefinitenessError("manufactured phi* breaks fiber positivity")
-        det_g = herm_det(form.gab).real
+        det_g = herm_det(metric.gab).real
         extra_f = np.log(herm_det(h_star).real) - np.log(det_g) - eps * phi_star
-        problem = MAProblem(chart=form.chart, gab=form.gab,
+        problem = MAProblem(chart=metric.chart, gab=metric.gab,
                             eta=np.zeros(grid.shape), epsilon=eps, extra_f=extra_f)
         sol = solve_ma(problem, cfg["solver"],
                        normalization=REFERENCE_VOLUME if eps == 0 else "none")
         shift = float(np.mean(phi_star * det_g) / np.mean(det_g)) if eps == 0 else 0.0
         report["recovery_error"] = float(np.max(np.abs(sol.phi - (phi_star - shift))))
     else:
-        eta = eta_from_metric(form.gab, form.chart)
-        problem = MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=eps)
+        eta = eta_from_metric(metric.gab, metric.chart)
+        problem = MAProblem(chart=metric.chart, gab=metric.gab, eta=eta, epsilon=eps)
         sol = solve_ma(problem, cfg["solver"], normalization=fiber["normalization"])
 
     report.update({
@@ -438,15 +438,16 @@ def sample_rows(cfg: dict, keys) -> tuple:
     """(rows, failure): the given keys of the sample report at each base sample.
 
     The samples run on cfg["threads"] threads and the rows keep their order.
-    A divergent solve ends the rows, which hold the samples before it, and
-    failure is {"s", "error"} of it; None when every sample solved.
+    A sample that fails numerically (a divergent solve, or a stencil point
+    outside the family's domain) ends the rows, which hold the samples before
+    it, and failure is {"s", "error"} of it; None when every sample solved.
     """
     family = make_family(cfg["spec"])
 
     def work(s):
         try:
             return sample_report(family, s, cfg["h_s"], cfg["solver"], cfg["richardson"])
-        except SolverDivergence as exc:
+        except (SolverDivergence, GeometryError) as exc:
             return exc
 
     if cfg["threads"] > 1:
@@ -457,7 +458,7 @@ def sample_rows(cfg: dict, keys) -> tuple:
 
     rows = []
     for s, res in zip(cfg["samples"], results):
-        if isinstance(res, SolverDivergence):
+        if isinstance(res, Exception):
             return rows, {"s": s, "error": str(res)}
         rows.append({key: res[key] for key in keys})
     return rows, None

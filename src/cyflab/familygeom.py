@@ -39,6 +39,7 @@ from .masolver import (
     AssembledRho,
     BaseStencil,
     SolverConfig,
+    _cross,
     _fd_ds,
     _fd_dsbar,
     _fd_dsdsbar,
@@ -282,7 +283,7 @@ def theta_E(family: Family, stencil: BaseStencil, richardson: bool = False) -> f
     """
     def fd(h):
         vals = {}
-        for i, j in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+        for i, j in _cross():
             vals[(i, j)] = np.log(family.section_norm_sq(stencil.center
                                                          + h * (i + 1j * j)))
         return float(-np.real(_fd_dsdsbar(vals, h)))
@@ -440,7 +441,7 @@ def relative_canonical_curvature(rho: AssembledRho) -> float:
     behind the geodesic-curvature PDE.
     """
     vals = {}
-    for key in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+    for key in _cross():
         om = rho.omegas[key]
         chart = om.chart
         phi = rho.solutions[key].phi
@@ -610,14 +611,17 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
 
 
 def _inner_assembly(family: Family, rho0: AssembledRho, key) -> np.ndarray:
-    """Periodic lift part of the eps = 0 form re-assembled at an inner point."""
+    """Periodic lift part of the eps = 0 form re-assembled at an inner point.
+
+    The model form is built at that point alone, and dzbar phi at the four
+    neighbours that its difference reads.
+    """
     stencil = rho0.stencil
-    om = rho0.omegas[key]
-    chart = om.chart
+    fiber = rho0.omegas[key]
     phis = rho0.phi_stack()
-    dzb = {k: d_zbar(phis[k], rho0.omegas[k].chart) for k in phis}
-    hzz = om.gab[0, 0] + ddc_fiber(phis[key], chart)[0, 0]
-    msz = om.ystruct.msz + _fd_ds(dzb, stencil.h_s, at=key)
+    dzb = {k: d_zbar(phis[k], rho0.omegas[k].chart) for k in _cross(key)[1:]}
+    hzz = fiber.gab[0, 0] + ddc_fiber(phis[key], fiber.chart)[0, 0]
+    msz = family.omega(stencil.point(*key)).ystruct.msz + _fd_ds(dzb, stencil.h_s, at=key)
     return -msz / hzz
 
 

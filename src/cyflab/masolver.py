@@ -129,8 +129,8 @@ class MASolution:
 
 def compute_eta(family: Family, s: complex) -> np.ndarray:
     """The unique eta with dd^c eta = -dd^c log det(g_ab) and e^eta-volume match."""
-    form = family.omega(s)
-    return eta_from_metric(form.gab, form.chart)
+    fiber = family.fiber_metric(s)
+    return eta_from_metric(fiber.gab, fiber.chart)
 
 
 def eta_from_metric(gab: np.ndarray, chart: FiberChart) -> np.ndarray:
@@ -552,6 +552,12 @@ class BaseStencil:
         return self.center + self.h_s * (i + 1j * j)
 
 
+def _cross(at=(0, 0)) -> tuple:
+    """The five-point cross around a stencil key: all that the differences read."""
+    i, j = at
+    return ((i, j), (i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
+
+
 def _fd_ds(stack: dict, h: float, at=(0, 0)):
     i, j = at
     d_re = (stack[(i + 1, j)] - stack[(i - 1, j)]) / (2 * h)
@@ -576,7 +582,11 @@ def _fd_dsdsbar(stack: dict, h: float, at=(0, 0)):
 
 @dataclass
 class AssembledRho:
-    """Fiberwise Ricci-flat (or eps-regularized) form assembled on a stencil."""
+    """Fiberwise Ricci-flat (or eps-regularized) form assembled on a stencil.
+
+    omega is the model form at the center; omegas holds the fiber metric
+    (Family.fiber_metric) that each stencil point was solved from.
+    """
 
     family: Family
     stencil: BaseStencil
@@ -603,26 +613,26 @@ class AssembledRho:
 def solve_stencil(family: Family, stencil: BaseStencil, eps: float = 0.0,
                   config: SolverConfig | None = None,
                   normalization: str = KE_VOLUME) -> tuple[dict, dict]:
-    """MA solves on every stencil point.
+    """MA solves on every stencil point, each from its fiber metric.
 
-    For eps > 0 the outer points are warm-started from the center; at
-    eps = 0 every point starts from phi = 0 (an elliptic fiber then needs
-    one exact Newton step).
+    Returns the solutions and the fiber metrics by stencil key.  For eps > 0
+    the outer points are warm-started from the center; at eps = 0 every
+    point starts from phi = 0 (an elliptic fiber then needs one exact Newton
+    step).
     """
     config = config or SolverConfig()
     offsets = sorted(stencil.offsets(), key=lambda ij: (max(abs(ij[0]), abs(ij[1])), ij))
-    solutions, omegas = {}, {}
+    solutions, fibers = {}, {}
     warm = None
     for key in offsets:
-        s = stencil.point(*key)
-        form = family.omega(s)
-        eta = eta_from_metric(form.gab, form.chart)
-        problem = MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=eps)
+        fiber = family.fiber_metric(stencil.point(*key))
+        eta = eta_from_metric(fiber.gab, fiber.chart)
+        problem = MAProblem(chart=fiber.chart, gab=fiber.gab, eta=eta, epsilon=eps)
         sol = solve_ma(problem, config, normalization=normalization, initial_guess=warm)
-        solutions[key], omegas[key] = sol, form
+        solutions[key], fibers[key] = sol, fiber
         if key == (0, 0) and eps > 0:
             warm = sol.phi
-    return solutions, omegas
+    return solutions, fibers
 
 
 def fiberwise_ricci_flat(family: Family, stencil: BaseStencil, eps: float = 0.0,
@@ -632,19 +642,22 @@ def fiberwise_ricci_flat(family: Family, stencil: BaseStencil, eps: float = 0.0,
 
     Fiber components are spectral; mixed components use central differences
     at fixed z through the chart chain rule D_s = d/ds|grid - tau' y d/dz.
+    The model form is built at the center only, and dzbar phi on the cross
+    that the differences read.
     """
     if family.n != 1:
         raise GeometryError("the family pipeline assembles n = 1 fibrations only")
-    solutions, omegas = solve_stencil(family, stencil, eps, config, normalization)
-    om0 = omegas[(0, 0)]
-    chart = om0.chart
+    solutions, fibers = solve_stencil(family, stencil, eps, config, normalization)
+    om0 = family.omega(stencil.center)
+    # the center solve's chart, whose Fourier multipliers are already built
+    chart = fibers[(0, 0)].chart
     grid = chart.grid
     h_s = stencil.h_s
     tau, taup = family.tau(stencil.center), family.tau_prime(stencil.center)
     D = tau - np.conj(tau)
 
     phis = {k: sol.phi for k, sol in solutions.items()}
-    dzb_phis = {k: d_zbar(phis[k], omegas[k].chart) for k in phis}
+    dzb_phis = {k: d_zbar(phis[k], fibers[k].chart) for k in _cross()}
 
     phi0 = phis[(0, 0)]
     hzz = om0.gab[0, 0] + ddc_fiber(phi0, chart)[0, 0]
@@ -666,7 +679,7 @@ def fiberwise_ricci_flat(family: Family, stencil: BaseStencil, eps: float = 0.0,
     form.ystruct = YStructure(taup=taup, msz=msz, q1=q1, q0=q0)
     return AssembledRho(family=family, stencil=stencil, eps=eps,
                         normalization=normalization, form=form, omega=om0,
-                        solutions=solutions, omegas=omegas)
+                        solutions=solutions, omegas=fibers)
 
 
 def semiflat_shift(rho: AssembledRho) -> dict:
@@ -734,17 +747,17 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
     if list(schedule) != sorted(schedule, reverse=True) or len(set(schedule)) != len(schedule):
         raise GeometryError("epsilon schedule must be strictly decreasing")
 
-    form = family.omega(s)
-    chart = form.chart
-    eta = eta_from_metric(form.gab, chart)
-    det_g = herm_det(form.gab).real
+    fiber = family.fiber_metric(s)
+    chart = fiber.chart
+    eta = eta_from_metric(fiber.gab, chart)
+    det_g = herm_det(fiber.gab).real
     weight = np.exp(eta) * det_g
 
     solutions, table = [], []
     warm = None
     failed = None
     for eps in schedule:
-        problem = MAProblem(chart=chart, gab=form.gab, eta=eta, epsilon=eps)
+        problem = MAProblem(chart=chart, gab=fiber.gab, eta=eta, epsilon=eps)
         try:
             sol = solve_ma(problem, config, normalization=KE_VOLUME, initial_guess=warm)
         except SolverDivergence as exc:
@@ -774,7 +787,7 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
     if schedule[-1] == 0.0:
         phi0 = solutions[-1].phi
     else:
-        problem0 = MAProblem(chart=chart, gab=form.gab, eta=eta, epsilon=0.0)
+        problem0 = MAProblem(chart=chart, gab=fiber.gab, eta=eta, epsilon=0.0)
         phi0 = solve_ma(problem0, config, normalization=KE_VOLUME, initial_guess=warm).phi
     for row, sol in zip(table, solutions):
         row["sup_diff_to_limit"] = float(np.max(np.abs(sol.phi - phi0)))

@@ -22,6 +22,9 @@ Mixed components of the model form carry explicit y-polynomial parts
 (they are components of a global form in a y-shifting trivialization);
 the pipeline stores them as (periodic array, exact y-structure) pairs.
 
+Family.fiber_metric is the fiber block g_{alpha beta-bar} of omega alone,
+which is all that a fiber solve reads.
+
 Family.ricci_flat_closed_form is every family's exact eps = 0 answer: the
 Ricci-flat fiber metric is constant, so the solve, the assembled form and
 its curvatures follow from tau, tau', base_coeff and the fiber mean of chi.
@@ -270,11 +273,21 @@ class Family:
             return self._omega_n1(complex(s))
         return self._omega_n2(complex(s))
 
-    def _omega_n2(self, s: complex) -> "FamilyForm":
+    def fiber_metric(self, s: complex) -> "FiberMetric":
+        """The chart and fiber metric g_{alpha beta-bar} = g_0 + dd^c chi at s.
+
+        This is what a fiber solve reads; omega(s) builds its gab here too,
+        so the two agree bit for bit.
+        """
+        s = complex(s)
         chart = self.chart(s)
         grid = self.grid
-        im = chart.omega_matrix.imag
-        g0 = np.linalg.inv(im).astype(complex)
+        if self.n == 1:
+            gzz = np.full(grid.shape, 1.0 / self.tau(s).imag, dtype=complex)
+            if not self.chi.is_zero():
+                gzz = gzz + self._d(self.chi, chart, s, "z", "zbar")
+            return FiberMetric(chart=chart, gab=gzz[np.newaxis, np.newaxis])
+        g0 = np.linalg.inv(chart.omega_matrix.imag).astype(complex)
         gab = np.empty((2, 2) + grid.shape, dtype=complex)
         gab[:] = g0.reshape((2, 2) + (1,) * 4)
         if not self.chi.is_zero():
@@ -286,6 +299,12 @@ class Family:
             h01 = hess(0, 1)
             gab[0, 1] += h01
             gab[1, 0] += np.conj(h01)
+        return FiberMetric(chart=chart, gab=gab)
+
+    def _omega_n2(self, s: complex) -> "FamilyForm":
+        fiber = self.fiber_metric(s)
+        chart, gab = fiber.chart, fiber.gab
+        grid = self.grid
         gsb = np.zeros((2,) + grid.shape, dtype=complex)
         gss = np.full(grid.shape, self.spec.base_coeff, dtype=complex)
         if not self._chi_s.is_zero():
@@ -300,15 +319,13 @@ class Family:
         return poly.eval(self.grid, s, self._waves, chart, tuple((d, 0) for d in derivs))
 
     def _omega_n1(self, s: complex) -> "FamilyForm":
-        chart = self.chart(s)
+        fiber = self.fiber_metric(s)
+        chart, gab = fiber.chart, fiber.gab
+        gzz = gab[0, 0]
         grid = self.grid
         tau, taup = self.tau(s), self.tau_prime(s)
         v = tau.imag
         D = tau - np.conj(tau)
-
-        gzz = np.full(grid.shape, 1.0 / v, dtype=complex)
-        if not self.chi.is_zero():
-            gzz = gzz + self._d(self.chi, chart, s, "z", "zbar")
 
         # periodic part of g_{s z-bar}; the full component is -tau' y gzz + msz.
         # The chain-rule term (tau'/D) chi_z comes from D_s acting on chi at
@@ -330,7 +347,6 @@ class Family:
                 q1 = q1 - taup * self._d(self._chi_sb, chart, s, "z")
 
         y = grid.coords[1]
-        gab = gzz[np.newaxis, np.newaxis]
         gsb = ((-taup) * y * gzz + msz)[np.newaxis]
         gss = abs(taup) ** 2 * y ** 2 * gzz + y * q1 + q0
         imag_dev = float(np.max(np.abs(gss.imag)))
@@ -428,6 +444,14 @@ class RicciFlatClosedForm:
     c: float | None = None        # c(rho), which is also the direct image
     theta: float | None = None    # Theta(E) = |dbar v|^2 = wp = Kodaira-Spencer norm
     dbar_a: complex | None = None
+
+
+@dataclass(frozen=True)
+class FiberMetric:
+    """Family.fiber_metric at one base point: the fiber chart and g_{alpha beta-bar}."""
+
+    chart: FiberChart
+    gab: np.ndarray               # shape (n, n, *grid)
 
 
 @dataclass

@@ -1,12 +1,15 @@
 """The benchmark's tracer (perfbench/spans.py) still finds what it wraps.
 
 perfbench counts the n >= 2 Krylov work through the module-level name
-cyflab.masolver.lgmres and wraps the public functions in spans.TARGETS; a
-solver change that renames one of them breaks every traced benchmark run.
-These tests import perfbench and never change it.
+cyflab.masolver.lgmres, wraps the public functions in spans.TARGETS and
+Family.omega, and its microbenchmarks (perfbench/micro.py) call the solver
+layers by name; a change that renames one of them breaks every traced
+benchmark run.  These tests import perfbench and never change it.
 """
 
+import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -28,12 +31,37 @@ def subprocess_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  ROOT / "perfbench" / "spans.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def readme_config():
+    """The config of the README's command-line section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return json.loads(readme.split("```json\n")[1].split("```")[0])
+
+
+def test_tracer_targets_resolve():
+    """Every function the tracer wraps exists under its name in its module."""
+    spans = load_perfbench("spans")
+    for modname, attr, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"cyflab.{modname}"), attr, None)), \
+            f"cyflab.{modname}.{attr}"
+    assert callable(importlib.import_module("cyflab.models").Family.omega)
+
+
+def test_micro_benchmarks_run():
+    """perfbench's single-call microbenchmarks run on the README config at grid 16."""
+    config = readme_config()
+    config["solver"]["grid_n"] = 16
+    micro = load_perfbench("micro")
+    times = micro.run_micro(config)
+    assert set(times) == set(micro.MICRO_METRICS)
+    assert all(t > 0 for t in times.values())
 
 
 def test_perfbench_selftest_passes():
@@ -55,7 +83,7 @@ def test_tracer_counts_n2_krylov_matvecs():
     g2 = g + ddc_fiber(chi, chart)
     problem = MAProblem(chart=chart, gab=g2, eta=eta_from_metric(g2, chart), epsilon=0.0)
 
-    spans = load_spans()
+    spans = load_perfbench("spans")
     rec = spans.Recorder("test")
     tracer = spans.Tracer(rec).install()
     try:

@@ -168,6 +168,25 @@ def test_divergence_keeps_rows_before_it(tmp_path, monkeypatch, capsys, command,
         assert len((tmp_path / "out" / "family.csv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("command, name", [("run-family", "family_report.json"),
+                                           ("green", "green_report.json")])
+def test_stencil_outside_domain_keeps_rows_before_it(tmp_path, capsys, command, name):
+    """A sample whose base stencil leaves the upper half plane (s - i h_s with
+    Im s = h_s / 2) exits 3 like a divergence: the report holds the rows before
+    it and the failure."""
+    path, doc = base_config(tmp_path)
+    doc["family"]["base"]["samples"] = [[0.0, 1.0], [0.0, 0.0005]]
+    doc["solver"]["grid_n"] = 16
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure at s = 0.0005j")
+    rep = json.loads((tmp_path / "out" / name).read_text())
+    assert len(rep["rows"]) == 1
+    assert rep["failure"]["s"] == [0.0, 0.0005]
+    if command == "run-family":
+        assert len((tmp_path / "out" / "family.csv").read_text().splitlines()) == 2
+
+
 def test_run_family_evaluates_each_point_once(tmp_path, monkeypatch):
     """run-family takes dbar v and c(rho) once per base point: the curvature
     report hands them to every identity that needs them."""

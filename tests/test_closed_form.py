@@ -99,3 +99,14 @@ def test_curvature_report_matches_closed_form(seed, case):
     for key in ("c_min", "c_max"):
         assert abs(rep[key] - exact.c) < 1e-6 * abs(exact.c)
     assert abs(rep["theta_E"] - exact.theta) < 1e-5
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       case=st.sampled_from([(kind, 1, 16) for kind in N1_KINDS] + [("product", 2, 12)]))
+def test_fiber_metric_is_the_model_fiber_block(seed, case):
+    """Family.fiber_metric and Family.omega share one arithmetic for g_{a b-bar}."""
+    family, s = random_family(np.random.RandomState(seed), *case)
+    fiber, form = family.fiber_metric(s), family.omega(s)
+    assert np.array_equal(fiber.gab, form.gab)
+    assert np.array_equal(fiber.chart.omega_matrix, form.chart.omega_matrix)

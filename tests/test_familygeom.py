@@ -431,3 +431,23 @@ def test_curvature_report_row(perturbed_family):
     assert row["pde_residual_sup"] < 5e-5
     assert set(row) >= {"s_re", "s_im", "direct_image", "lower_bound", "theta_E",
                         "wp", "c_min", "c_max", "pde_residual_sup"}
+
+
+def test_curvature_report_builds_the_model_form_once(perturbed_family, monkeypatch):
+    """One curvature report solves all 9 stencil points from their fiber metrics,
+    builds the model form at the center only, and takes dzbar phi on the
+    five-point cross that the differences read: 7 fiber derivatives in all,
+    with the q1 chain-rule term and dbar of the lift."""
+    import cyflab.geometry
+    import cyflab.masolver
+    from cyflab.models import Family
+
+    calls = {"solve_ma": 0, "omega": 0, "fiber_derivative": 0}
+    for owner, name in ((cyflab.masolver, "solve_ma"), (Family, "omega"),
+                        (cyflab.geometry, "fiber_derivative")):
+        def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    curvature_report(perturbed_family, 0.2 + 1.0j)
+    assert calls == {"solve_ma": 9, "omega": 1, "fiber_derivative": 7}

@@ -39,10 +39,7 @@ from .masolver import (
     AssembledRho,
     BaseStencil,
     SolverConfig,
-    _cross,
-    _fd_ds,
-    _fd_dsbar,
-    _fd_dsdsbar,
+    assemble_form,
     fiberwise_ricci_flat,
     linearized_solve,
 )
@@ -116,11 +113,7 @@ def semmes_residual(form: FamilyForm, c: np.ndarray | None = None) -> float:
     """sup | det(full) - c(tau) det(fiber) |: the wedge-power identity
     tau^{n+1} = c(tau) tau^n ^ i ds ^ ds-bar in component arithmetic."""
     full = form.full_matrix()
-    n = form.n
-    if n == 1:
-        det_full = full[0, 0] * full[1, 1] - full[0, 1] * full[1, 0]
-    else:
-        det_full = _det3(full)
+    det_full = herm_det(full) if form.n == 1 else _det3(full)
     det_fib = herm_det(form.gab)
     c = geodesic_curvature(form) if c is None else c
     return float(np.max(np.abs(det_full - c * det_fib)))
@@ -281,17 +274,14 @@ def theta_E(family: Family, stencil: BaseStencil, richardson: bool = False) -> f
     With richardson the O(h^2) estimates at h and h/2 are extrapolated to
     fourth order.
     """
-    def fd(h):
-        vals = {}
-        for i, j in _cross():
-            vals[(i, j)] = np.log(family.section_norm_sq(stencil.center
-                                                         + h * (i + 1j * j)))
-        return float(-np.real(_fd_dsdsbar(vals, h)))
+    def fd(st):
+        vals = {key: np.log(family.section_norm_sq(st.point(*key))) for key in st.cross()}
+        return float(-np.real(st.dsdsbar(vals)))
 
-    coarse = fd(stencil.h_s)
+    coarse = fd(stencil)
     if not richardson:
         return coarse
-    fine = fd(stencil.h_s / 2.0)
+    fine = fd(BaseStencil(stencil.center, stencil.h_s / 2))
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -441,13 +431,13 @@ def relative_canonical_curvature(rho: AssembledRho) -> float:
     behind the geodesic-curvature PDE.
     """
     vals = {}
-    for key in _cross():
+    for key in rho.stencil.cross():
         om = rho.omegas[key]
         chart = om.chart
         phi = rho.solutions[key].phi
         det = herm_det(om.gab + ddc_fiber(phi, chart)).real
         vals[key] = np.log(np.mean(det))
-    return float(np.real(_fd_dsdsbar(vals, rho.stencil.h_s)))
+    return float(np.real(rho.stencil.dsdsbar(vals)))
 
 
 # -- s-derivative cross checks (the v phi machinery) --------------------------
@@ -503,7 +493,7 @@ def vphi_cross_check(family: Family, s: complex, eps: float = 0.0,
 
     phis = rho_e.phi_stack()
     chart = rho0.form.chart
-    route_a = _fd_ds(phis, h_s) + a_p * d_z(phis[(0, 0)], chart)
+    route_a = stencil.ds(phis) + a_p * d_z(phis[(0, 0)], chart)
 
     R = _vphi_rhs(family, rho_e, a_p)
     h_fiber = rho_e.form.gab
@@ -555,17 +545,20 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
     phis = rho_e.phi_stack()
     inner = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
 
-    # periodic lift part of rho (eps = 0) at the inner stencil points
-    a_ps = {key: _inner_assembly(family, rho0, key) for key in inner}
+    # periodic lift part of rho (eps = 0), assembled at each inner stencil point
+    phis0 = rho0.phi_stack()
+    a_ps = {key: assemble_form(family.omega(stencil.point(*key)), stencil, phis0,
+                               rho0.omegas, at=key).a_periodic()
+            for key in inner}
     vphi = {}
     for key in inner:
         chart_k = rho_e.omegas[key].chart
-        vphi[key] = _fd_ds(phis, stencil.h_s, at=key) + a_ps[key] * d_z(phis[key], chart_k)
+        vphi[key] = stencil.ds(phis, at=key) + a_ps[key] * d_z(phis[key], chart_k)
 
     ab_p = np.conj(a_ps[(0, 0)])
 
     def vbar(stack):
-        return _fd_dsbar(stack, stencil.h_s) + ab_p * d_zbar(stack[(0, 0)], chart0)
+        return stencil.dsbar(stack) + ab_p * d_zbar(stack[(0, 0)], chart0)
 
     route_a = vbar(vphi)
 
@@ -608,21 +601,6 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
         # Krylov fallbacks of the eps stencil solves and of route (b)
         "linear_fallbacks": diagnostics["linear_fallbacks"],
     }
-
-
-def _inner_assembly(family: Family, rho0: AssembledRho, key) -> np.ndarray:
-    """Periodic lift part of the eps = 0 form re-assembled at an inner point.
-
-    The model form is built at that point alone, and dzbar phi at the four
-    neighbours that its difference reads.
-    """
-    stencil = rho0.stencil
-    fiber = rho0.omegas[key]
-    phis = rho0.phi_stack()
-    dzb = {k: d_zbar(phis[k], rho0.omegas[k].chart) for k in _cross(key)[1:]}
-    hzz = fiber.gab[0, 0] + ddc_fiber(phis[key], fiber.chart)[0, 0]
-    msz = family.omega(stencil.point(*key)).ystruct.msz + _fd_ds(dzb, stencil.h_s, at=key)
-    return -msz / hzz
 
 
 # -- the combined form of Theorem 1.2 --------------------------------------------

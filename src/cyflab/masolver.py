@@ -53,7 +53,7 @@ from .geometry import (
     herm_inverse,
     herm_min_eig,
 )
-from .models import Family, FamilyForm, YStructure
+from .models import Family, FamilyForm
 
 KE_VOLUME = "ke_volume"
 REFERENCE_VOLUME = "reference_volume"
@@ -551,33 +551,33 @@ class BaseStencil:
     def point(self, i: int, j: int) -> complex:
         return self.center + self.h_s * (i + 1j * j)
 
+    def cross(self, at=(0, 0)) -> tuple:
+        """The five-point cross around a stencil key: all that the differences read."""
+        i, j = at
+        return ((i, j), (i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
 
-def _cross(at=(0, 0)) -> tuple:
-    """The five-point cross around a stencil key: all that the differences read."""
-    i, j = at
-    return ((i, j), (i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
+    # central differences at fixed grid point of a stack of values by key
 
+    def _d_re_im(self, stack: dict, at):
+        i, j = at
+        d_re = (stack[(i + 1, j)] - stack[(i - 1, j)]) / (2 * self.h_s)
+        d_im = (stack[(i, j + 1)] - stack[(i, j - 1)]) / (2 * self.h_s)
+        return d_re, d_im
 
-def _fd_ds(stack: dict, h: float, at=(0, 0)):
-    i, j = at
-    d_re = (stack[(i + 1, j)] - stack[(i - 1, j)]) / (2 * h)
-    d_im = (stack[(i, j + 1)] - stack[(i, j - 1)]) / (2 * h)
-    return (d_re - 1j * d_im) / 2.0
+    def ds(self, stack: dict, at=(0, 0)):
+        d_re, d_im = self._d_re_im(stack, at)
+        return (d_re - 1j * d_im) / 2.0
 
+    def dsbar(self, stack: dict, at=(0, 0)):
+        d_re, d_im = self._d_re_im(stack, at)
+        return (d_re + 1j * d_im) / 2.0
 
-def _fd_dsbar(stack: dict, h: float, at=(0, 0)):
-    i, j = at
-    d_re = (stack[(i + 1, j)] - stack[(i - 1, j)]) / (2 * h)
-    d_im = (stack[(i, j + 1)] - stack[(i, j - 1)]) / (2 * h)
-    return (d_re + 1j * d_im) / 2.0
-
-
-def _fd_dsdsbar(stack: dict, h: float, at=(0, 0)):
-    i, j = at
-    f0 = stack[(i, j)]
-    d2_re = (stack[(i + 1, j)] - 2 * f0 + stack[(i - 1, j)]) / h ** 2
-    d2_im = (stack[(i, j + 1)] - 2 * f0 + stack[(i, j - 1)]) / h ** 2
-    return (d2_re + d2_im) / 4.0
+    def dsdsbar(self, stack: dict, at=(0, 0)):
+        i, j = at
+        f0 = stack[(i, j)]
+        d2_re = (stack[(i + 1, j)] - 2 * f0 + stack[(i - 1, j)]) / self.h_s ** 2
+        d2_im = (stack[(i, j + 1)] - 2 * f0 + stack[(i, j - 1)]) / self.h_s ** 2
+        return (d2_re + d2_im) / 4.0
 
 
 @dataclass
@@ -635,6 +635,25 @@ def solve_stencil(family: Family, stencil: BaseStencil, eps: float = 0.0,
     return solutions, fibers
 
 
+def assemble_form(om: FamilyForm, stencil: BaseStencil, phis: dict, fibers: dict,
+                  at=(0, 0)) -> FamilyForm:
+    """rho = om + dd^c phi at the stencil key at, for the model form om there.
+
+    The fiber block is spectral.  The mixed components are om's y-structure
+    plus_ddc the central differences of phi at fixed grid point, which read
+    dzbar phi on the five-point cross around at only.
+    """
+    chart = fibers[at].chart
+    dzb = {k: d_zbar(phis[k], fibers[k].chart) for k in stencil.cross(at)}
+    hzz = om.gab[0, 0] + ddc_fiber(phis[at], chart)[0, 0]
+    taup = om.ystruct.taup
+    # q1 reads (d_sbar phi)_z only where tau' != 0 (YStructure.plus_ddc)
+    dsbar_z = d_z(stencil.dsbar(phis, at), chart) if taup != 0 else None
+    ys = om.ystruct.plus_ddc(chart.tau - np.conj(chart.tau), stencil.ds(dzb, at), dsbar_z,
+                             dzb[at], stencil.dsdsbar(phis, at))
+    return ys.form(chart, stencil.point(*at), hzz[np.newaxis, np.newaxis])
+
+
 def fiberwise_ricci_flat(family: Family, stencil: BaseStencil, eps: float = 0.0,
                          config: SolverConfig | None = None,
                          normalization: str = KE_VOLUME) -> AssembledRho:
@@ -642,43 +661,17 @@ def fiberwise_ricci_flat(family: Family, stencil: BaseStencil, eps: float = 0.0,
 
     Fiber components are spectral; mixed components use central differences
     at fixed z through the chart chain rule D_s = d/ds|grid - tau' y d/dz.
-    The model form is built at the center only, and dzbar phi on the cross
-    that the differences read.
+    The model form is built at the center only, and assemble_form adds
+    dd^c phi to it.
     """
     if family.n != 1:
         raise GeometryError("the family pipeline assembles n = 1 fibrations only")
     solutions, fibers = solve_stencil(family, stencil, eps, config, normalization)
     om0 = family.omega(stencil.center)
-    # the center solve's chart, whose Fourier multipliers are already built
-    chart = fibers[(0, 0)].chart
-    grid = chart.grid
-    h_s = stencil.h_s
-    tau, taup = family.tau(stencil.center), family.tau_prime(stencil.center)
-    D = tau - np.conj(tau)
-
     phis = {k: sol.phi for k, sol in solutions.items()}
-    dzb_phis = {k: d_zbar(phis[k], fibers[k].chart) for k in _cross()}
-
-    phi0 = phis[(0, 0)]
-    hzz = om0.gab[0, 0] + ddc_fiber(phi0, chart)[0, 0]
-    msz = om0.ystruct.msz + _fd_ds(dzb_phis, h_s)
-    q0 = om0.ystruct.q0 + _fd_dsdsbar(phis, h_s)
-    q1 = om0.ystruct.q1.copy()
-    if taup != 0:
-        q1 = q1 + (-np.conj(taup)) * _fd_ds(dzb_phis, h_s) \
-            - taup * d_z(_fd_dsbar(phis, h_s), chart) \
-            + abs(taup) ** 2 / D * dzb_phis[(0, 0)]
-
-    y = grid.coords[1]
-    form = FamilyForm(
-        chart=chart, s=stencil.center,
-        gss=abs(taup) ** 2 * y ** 2 * hzz + y * q1 + q0,
-        gsb=((-taup) * y * hzz + msz)[np.newaxis],
-        gab=hzz[np.newaxis, np.newaxis],
-        provenance="assembled-rho")
-    form.ystruct = YStructure(taup=taup, msz=msz, q1=q1, q0=q0)
     return AssembledRho(family=family, stencil=stencil, eps=eps,
-                        normalization=normalization, form=form, omega=om0,
+                        normalization=normalization,
+                        form=assemble_form(om0, stencil, phis, fibers), omega=om0,
                         solutions=solutions, omegas=fibers)
 
 
@@ -699,7 +692,7 @@ def semiflat_shift(rho: AssembledRho) -> dict:
         A[key] = a_val
         psi[key] = sol.phi - a_val
         psi_residuals[key] = abs(fiber_integral(psi[key], om.chart, metric=om.gab)) / vol
-    ddc_a = _fd_dsdsbar({k: complex(v) for k, v in A.items()}, rho.stencil.h_s)
+    ddc_a = rho.stencil.dsdsbar({k: complex(v) for k, v in A.items()})
     return {"A": A, "psi": psi, "psi_integral_residual": psi_residuals,
             "ddc_A": complex(ddc_a)}
 

@@ -21,6 +21,11 @@ which holds because the fiber coordinate z = x + tau(s) y drags with s.
 Mixed components of the model form carry explicit y-polynomial parts
 (they are components of a global form in a y-shifting trivialization);
 the pipeline stores them as (periodic array, exact y-structure) pairs.
+YStructure.plus_ddc is the one algebra that adds dd^c of an s-dependent
+potential to them, and YStructure.form the one that builds g_{s s-bar} and
+g_{s z-bar} from them: the model form adds chi with its exact derivatives,
+the assembled fiberwise Ricci-flat form (cyflab.masolver.assemble_form)
+adds phi with its stencil differences.
 
 Family.fiber_metric is the fiber block g_{alpha beta-bar} of omega alone,
 which is all that a fiber solve reads.
@@ -260,8 +265,7 @@ class Family:
     def validate_at(self, s: complex):
         if self.n == 1 and self.tau(s).imag <= 0:
             raise DefinitenessError(f"Im tau(s) <= 0 at s = {s}")
-        form = self.omega(s)
-        me = herm_min_eig(form.gab)
+        me = herm_min_eig(self.fiber_metric(s).gab)
         if me <= 0:
             raise DefinitenessError(
                 f"model form loses fiber definiteness at s = {s} (min eig {me:.3e})")
@@ -311,8 +315,7 @@ class Family:
             for b in range(2):
                 gsb[b] = self._chi_s.eval(grid, s, chart=chart, derivs=(("zbar", b),))
             gss = gss + self._chi_ssb.eval(grid, s)
-        return FamilyForm(chart=chart, s=s, gss=gss, gsb=gsb, gab=gab,
-                          provenance="model-plus-potential")
+        return FamilyForm(chart=chart, s=s, gss=gss, gsb=gsb, gab=gab)
 
     def _d(self, poly: FourierPoly, chart: FiberChart, s: complex, *derivs) -> np.ndarray:
         """Exact fiber derivative of an n = 1 potential, 'z'/'zbar' in order."""
@@ -320,41 +323,25 @@ class Family:
 
     def _omega_n1(self, s: complex) -> "FamilyForm":
         fiber = self.fiber_metric(s)
-        chart, gab = fiber.chart, fiber.gab
-        gzz = gab[0, 0]
+        chart = fiber.chart
         grid = self.grid
         tau, taup = self.tau(s), self.tau_prime(s)
-        v = tau.imag
         D = tau - np.conj(tau)
 
-        # periodic part of g_{s z-bar}; the full component is -tau' y gzz + msz.
-        # The chain-rule term (tau'/D) chi_z comes from D_s acting on chi at
-        # fixed z and is present whether or not chi depends on s.
-        msz = np.zeros(grid.shape, dtype=complex)
-        if not self._chi_s.is_zero():
-            msz = msz + self._d(self._chi_s, chart, s, "zbar")
-        if taup != 0 and not self.chi.is_zero():
-            msz = msz + (taup / D) * self._d(self.chi, chart, s, "z")
-
-        # g_{s s-bar} = |tau'|^2 y^2 gzz + y q1 + q0
-        q0 = np.full(grid.shape, self._base(taup, v), dtype=complex)
-        q1 = np.zeros(grid.shape, dtype=complex)
-        if not self._chi_ssb.is_zero():
-            q0 = q0 + self._chi_ssb.eval(grid, s, self._waves)
-        if taup != 0 and not self.chi.is_zero():
-            q1 = (-np.conj(taup)) * msz + abs(taup) ** 2 / D * self._d(self.chi, chart, s, "zbar")
-            if not self._chi_sb.is_zero():
-                q1 = q1 - taup * self._d(self._chi_sb, chart, s, "z")
-
-        y = grid.coords[1]
-        gsb = ((-taup) * y * gzz + msz)[np.newaxis]
-        gss = abs(taup) ** 2 * y ** 2 * gzz + y * q1 + q0
-        imag_dev = float(np.max(np.abs(gss.imag)))
-        if imag_dev > 1e-11 * max(1.0, float(np.max(np.abs(gss)))):
+        # D_s of chi at fixed z drags the chart: d_s chi_zbar gains the
+        # chain-rule term (tau'/D) chi_z, whether or not chi depends on s.
+        ds_zbar = self._d(self._chi_s, chart, s, "zbar")
+        if taup != 0:
+            ds_zbar = ds_zbar + (taup / D) * self._d(self.chi, chart, s, "z")
+        zero = np.zeros(grid.shape, dtype=complex)
+        base = YStructure(taup=taup, msz=zero, q1=zero,
+                          q0=np.full(grid.shape, self._base(taup, tau.imag), dtype=complex))
+        form = base.plus_ddc(D, ds_zbar, self._d(self._chi_sb, chart, s, "z"),
+                             self._d(self.chi, chart, s, "zbar"),
+                             self._chi_ssb.eval(grid, s, self._waves)).form(chart, s, fiber.gab)
+        imag_dev = float(np.max(np.abs(form.gss.imag)))
+        if imag_dev > 1e-11 * max(1.0, float(np.max(np.abs(form.gss)))):
             raise InvalidFieldError(f"g_ss-bar has imaginary residue {imag_dev:.3e}")
-        form = FamilyForm(chart=chart, s=s, gss=gss, gsb=gsb, gab=gab,
-                          provenance="model-plus-potential")
-        form.ystruct = YStructure(taup=taup, msz=msz, q1=q1, q0=q0)
         return form
 
     def _base(self, taup: complex, v: float) -> float:
@@ -468,6 +455,31 @@ class YStructure:
     q1: np.ndarray
     q0: np.ndarray
 
+    def plus_ddc(self, D: complex, ds_zbar, dsbar_z, zbar, dsdsbar) -> "YStructure":
+        """The y-structure of this form + dd^c psi, for an s-dependent potential psi.
+
+        The fields are derivatives of psi at a fixed grid point: ds_zbar is
+        d_s(psi_zbar), dsbar_z is (d_sbar psi)_z, zbar is psi_zbar and dsdsbar
+        is d_s d_sbar psi; D = tau - tau-bar.  D_s = d_s - tau' y d_z splits
+        the mixed components of dd^c psi into these y-polynomial parts.
+        dsbar_z and zbar enter q1 only, and only where tau' != 0; they may be
+        None otherwise.
+        """
+        taup = self.taup
+        q1 = self.q1
+        if taup != 0:
+            q1 = q1 + (-np.conj(taup)) * ds_zbar - taup * dsbar_z + abs(taup) ** 2 / D * zbar
+        return YStructure(taup=taup, msz=self.msz + ds_zbar, q1=q1, q0=self.q0 + dsdsbar)
+
+    def form(self, chart: FiberChart, s: complex, gab: np.ndarray) -> "FamilyForm":
+        """The form with fiber block gab whose mixed components have this y-structure."""
+        g = gab[0, 0]
+        y = chart.grid.coords[1]
+        return FamilyForm(chart=chart, s=s,
+                          gss=abs(self.taup) ** 2 * y ** 2 * g + y * self.q1 + self.q0,
+                          gsb=((-self.taup) * y * g + self.msz)[np.newaxis],
+                          gab=gab, ystruct=self)
+
 
 @dataclass
 class FamilyForm:
@@ -484,7 +496,6 @@ class FamilyForm:
     gss: np.ndarray
     gsb: np.ndarray
     gab: np.ndarray
-    provenance: str = "model"
     ystruct: YStructure | None = field(default=None, repr=False)
 
     @property
@@ -543,5 +554,4 @@ def random_positive_form(rng: np.random.RandomState, grid: FiberGrid,
             gab[a, a] += 0.5 - me
     gsb = np.stack([band_field(0.5) for _ in range(n)])
     gss = 2.0 + band_field(0.3).real.astype(complex)
-    return FamilyForm(chart=chart, s=1j, gss=gss, gsb=gsb, gab=gab,
-                      provenance="model")
+    return FamilyForm(chart=chart, s=1j, gss=gss, gsb=gsb, gab=gab)

@@ -11,7 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cyflab.familygeom import curvature_report
 from cyflab.geometry import DefinitenessError, ddc_fiber
-from cyflab.masolver import BaseStencil, MAProblem, eta_from_metric, solve_ma
+from cyflab.masolver import (
+    BaseStencil,
+    MAProblem,
+    eta_from_metric,
+    fiberwise_ricci_flat,
+    solve_ma,
+)
 from cyflab.models import FamilySpec, FourierPoly, make_family
 
 # coefficient scale of a chi term, divided by 1 + |k|^2 so that most draws
@@ -83,16 +89,25 @@ def test_solve_ma_matches_closed_form(seed, case):
 @given(seed=st.integers(0, 10 ** 6),
        case=st.sampled_from([(kind, 1, N) for kind in N1_KINDS for N in (16, 32)]))
 def test_curvature_report_matches_closed_form(seed, case):
-    """Every report quantity with a closed form, at h_s = 1e-3.
+    """The assembled rho componentwise, and every report quantity with a
+    closed form, at h_s = 1e-3.
 
-    wp and the Kodaira-Spencer norm are fiber integrals and meet Theta to
-    solver precision; c and the direct image carry the rounding and the
-    O(h_s^2) truncation of the stencil's second differences, and theta_E the
-    truncation of its difference quotient (the elliptic suite's bound).
+    rho's fiber block is the constant h to solver precision and its
+    y-structure is (msz, q1, q0) = (0, 0, c) up to the rounding and the
+    O(h_s^2) truncation of the stencil differences.  wp and the
+    Kodaira-Spencer norm are fiber integrals and meet Theta to solver
+    precision; c and the direct image carry the stencil's errors, and theta_E
+    the truncation of its difference quotient (the elliptic suite's bound).
     """
     family, s = random_family(np.random.RandomState(seed), *case)
     exact = family.ricci_flat_closed_form(s)
-    rep = curvature_report(family, s, h_s=H_S)
+    rho = fiberwise_ricci_flat(family, BaseStencil(center=s, h_s=H_S))
+    ys, c = rho.form.ystruct, abs(exact.c)
+    assert np.max(np.abs(rho.form.gab - exact.h[0, 0])) < 1.5e-13
+    assert np.max(np.abs(ys.msz)) < 2.5e-6 * c
+    assert np.max(np.abs(ys.q1)) < 1.5e-6 * c
+    assert np.max(np.abs(ys.q0 - exact.c)) < 2e-7 * c
+    rep = curvature_report(family, s, h_s=H_S, rho=rho)
     assert abs(rep["wp"] - exact.theta) < 1e-11
     assert abs(rep["ks_norm"] - exact.theta) < 1e-11
     assert abs(rep["direct_image"] - exact.c) < 5e-8 * abs(exact.c)

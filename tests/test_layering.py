@@ -1,7 +1,8 @@
 """Module layering: cyflab.green depends on the geometry layer only, so the
 curvature report in cyflab.familygeom can use it without an import cycle;
 cyflab.models does too, so the closed-form eps = 0 answer it holds shares no
-code with the solver (cyflab.masolver) or the Green kernels it checks."""
+code with the solver (cyflab.masolver) or the Green kernels it checks.  No
+module reaches into another's private names."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,19 @@ def test_green_imports_only_geometry():
 def test_models_imports_only_geometry():
     models = Path(cyflab.__file__).parent / "models.py"
     assert imported_cyflab_modules(models) <= {"cyflab.geometry"}
+
+
+def test_no_private_cross_module_imports():
+    """No cyflab module imports an underscore-prefixed name from another one
+    (dunder names such as __version__ are public)."""
+    found = []
+    for path in sorted(Path(cyflab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "cyflab"):
+                found += [(path.name, alias.name) for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []
 
 
 def test_public_names_resolve():

@@ -223,7 +223,7 @@ def test_base_derivative_kills_fiber_coordinate():
     points combine with the exact chain-rule derivative dz(z) = 1.
     """
     from cyflab.geometry import linear_coeff_derivative
-    from cyflab.masolver import BaseStencil, _fd_ds
+    from cyflab.masolver import BaseStencil
 
     spec = FamilySpec(kind="modulus_map", modulus_coeffs=(0.0, 1.0, 0.1),
                       grid_n=16, base_samples=(0.2 + 1.1j,))
@@ -237,9 +237,9 @@ def test_base_derivative_kills_fiber_coordinate():
     taup = fam.tau_prime(stencil.center)
     chart = fam.chart(stencil.center)
     dz_z = linear_coeff_derivative(chart, (1, fam.tau(stencil.center)), ("z", 0))
-    ds_z = _fd_ds(z_stack, stencil.h_s) - taup * y * dz_z
+    ds_z = stencil.ds(z_stack) - taup * y * dz_z
     assert np.max(np.abs(ds_z)) < 1e-10
-    ds_s = _fd_ds(s_stack, stencil.h_s)          # s has no fiber dependence
+    ds_s = stencil.ds(s_stack)  # s has no fiber dependence
     assert np.max(np.abs(ds_s - 1.0)) < 1e-10
 
 

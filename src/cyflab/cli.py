@@ -415,10 +415,13 @@ def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
         "normalization": sol.normalization,
         "diagnostics": sol.diagnostics,
     })
+    # the solved metric sol.h is not written: free it before the phi.csv write
+    phi = sol.phi
+    del sol
     if "json" in cfg["outputs"]["formats"]:
         write_json(out_dir / "fiber_solution.json", report)
     if "csv" in cfg["outputs"]["formats"]:
-        write_phi_csv(out_dir / "phi.csv", sol.phi)
+        write_phi_csv(out_dir / "phi.csv", phi)
     return EXIT_OK
 
 
@@ -735,6 +738,9 @@ def main(argv=None) -> int:
             if args.threads < 1:
                 raise ConfigError(f"--threads must be at least 1, got {args.threads}")
             cfg["threads"] = args.threads
+        if args.command in ("run-family", "green") and cfg["spec"].n != 1:
+            raise ConfigError(f"{args.command} needs family.n = 1: the family pipeline "
+                              "assembles n = 1 fibrations only")
         out_dir = Path(args.out or cfg["outputs"]["dir"])
         if args.command == "solve-fiber":
             return cmd_solve_fiber(cfg, out_dir)

@@ -25,7 +25,6 @@ from .geometry import (
     DefinitenessError,
     d_z,
     d_zbar,
-    ddc_fiber,
     fiber_integral,
     fiber_integral_complex,
     herm_det,
@@ -67,19 +66,6 @@ def horizontal_lift(form: FamilyForm) -> np.ndarray:
         for b in range(n):
             a[al] -= form.gsb[b] * gup[b, al]
     return a
-
-
-def lift_orthogonality_residual(form: FamilyForm) -> float:
-    """sup over nodes and fiber directions of <v, d/dz^gamma>_tau."""
-    a = horizontal_lift(form)
-    n = form.n
-    dev = 0.0
-    for c in range(n):
-        pairing = form.gsb[c].copy()
-        for al in range(n):
-            pairing = pairing + a[al] * form.gab[al, c]
-        dev = max(dev, float(np.max(np.abs(pairing))))
-    return dev
 
 
 def geodesic_curvature(form: FamilyForm) -> np.ndarray:
@@ -416,7 +402,8 @@ def curvature_report(family: Family, s: complex, h_s: float = 1e-3,
         "pde_residual_sup": float(np.max(np.abs(res))),
         "semmes": semmes_residual(form, c=c),
         "contraction": contraction_residual(form, c=c, lift=lift),
-        "ricci_constancy": rho.ricci_constancy(),
+        # sup |det h - mean det h| / mean det h on the center fiber
+        "ricci_constancy": rho.solutions[(0, 0)].diagnostics["det_h_constancy"],
         "K": K, "mean_c": mean_c, "pointwise_margin": margin,
         "combined_min_eig": min_eig,
         "pass": bool(margin >= -POSITIVITY_TOL and min_eig > 0),
@@ -430,13 +417,8 @@ def relative_canonical_curvature(rho: AssembledRho) -> float:
     For the fiberwise Ricci-flat form this equals Theta_ss(E): the identity
     behind the geodesic-curvature PDE.
     """
-    vals = {}
-    for key in rho.stencil.cross():
-        om = rho.omegas[key]
-        chart = om.chart
-        phi = rho.solutions[key].phi
-        det = herm_det(om.gab + ddc_fiber(phi, chart)).real
-        vals[key] = np.log(np.mean(det))
+    vals = {key: np.log(np.mean(herm_det(rho.solutions[key].h).real))
+            for key in rho.stencil.cross()}
     return float(np.real(rho.stencil.dsdsbar(vals)))
 
 
@@ -452,11 +434,11 @@ def _vphi_rhs(family: Family, rho_eps: AssembledRho, a_p: np.ndarray,
     through its fiber derivatives.
     """
     s = rho_eps.stencil.point(*key)
-    om = rho_eps.omegas[key]
-    chart = om.chart
-    gzz = om.gab[0, 0]
-    phi = rho_eps.solutions[key].phi
-    hzz = gzz + ddc_fiber(phi, chart)[0, 0]
+    fiber = rho_eps.fibers[key]
+    chart = fiber.chart
+    gzz = fiber.gab[0, 0]
+    sol = rho_eps.solutions[key]
+    phi, hzz = sol.phi, sol.h[0, 0]
     tau = family.tau(s)
     taup = family.tau_prime(s)
     D = tau - np.conj(tau)
@@ -546,13 +528,12 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
     inner = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
 
     # periodic lift part of rho (eps = 0), assembled at each inner stencil point
-    phis0 = rho0.phi_stack()
-    a_ps = {key: assemble_form(family.omega(stencil.point(*key)), stencil, phis0,
-                               rho0.omegas, at=key).a_periodic()
+    a_ps = {key: assemble_form(family.omega(stencil.point(*key)), stencil, rho0.solutions,
+                               rho0.fibers, at=key).a_periodic()
             for key in inner}
     vphi = {}
     for key in inner:
-        chart_k = rho_e.omegas[key].chart
+        chart_k = rho_e.fibers[key].chart
         vphi[key] = stencil.ds(phis, at=key) + a_ps[key] * d_z(phis[key], chart_k)
 
     ab_p = np.conj(a_ps[(0, 0)])
@@ -563,11 +544,8 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
     route_a = vbar(vphi)
 
     h_fiber = rho_e.form.gab
-    hup = 1.0 / h_fiber[0, 0]
-    hup_stack = {}
-    for key in inner:
-        om = rho_e.omegas[key]
-        hup_stack[key] = 1.0 / (om.gab[0, 0] + ddc_fiber(phis[key], om.chart)[0, 0])
+    hup_stack = {key: 1.0 / rho_e.solutions[key].h[0, 0] for key in inner}
+    hup = hup_stack[(0, 0)]
     R_stack = {key: _vphi_rhs(family, rho_e, a_ps[key], key=key) for key in inner}
 
     # conj-lift coefficients: abar = conj(tau') y + conj(a_p)

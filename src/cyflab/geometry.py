@@ -232,7 +232,9 @@ class FiberChart:
         mode and the pure-Nyquist modes that the spectral derivative
         annihilates.
         """
-        return _inverse_symbol(flat_symbol(self))
+        lam = flat_symbol(self)
+        with np.errstate(divide="ignore"):
+            return np.where(lam > 0, -1.0 / lam, 0.0)
 
     def check_field(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f)
@@ -314,7 +316,7 @@ def ddc_fiber(f: np.ndarray, chart: FiberChart) -> np.ndarray:
     return out
 
 
-def herm_check(g: np.ndarray, tol: float = 1e-13) -> float:
+def herm_check(g: np.ndarray) -> float:
     """Max deviation from conjugate-transpose symmetry of g[a,b] = g_{a b-bar}."""
     n = g.shape[0]
     dev = 0.0
@@ -402,27 +404,17 @@ def flat_symbol(chart: FiberChart, g_const: np.ndarray | None = None) -> np.ndar
     return lam
 
 
-def invert_flat_laplacian(f: np.ndarray, chart: FiberChart,
-                          g_const: np.ndarray | None = None,
-                          mean_tol: float = 1e-10) -> np.ndarray:
-    """Solve Delta u = f with mean(u) = 0 for the constant-coefficient metric.
+def invert_flat_laplacian(f: np.ndarray, chart: FiberChart) -> np.ndarray:
+    """Solve Delta u = f with mean(u) = 0 for the chart's metric delta_ab.
 
-    The source must have (coordinate) mean below mean_tol relative to its size.
+    The source must have (coordinate) mean below 1e-10 relative to its size.
     """
     f = chart.check_field(f)
     scale = max(1.0, float(np.max(np.abs(f))))
-    if abs(np.mean(f)) > mean_tol * scale:
+    if abs(np.mean(f)) > 1e-10 * scale:
         raise NormalizationError(
             f"flat Laplacian inversion needs zero-mean source, got mean {np.mean(f):.3e}")
-    if g_const is None:
-        return fourier_multiply(f, chart.flat_inverse_mult)
-    return fourier_multiply(f, _inverse_symbol(flat_symbol(chart, g_const)))
-
-
-def _inverse_symbol(lam: np.ndarray) -> np.ndarray:
-    """-1/lambda where lambda > 0, else 0 (the kernel of the flat Laplacian)."""
-    with np.errstate(divide="ignore"):
-        return np.where(lam > 0, -1.0 / lam, 0.0)
+    return fourier_multiply(f, chart.flat_inverse_mult)
 
 
 def fiber_integral(density: np.ndarray, chart: FiberChart,

@@ -61,15 +61,11 @@ NO_NORMALIZATION = "none"
 
 
 class SolverDivergence(RuntimeError):
-    """Newton failed to reach the tolerance (last residual attached).
+    """Newton failed to reach the tolerance (last residual attached)."""
 
-    Aborted continuation paths attach their completed solves as `partial`.
-    """
-
-    def __init__(self, message, residual=None, partial=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.partial = partial
 
 
 @dataclass
@@ -120,7 +116,11 @@ class MAProblem:
 
 @dataclass
 class MASolution:
+    """A converged solve: phi, and h = g + dd^c phi, the fiber metric of the
+    last Newton iterate (the normalization shift of phi leaves it unchanged)."""
+
     phi: np.ndarray
+    h: np.ndarray
     residual_sup: float
     newton_iters: int
     normalization: str
@@ -501,7 +501,7 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         # the true relative residual it ended at (None for the exact step)
         **trace,
     }
-    return MASolution(phi=phi, residual_sup=res, newton_iters=iters,
+    return MASolution(phi=phi, h=h, residual_sup=res, newton_iters=iters,
                       normalization=normalization, diagnostics=diagnostics)
 
 
@@ -584,8 +584,9 @@ class BaseStencil:
 class AssembledRho:
     """Fiberwise Ricci-flat (or eps-regularized) form assembled on a stencil.
 
-    omega is the model form at the center; omegas holds the fiber metric
-    (Family.fiber_metric) that each stencil point was solved from.
+    omega is the model form at the center; fibers holds the fiber metric
+    (Family.fiber_metric) that each stencil point was solved from, and
+    solutions the solve there, whose h is rho's fiber block at that point.
     """
 
     family: Family
@@ -595,7 +596,7 @@ class AssembledRho:
     form: FamilyForm
     omega: FamilyForm
     solutions: dict
-    omegas: dict
+    fibers: dict
 
     @property
     def phi(self) -> np.ndarray:
@@ -603,11 +604,6 @@ class AssembledRho:
 
     def phi_stack(self) -> dict:
         return {k: sol.phi for k, sol in self.solutions.items()}
-
-    def ricci_constancy(self) -> float:
-        """sup |det h - mean det h| / mean det h on the center fiber."""
-        det = herm_det(self.form.gab).real
-        return float(np.max(np.abs(det - np.mean(det))) / np.mean(det))
 
 
 def solve_stencil(family: Family, stencil: BaseStencil, eps: float = 0.0,
@@ -635,23 +631,23 @@ def solve_stencil(family: Family, stencil: BaseStencil, eps: float = 0.0,
     return solutions, fibers
 
 
-def assemble_form(om: FamilyForm, stencil: BaseStencil, phis: dict, fibers: dict,
+def assemble_form(om: FamilyForm, stencil: BaseStencil, solutions: dict, fibers: dict,
                   at=(0, 0)) -> FamilyForm:
     """rho = om + dd^c phi at the stencil key at, for the model form om there.
 
-    The fiber block is spectral.  The mixed components are om's y-structure
-    plus_ddc the central differences of phi at fixed grid point, which read
-    dzbar phi on the five-point cross around at only.
+    The fiber block is the solved metric h there.  The mixed components are
+    om's y-structure plus_ddc the central differences of phi at fixed grid
+    point, which read dzbar phi on the five-point cross around at only.
     """
     chart = fibers[at].chart
-    dzb = {k: d_zbar(phis[k], fibers[k].chart) for k in stencil.cross(at)}
-    hzz = om.gab[0, 0] + ddc_fiber(phis[at], chart)[0, 0]
+    phis = {k: solutions[k].phi for k in stencil.cross(at)}
+    dzb = {k: d_zbar(phis[k], fibers[k].chart) for k in phis}
     taup = om.ystruct.taup
     # q1 reads (d_sbar phi)_z only where tau' != 0 (YStructure.plus_ddc)
     dsbar_z = d_z(stencil.dsbar(phis, at), chart) if taup != 0 else None
     ys = om.ystruct.plus_ddc(chart.tau - np.conj(chart.tau), stencil.ds(dzb, at), dsbar_z,
                              dzb[at], stencil.dsdsbar(phis, at))
-    return ys.form(chart, stencil.point(*at), hzz[np.newaxis, np.newaxis])
+    return ys.form(chart, stencil.point(*at), solutions[at].h)
 
 
 def fiberwise_ricci_flat(family: Family, stencil: BaseStencil, eps: float = 0.0,
@@ -668,11 +664,10 @@ def fiberwise_ricci_flat(family: Family, stencil: BaseStencil, eps: float = 0.0,
         raise GeometryError("the family pipeline assembles n = 1 fibrations only")
     solutions, fibers = solve_stencil(family, stencil, eps, config, normalization)
     om0 = family.omega(stencil.center)
-    phis = {k: sol.phi for k, sol in solutions.items()}
     return AssembledRho(family=family, stencil=stencil, eps=eps,
                         normalization=normalization,
-                        form=assemble_form(om0, stencil, phis, fibers), omega=om0,
-                        solutions=solutions, omegas=fibers)
+                        form=assemble_form(om0, stencil, solutions, fibers), omega=om0,
+                        solutions=solutions, fibers=fibers)
 
 
 def semiflat_shift(rho: AssembledRho) -> dict:
@@ -686,12 +681,12 @@ def semiflat_shift(rho: AssembledRho) -> dict:
         raise GeometryError("semiflat shift expects a KE-volume normalized solve")
     A, psi, psi_residuals = {}, {}, {}
     for key, sol in rho.solutions.items():
-        om = rho.omegas[key]
-        vol = fiber_integral(np.ones(om.chart.grid.shape), om.chart, metric=om.gab)
-        a_val = fiber_integral(sol.phi, om.chart, metric=om.gab) / vol
+        fiber = rho.fibers[key]
+        vol = fiber_integral(np.ones(fiber.chart.grid.shape), fiber.chart, metric=fiber.gab)
+        a_val = fiber_integral(sol.phi, fiber.chart, metric=fiber.gab) / vol
         A[key] = a_val
         psi[key] = sol.phi - a_val
-        psi_residuals[key] = abs(fiber_integral(psi[key], om.chart, metric=om.gab)) / vol
+        psi_residuals[key] = abs(fiber_integral(psi[key], fiber.chart, metric=fiber.gab)) / vol
     ddc_a = rho.stencil.dsdsbar({k: complex(v) for k, v in A.items()})
     return {"A": A, "psi": psi, "psi_integral_residual": psi_residuals,
             "ddc_A": complex(ddc_a)}
@@ -748,14 +743,14 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
 
     solutions, table = [], []
     warm = None
-    failed = None
     for eps in schedule:
         problem = MAProblem(chart=chart, gab=fiber.gab, eta=eta, epsilon=eps)
         try:
             sol = solve_ma(problem, config, normalization=KE_VOLUME, initial_guess=warm)
         except SolverDivergence as exc:
-            failed = (eps, exc)
-            break
+            raise SolverDivergence(
+                f"continuation aborted at eps = {eps}: {exc}; "
+                f"{len(solutions)} solves completed", residual=exc.residual) from exc
         warm = sol.phi
         solutions.append(sol)
         ke_integral = float(np.mean(sol.phi * weight)) * chart.measure
@@ -769,13 +764,6 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
         })
         if eps > 0:
             table[-1]["ke_identity_residual"] = ke_identity_residual(sol.phi, eps, weight)
-
-    if failed is not None:
-        eps, exc = failed
-        raise SolverDivergence(
-            f"continuation aborted at eps = {eps}: {exc}; "
-            f"{len(solutions)} solves completed", residual=exc.residual,
-            partial={"solutions": solutions, "table": table})
 
     if schedule[-1] == 0.0:
         phi0 = solutions[-1].phi

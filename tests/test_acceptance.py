@@ -13,7 +13,6 @@ from cyflab.familygeom import (
     curvature_report,
     direct_image_report,
     kodaira_spencer_norm,
-    pde_residual,
     theta_E,
     wp_norm,
 )
@@ -36,8 +35,15 @@ from cyflab.masolver import (
     solve_ma,
 )
 from cyflab.models import FamilySpec, FourierPoly, make_family
-from cyflab.cli import parse_config, suite_elliptic, suite_epsilon, suite_identities
+from cyflab.cli import parse_config, suite_convergence, suite_elliptic, suite_epsilon, \
+    suite_identities, suite_product
 from conftest import perturbation_chi, random_trig_field
+
+
+def _suite_config():
+    """The run configuration of the verify suites that the criteria share."""
+    return parse_config({"schema": 1, "family": {"kind": "universal_elliptic"},
+                         "solver": {"grid_n": 64}, "stencil": {"h_s": 1e-3}})
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -49,9 +55,7 @@ def _report(num: int, name: str, ok: bool, detail: str):
 def test_criterion_1_elliptic_reproduction():
     # the verify suite holds the samples (i, 0.3 + 0.8i, 2i) and the four bounds
     t0 = time.monotonic()
-    cfg = parse_config({"schema": 1, "family": {"kind": "universal_elliptic"},
-                        "solver": {"grid_n": 64}, "stencil": {"h_s": 1e-3}})
-    suite = suite_elliptic(cfg)
+    suite = suite_elliptic(_suite_config())
     worst = {k: max(row[k] for row in suite["rows"])
              for k in ("phi_sup", "c_rel_err", "dbarv_rel_err", "theta_err")}
     elapsed = time.monotonic() - t0
@@ -77,25 +81,24 @@ def test_criterion_2_perturbed_family():
         di = direct_image_report(rho)
         pos_ok = pos_ok and di["lower_bound"] > 0 \
             and di["direct_image"] >= di["lower_bound"] - 1e-6
-    # PDE residual and its decrease under stencil refinement at one point
-    sups = {}
-    for h in (1e-3, 5e-4):
-        rho = fiberwise_ricci_flat(fam, BaseStencil(center=0.2 + 1.0j, h_s=h))
-        sups[h] = float(np.max(np.abs(pde_residual(rho))))
-    ratio = sups[1e-3] / sups[5e-4]
+    # PDE residual at 0.2 + 1.0i and its decrease under stencil refinement
+    # (h_s and h_s / 2), as the convergence suite computes them
+    cfg = _suite_config()
+    conv = suite_convergence(cfg)
+    pde = conv["pde_residual"][str(cfg["h_s"])]
+    ratio = conv["fd_ratio"]
     elapsed = time.monotonic() - t0
-    ok = (flat_dev < 1e-6 and sups[1e-3] < 5e-5 and ratio >= 3.0 and pos_ok
+    ok = (flat_dev < 1e-6 and pde < 5e-5 and ratio >= 3.0 and pos_ok
           and elapsed < 120.0)
     _report(2, "perturbed elliptic family", ok,
-            f"flat_dev={flat_dev:.2e} pde={sups[1e-3]:.2e} ratio={ratio:.2f} "
+            f"flat_dev={flat_dev:.2e} pde={pde:.2e} ratio={ratio:.2f} "
             f"positive={pos_ok} {elapsed:.1f}s")
 
 
 def test_criterion_3_epsilon_continuation():
     # the verify suite holds the family (s = i, perturbation_chi), the default
     # schedule and solver, and the checks; the bounds are restated here
-    cfg = parse_config({"schema": 1, "family": {"kind": "universal_elliptic"},
-                        "solver": {"grid_n": 64}, "stencil": {"h_s": 1e-3}})
+    cfg = _suite_config()
     suite = suite_epsilon(cfg)
     vphi_max = max(row["vphi_integral"] for row in suite["vphi"])
     # the integrated fiber equation at each eps > 0
@@ -167,12 +170,9 @@ def test_criterion_6_griffiths_consistency():
         worst = max(worst, abs(th - wp) / scale, abs(th - ks) / scale,
                     abs(wp - ks) / scale)
 
-    prod = make_family(FamilySpec(kind="product", tau0=1j, chi=perturbation_chi(),
-                                  grid_n=64, base_samples=(0.2 + 0.3j,)))
-    stencil = BaseStencil(center=0.2 + 0.3j, h_s=1e-3)
-    rho = fiberwise_ricci_flat(prod, stencil)
-    triv = max(abs(theta_E(prod, stencil)), wp_norm(rho.form),
-               kodaira_spencer_norm(rho.form))
+    # the product family at 0.2 + 0.3i, as the product suite computes it
+    prod = suite_product(_suite_config())
+    triv = max(prod["theta"], prod["wp"], prod["ks_norm"])
     ok = worst < 1e-4 and triv < 1e-8
     _report(6, "Griffiths / Weil-Petersson consistency", ok,
             f"pairwise_rel={worst:.2e} product_max={triv:.2e}")

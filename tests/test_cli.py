@@ -168,6 +168,57 @@ def test_divergence_keeps_rows_before_it(tmp_path, monkeypatch, capsys, command,
         assert len((tmp_path / "out" / "family.csv").read_text().splitlines()) == 2
 
 
+def test_continuation_divergence_aborts_at_its_eps(tmp_path, monkeypatch, capsys):
+    """A solve that diverges at the third eps of the schedule ends the
+    continuation there, with the eps, the solves completed and the residual;
+    verify --suite epsilon then exits 3."""
+    import cyflab.masolver
+    from cyflab.masolver import SolverDivergence, epsilon_continuation
+    from cyflab.models import FamilySpec, make_family
+
+    real_solve = cyflab.masolver.solve_ma
+    calls = []
+
+    def diverging(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SolverDivergence("Newton did not converge", residual=2.5e-3)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cyflab.masolver, "solve_ma", diverging)
+    family = make_family(FamilySpec(kind="universal_elliptic", grid_n=16))
+    with pytest.raises(SolverDivergence) as err:
+        epsilon_continuation(family, 1j, [1.0, 0.3, 0.1, 0.0])
+    assert str(err.value) == ("continuation aborted at eps = 0.1: Newton did not "
+                              "converge; 2 solves completed")
+    assert err.value.residual == 2.5e-3
+
+    calls.clear()
+    path, doc = base_config(tmp_path)
+    doc["solver"]["grid_n"] = 16
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--suite", "epsilon"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: continuation aborted at eps = 0.1:")
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command", ["run-family", "green"])
+def test_family_commands_reject_n2(tmp_path, capsys, command):
+    """run-family and green assemble n = 1 fibrations only: an n = 2 config is
+    a config error, rejected before any report is written, while solve-fiber
+    runs it."""
+    path, doc = base_config(tmp_path)
+    doc["family"] = {"kind": "product", "n": 2,
+                     "period_matrix": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]}
+    doc["solver"]["grid_n"] = 8
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+    assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("command, name", [("run-family", "family_report.json"),
                                            ("green", "green_report.json")])
 def test_stencil_outside_domain_keeps_rows_before_it(tmp_path, capsys, command, name):

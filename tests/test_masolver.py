@@ -570,7 +570,7 @@ def test_stencil_offsets():
 def test_fiberwise_ricci_flat_elliptic(elliptic_family):
     rho = fiberwise_ricci_flat(elliptic_family, BaseStencil(center=1j, h_s=1e-3))
     assert np.max(np.abs(rho.phi)) < 1e-12
-    assert rho.ricci_constancy() < 1e-12
+    assert rho.solutions[(0, 0)].diagnostics["det_h_constancy"] < 1e-12
     # rho equals the model form exactly
     assert np.max(np.abs(rho.form.gss - rho.omega.gss)) < 1e-8
     assert np.max(np.abs(rho.form.gsb - rho.omega.gsb)) < 1e-8
@@ -580,12 +580,14 @@ def test_fiberwise_ricci_flat_perturbed(perturbed_family):
     rho = fiberwise_ricci_flat(perturbed_family, BaseStencil(center=0.2 + 1.0j, h_s=1e-3))
     # the flat representative of the fiber class is (1/Im s) * flat
     assert np.max(np.abs(rho.form.gab[0, 0] - 1.0)) < 1e-6
-    assert rho.ricci_constancy() < 1e-8
+    assert rho.solutions[(0, 0)].diagnostics["det_h_constancy"] < 1e-8
+    # rho's fiber block is the solve's own metric
+    assert np.array_equal(rho.form.gab[0, 0], rho.solutions[(0, 0)].h[0, 0])
     sol = rho.solutions[(0, 0)]
     assert sol.diagnostics["volume_residual"] < 1e-10
     # KE normalization holds on every stencil fiber
     for key in rho.solutions:
-        om = rho.omegas[key]
+        om = rho.fibers[key]
         det_rho = herm_det(om.gab + ddc_fiber(rho.solutions[key].phi, om.chart)).real
         val = np.mean(rho.solutions[key].phi * det_rho) / np.mean(det_rho)
         assert abs(val) < 1e-12
@@ -598,7 +600,7 @@ def test_mixed_component_hermiticity(perturbed_family):
     stencil = BaseStencil(center=0.2 + 1.0j, h_s=1e-3)
     rho = fiberwise_ricci_flat(perturbed_family, stencil)
     phis = rho.phi_stack()
-    dzb = {k: d_zbar(phis[k], rho.omegas[k].chart) for k in phis}
+    dzb = {k: d_zbar(phis[k], rho.fibers[k].chart) for k in phis}
     chart = rho.form.chart
     tau = perturbed_family.tau(stencil.center)
     taup = perturbed_family.tau_prime(stencil.center)

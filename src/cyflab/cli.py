@@ -15,12 +15,14 @@ import argparse
 import csv
 import hashlib
 import json
+import platform
 import sys
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .geometry import DefinitenessError, FiberChart, FiberGrid, GeometryError, ddc_fiber, \
@@ -300,6 +302,9 @@ def provenance_block(cfg: dict) -> dict:
     return {
         "config_sha256": hashlib.sha256(blob).hexdigest(),
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "grid_n": cfg["spec"].grid_n,
         "h_s": cfg["h_s"],
         "tol": cfg["solver"].tol,
@@ -341,19 +346,28 @@ def write_family_csv(path: Path, rows: list):
             writer.writerow([repr(float(row[c])) for c in FAMILY_CSV_COLUMNS])
 
 
+# rows of phi.csv formatted per write: the strings of one block are held at once
+PHI_CSV_BLOCK = 2 ** 15
+
+
 def write_phi_csv(path: Path, phi: np.ndarray):
-    """CSV of a real field: the bytes csv.writer gives, CRLF line ends included."""
+    """CSV of a real field: the bytes csv.writer gives, CRLF line ends included.
+
+    A 2-d field is indexed i,j, any other by its flat index.  Rows are
+    written PHI_CSV_BLOCK at a time.
+    """
     phi = np.asarray(phi, dtype=float)
+    cols = phi.shape[1] if phi.ndim == 2 else None
+    flat = phi.ravel()
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if phi.ndim == 2:
-            fh.write("i,j,phi\r\n")
-            fh.write("".join(f"{i},{j},{v!r}\r\n"
-                             for i, row in enumerate(phi.tolist())
-                             for j, v in enumerate(row)))
-        else:
-            fh.write("flat_index,phi\r\n")
-            fh.write("".join(f"{i},{v!r}\r\n" for i, v in enumerate(phi.ravel().tolist())))
+        fh.write("flat_index,phi\r\n" if cols is None else "i,j,phi\r\n")
+        for start in range(0, flat.size, PHI_CSV_BLOCK):
+            rows = enumerate(flat[start:start + PHI_CSV_BLOCK].tolist(), start)
+            if cols is None:
+                fh.write("".join(f"{k},{v!r}\r\n" for k, v in rows))
+            else:
+                fh.write("".join(f"{k // cols},{k % cols},{v!r}\r\n" for k, v in rows))
 
 
 def write_heatmap_svg(path: Path, samples: list, values: list, cell: int = 40):

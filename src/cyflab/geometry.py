@@ -133,11 +133,26 @@ class FiberGrid:
         return list(np.meshgrid(*([k] * 2 * self.n), indexing="ij"))
 
     @cached_property
-    def deriv_freqs(self) -> list:
-        """Frequencies with the Nyquist mode zeroed (for odd derivatives)."""
+    def deriv_freq_axes(self) -> tuple:
+        """Per-axis frequencies with the Nyquist mode zeroed (for odd derivatives).
+
+        One vector per real axis, shaped to broadcast over the full grid;
+        the half spectrum takes the last one's first N/2 + 1 entries.
+        """
         k = np.fft.fftfreq(self.N, d=1.0 / self.N)
         k[self.N // 2] = 0.0
-        return list(np.meshgrid(*([k] * 2 * self.n), indexing="ij"))
+        return tuple(np.meshgrid(*([k] * 2 * self.n), indexing="ij", sparse=True))
+
+
+def _ddc_product(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """za * (-conj zb) with za the first operand at every array size.
+
+    A complex product's rounding depends on the operand order.  Through the
+    * operator numpy reuses a large temporary (-conj zb, from 256 KiB) as
+    the output and swaps the operands, so a full table and its half could
+    round differently; the ufunc call keeps the order.
+    """
+    return np.multiply(za, -np.conj(zb))
 
 
 @dataclass(frozen=True)
@@ -192,21 +207,32 @@ class FiberChart:
                 C[a, 2 * b + 1] = cy[b, a]
         return C
 
-    @cached_property
-    def z_mult(self) -> list:
-        """Fourier multipliers M_a(k) with d/dz^a e_k = M_a(k) e_k."""
+    def _z_mult(self, half: bool) -> list:
+        """M_a(k) = 2 pi i sum_m C[a, m] k_m on the full grid or the half spectrum.
+
+        The sum runs over per-axis frequency vectors that broadcast to the
+        grid, so no full-grid frequency mesh is built.
+        """
         C = self.dz_coeffs
+        ks = self.grid.deriv_freq_axes
+        if half:
+            ks = ks[:-1] + (ks[-1][..., : self.grid.N // 2 + 1],)
         out = []
         for a in range(self.n):
-            m = np.zeros(self.grid.shape, dtype=complex)
+            m = np.zeros((1,) * (2 * self.n), dtype=complex)
             for axis in range(2 * self.n):
-                m = m + C[a, axis] * self.grid.deriv_freqs[axis]
+                m = m + C[a, axis] * ks[axis]
             out.append(2j * np.pi * m)
         return out
 
+    @cached_property
+    def z_mult(self) -> list:
+        """Fourier multipliers M_a(k) with d/dz^a e_k = M_a(k) e_k."""
+        return self._z_mult(half=False)
+
     def ddc_mult(self, a: int, b: int) -> np.ndarray:
         """Multiplier M_a(k) * (-conj M_b(k)) of f -> f_{alpha beta-bar}."""
-        return self.z_mult[a] * (-np.conj(self.z_mult[b]))
+        return _ddc_product(self.z_mult[a], self.z_mult[b])
 
     @cached_property
     def ddc_mult_half(self) -> dict:
@@ -214,12 +240,15 @@ class FiberChart:
 
         For a real field both parts give real inverse transforms: the real
         and imaginary parts of f_{alpha beta-bar}.  The diagonal multipliers
-        are real, so their imaginary part is None.
+        are real, so their imaginary part is None.  The tables are built on
+        the half spectrum with ddc_mult's elementwise operations, so they
+        equal the slices [..., :N/2 + 1] of its full tables bit for bit.
         """
+        z = self._z_mult(half=True)
         out = {}
         for a in range(self.n):
             for b in range(a, self.n):
-                m = self.ddc_mult(a, b)[..., : self.grid.N // 2 + 1]
+                m = _ddc_product(z[a], z[b])
                 out[a, b] = (m.real.copy(), None if a == b else m.imag.copy())
         return out
 
@@ -305,15 +334,28 @@ def ddc_fiber(f: np.ndarray, chart: FiberChart) -> np.ndarray:
             for b in range(n):
                 out[a, b] = ifft(fh * chart.ddc_mult(a, b))
         return out
-    fh = rfft(f)
-    for a in range(n):
-        out[a, a] = irfft(fh * chart.ddc_mult_half[a, a][0], f.shape)
-        for b in range(a + 1, n):
-            re_mult, im_mult = chart.ddc_mult_half[a, b]
-            out[a, b].real = irfft(fh * re_mult, f.shape)
-            out[a, b].imag = irfft(fh * im_mult, f.shape)
+    for a, b, re, im in ddc_real_fields(rfft(f), chart):
+        if im is None:
+            out[a, a] = re
+        else:
+            out[a, b].real = re
+            out[a, b].imag = im
             np.conjugate(out[a, b], out=out[b, a])
     return out
+
+
+def ddc_real_fields(fh: np.ndarray, chart: FiberChart):
+    """Yield (a, b, Re f_ab, Im f_ab), a <= b, from the half spectrum fh of a real f.
+
+    Each part is one real inverse transform of fh times a ddc_mult_half
+    table; Im f_aa is None, as the diagonal is real.  This is the one
+    implementation of dd^c on real fields: ddc_fiber packs its output into
+    the Hermitian matrix, and a caller that only weights and sums the parts
+    can take them one pair at a time.
+    """
+    for (a, b), (re_mult, im_mult) in chart.ddc_mult_half.items():
+        re = irfft(fh * re_mult, chart.grid.shape)
+        yield a, b, re, None if im_mult is None else irfft(fh * im_mult, chart.grid.shape)
 
 
 def herm_check(g: np.ndarray) -> float:

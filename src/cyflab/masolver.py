@@ -16,9 +16,13 @@ solved by damped Newton iteration; each linear step inverts Delta_h - eps
   preconditioned conjugate gradient solve (Hestenes & Stiefel 1952) with
   the spectral preconditioner 1/(lambda + eps mean det h);
 * n >= 2: restarted GMRES (Saad & Schultz 1986) right-preconditioned by
-  the constant-coefficient spectral inverse, stopped at the inexact-Newton
+  the constant-coefficient spectral inverse M, stopped at the inexact-Newton
   forcing term max(linear_rtol, min(1e-2, 0.1 sup|F|)) (Eisenstat & Walker
-  1996) and judged on its true residual.
+  1996) and judged on its true residual.  The Krylov space is that of A M,
+  and M is applied once per solve, to the final combination (Saad,
+  Iterative Methods for Sparse Linear Systems, 2nd ed., 9.3.2): a matvec
+  multiplies the half spectrum of its input by M and feeds it to the dd^c
+  tables, one forward and n^2 inverse real transforms.
 
 The Krylov solves reduce with elementwise sums and update with ufuncs, so
 they make no BLAS call on field-sized vectors.
@@ -45,6 +49,7 @@ from .geometry import (
     d_z,
     d_zbar,
     ddc_fiber,
+    ddc_real_fields,
     drop_nyquist_modes,
     fiber_integral,
     flat_symbol,
@@ -52,6 +57,8 @@ from .geometry import (
     herm_det,
     herm_inverse,
     herm_min_eig,
+    irfft,
+    rfft,
 )
 from .models import Family, FamilyForm
 
@@ -142,21 +149,26 @@ def eta_from_metric(gab: np.ndarray, chart: FiberChart) -> np.ndarray:
     return -np.log(det) + c
 
 
-def _hessian_weights(h) -> list:
-    """Real weights of u -> Re sum_ab h^{b a} u_{a b-bar} for real u.
+def _hessian_weights(h) -> dict:
+    """Real weights of u -> Re sum_ab h^{b a} u_{a b-bar} for real u, at n = 2.
 
-    Returns (a, b, w_re, w_im) for a <= b, with the sum equal to
-    sum w_re Re u_ab + w_im Im u_ab.  The hessian of a real u is Hermitian,
-    so each off-diagonal pair (a, b), (b, a) folds into one complex weight.
+    Returns {(a, b): (w_re, w_im)} for a <= b, with the sum equal to
+    sum w_re Re u_ab + w_im Im u_ab (w_im is None on the diagonal, where
+    u_aa is real).  The hessian of a real u is Hermitian, so the pair
+    (0, 1), (1, 0) folds into one complex weight h^{1 0} + conj h^{0 1}
+    = -2 conj(h_01) / det h.  The weights are computed in real arithmetic
+    from h_00, h_11 and h_01; h may be a stack of fields or one matrix.
     """
-    hup = herm_inverse(h)
-    weights = []
-    for a in range(h.shape[0]):
-        weights.append((a, a, np.ascontiguousarray(hup[a, a].real), None))
-        for b in range(a + 1, h.shape[0]):
-            w = hup[b, a] + np.conj(hup[a, b])
-            weights.append((a, b, np.ascontiguousarray(w.real), -w.imag))
-    return weights
+    h00, h11, h01 = h[0, 0].real, h[1, 1].real, h[0, 1]
+    det = h00 * h11 - (h01.real ** 2 + h01.imag ** 2)
+    return {(0, 0): (h11 / det, None), (1, 1): (h00 / det, None),
+            (0, 1): (-2.0 * h01.real / det, -2.0 * h01.imag / det)}
+
+
+def _project_rhs(rhs, h):
+    """rhs less its det(h)-weighted mean: the range of Delta_h at eps = 0."""
+    det = herm_det(h).real
+    return rhs - np.mean(rhs * det) / np.mean(det)
 
 
 def _accept_unconverged(rel, solver):
@@ -190,23 +202,25 @@ def _dot(x, y) -> float:
 RESTART = 30
 
 
-def lgmres(A, b, *, M, rtol, atol, maxiter, callback=None):
-    """Right-preconditioned restarted GMRES(RESTART) from x = 0 (Saad & Schultz 1986).
+def lgmres(A, b, *, rtol, atol, maxiter, callback=None):
+    """Restarted GMRES(RESTART) for A x = b from x = 0 (Saad & Schultz 1986).
 
-    Solves A x = b, with A and M (an approximate inverse of A) read through
-    .matvec.  Each cycle builds an Arnoldi basis V of A M by modified
-    Gram-Schmidt and moves to the x + M V y that minimizes |b - A x| on it;
-    the Givens rotations and the triangular solve run on Python scalars, and
-    field-sized vectors are reduced by elementwise sums and updated by
-    ufuncs, so no BLAS call is made.  A cycle stops early once its estimate
-    of |b - A x| reaches max(atol, rtol |b|), and ends with the true
-    residual b - A x, from which the next cycle restarts.  callback, if
-    given, receives |b - A x| at x = 0 and after each cycle.
+    A is read through .matvec; a preconditioner is the caller's to fold
+    into A (_linear_solve passes A M and applies M to the result).  Each
+    cycle builds an Arnoldi basis V of A by modified Gram-Schmidt and moves
+    to the x + V y that minimizes |b - A x| on it; the Givens rotations and
+    the triangular solve run on Python scalars, and field-sized vectors are
+    reduced by elementwise sums and updated by ufuncs, so no BLAS call is
+    made.  A cycle stops early once its estimate of |b - A x| reaches
+    max(atol, rtol |b|), and ends with the true residual b - A x from a
+    fresh matvec, from which the next cycle restarts.  callback, if given,
+    receives |b - A x| at x = 0 and after each cycle.
 
     Returns (x, info): info is 0 if the last true residual is at most
     max(atol, rtol |b|), else maxiter (the cycles run).  The name and call
-    form are those of scipy.sparse.linalg.lgmres, kept for the benchmark's
-    trace hook and for the tests that patch cyflab.masolver.lgmres.
+    form are those of scipy.sparse.linalg.lgmres without its M, kept for
+    the benchmark's trace hook and for the tests that patch
+    cyflab.masolver.lgmres.
     """
     x = np.zeros_like(b)
     r = b
@@ -217,10 +231,9 @@ def lgmres(A, b, *, M, rtol, atol, maxiter, callback=None):
     for _ in range(maxiter):
         if rnorm <= tol:
             break
-        V, Z, R, rotations, g = [r / rnorm], [], [], [], [rnorm]
+        V, R, rotations, g = [r / rnorm], [], [], [rnorm]
         for j in range(RESTART):
-            Z.append(M.matvec(V[j]))
-            w = A.matvec(Z[j])
+            w = A.matvec(V[j])
             col = []
             for v in V:
                 c = _dot(w, v)
@@ -232,8 +245,7 @@ def lgmres(A, b, *, M, rtol, atol, maxiter, callback=None):
                 col[i], col[i + 1] = cs * top + sn * low, cs * low - sn * top
             d = math.hypot(col[j], w_norm)
             if d == 0:
-                # A M is singular on the new direction: end the cycle without it
-                Z.pop()
+                # A is singular on the new direction: end the cycle without it
                 break
             cs, sn = col[j] / d, w_norm / d
             col[j] = d
@@ -249,8 +261,8 @@ def lgmres(A, b, *, M, rtol, atol, maxiter, callback=None):
         y = [0.0] * len(R)
         for i in reversed(range(len(R))):
             y[i] = (g[i] - sum(R[m][i] * y[m] for m in range(i + 1, len(R)))) / R[i][i]
-        for yi, z in zip(y, Z):
-            x += yi * z
+        for yi, v in zip(y, V):
+            x += yi * v
         r = b - A.matvec(x)
         rnorm = math.sqrt(_dot(r, r))
         if callback is not None:
@@ -267,13 +279,14 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
     solvable range (zero det(h)-weighted mean) and the unique grid-mean-zero
     solution is returned; at n = 1 that solve is exact and Krylov-free.  At
     n = 1, eps > 0 the solve is conjugate gradients (_elliptic_cg), and at
-    n >= 2 it is GMRES (lgmres).  rtol (default config.linear_rtol) is the
-    relative residual the Krylov solve stops at.  fallbacks counts the
-    Krylov solves whose true residual missed rtol but was accepted below
-    1e-8; iterations counts the GMRES matvecs or CG iterations; residual is
-    the true relative residual the solve ended at (the larger of the two
-    for a complex right-hand side).  The exact step returns 0 iterations
-    and residual None.
+    n >= 2 it is GMRES (lgmres) on A M, M the spectral inverse of the mean
+    metric's operator, with u = M y from its solution y.  rtol (default
+    config.linear_rtol) is the relative residual the Krylov solve stops at.
+    fallbacks counts the Krylov solves whose true residual missed rtol but
+    was accepted below 1e-8; iterations counts the GMRES matvecs or CG
+    iterations; residual is the true relative residual the solve ended at
+    (the larger of the two for a complex right-hand side).  The exact step
+    returns 0 iterations and residual None.
     """
     rtol = config.linear_rtol if rtol is None else rtol
     if np.iscomplexobj(rhs):
@@ -288,24 +301,15 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
         return _elliptic_cg(herm_det(h).real, chart, eps, rhs, rtol,
                             RESTART * config.linear_maxiter)
     if pin:
-        det = herm_det(h).real
-        rhs = rhs - np.mean(rhs * det) / np.mean(det)
+        rhs = _project_rhs(rhs, h)
         if n == 1:
             # det(h) h^{-1} = 1, so det(h) Delta_h u = u_{z z-bar}: the step
             # is one division by the flat symbol, whose zeroed kernel modes
             # drop the constant and the pure-Nyquist content of det(h) rhs
-            u = fourier_multiply(det * rhs, chart.flat_inverse_mult)
+            u = fourier_multiply(herm_det(h).real * rhs, chart.flat_inverse_mult)
             return u - np.mean(u), 0, 0, None
-    h_mean = np.array([[np.mean(h[a, b]) for b in range(n)] for a in range(n)])
-    lam = flat_symbol(chart, h_mean)
     weights = _hessian_weights(h)
-
-    if pin:
-        with np.errstate(divide="ignore"):
-            inv_denom = np.where(lam > 0, -1.0 / lam, 0.0)
-        inv_denom.flat[0] = 1.0
-    else:
-        inv_denom = -1.0 / (lam + eps)
+    inv_denom = _preconditioner_symbol(h, chart, eps)
 
     # Pure-Nyquist modes are annihilated by the spectral derivative, hence
     # sit in the kernel of Delta_h at eps = 0; their rhs content is aliasing
@@ -315,35 +319,73 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
 
     matvecs = 0
 
+    def preconditioned(vec):
+        """The half spectrum of M vec."""
+        fh = rfft(vec.reshape(grid.shape))
+        fh *= inv_denom
+        return fh
+
     def apply(vec):
+        # (Delta_h - eps) M vec: M's half spectrum feeds the dd^c tables
+        # directly, one forward and n^2 inverse real transforms (one more
+        # for the eps term)
         nonlocal matvecs
         matvecs += 1
-        u = vec.reshape(grid.shape)
-        hess = ddc_fiber(u, chart)
-        out = -eps * u if eps else np.zeros(grid.shape)
-        for a, b, w_re, w_im in weights:
-            out += w_re * hess[a, b].real
-            if w_im is not None:
-                out += w_im * hess[a, b].imag
+        fh = preconditioned(vec)
+        if eps:
+            out = irfft(fh, grid.shape)
+            out *= -eps
+        else:
+            out = np.zeros(grid.shape)
+        for a, b, re, im in ddc_real_fields(fh, chart):
+            w_re, w_im = weights[a, b]
+            re *= w_re
+            out += re
+            if im is not None:
+                im *= w_im
+                out += im
         out = filtered(out)
         if pin:
-            out += np.mean(u)
+            # M keeps the constant mode, so mean(M vec) = mean(vec)
+            out += fh.flat[0].real / grid.num_nodes
         return out.ravel()
 
-    def precond(vec):
-        return fourier_multiply(vec.reshape(grid.shape), inv_denom).ravel()
-
-    shape = (grid.num_nodes, grid.num_nodes)
-    b = filtered(np.asarray(rhs, dtype=float)).ravel()
+    rhs = filtered(np.asarray(rhs, dtype=float))
     residuals = []
-    sol, info = lgmres(Operator(shape, apply), b, M=Operator(shape, precond), rtol=rtol,
-                       atol=0.0, maxiter=config.linear_maxiter, callback=residuals.append)
+    y, info = lgmres(Operator((grid.num_nodes, grid.num_nodes), apply), rhs.ravel(), rtol=rtol,
+                     atol=0.0, maxiter=config.linear_maxiter, callback=residuals.append)
     rel = residuals[-1] / residuals[0] if residuals[0] > 0 else 0.0
     fallbacks = 0 if info == 0 else _accept_unconverged(rel, f"gmres, {info} cycles")
-    u = sol.reshape(grid.shape)
+    u = irfft(preconditioned(y), grid.shape)
     if pin:
-        u = u - np.mean(u)
+        u -= np.mean(u)
     return u, fallbacks, matvecs, rel
+
+
+def _preconditioner_symbol(h, chart, eps) -> np.ndarray:
+    """The symbol -1/(lambda + eps) of M on the half spectrum (n >= 2).
+
+    lambda >= 0 with Delta e_k = -lambda(k) e_k for the mean of h: the
+    matvec's Hessian weights and dd^c tables at constant h.  At eps = 0, M
+    keeps the constant mode and zeroes the rest of lambda's kernel (the
+    pure-Nyquist modes).  The symbol is formed in place of lambda.
+    """
+    n = chart.n
+    h_mean = np.array([[np.mean(h[a, b]) for b in range(n)] for a in range(n)])
+    lam = np.zeros(chart.ddc_mult_half[0, 0][0].shape)
+    for (a, b), (w_re, w_im) in _hessian_weights(h_mean).items():
+        re_mult, im_mult = chart.ddc_mult_half[a, b]
+        lam -= w_re * re_mult
+        if im_mult is not None:
+            lam -= w_im * im_mult
+    lam[lam < 0] = 0.0
+    if eps == 0:
+        np.divide(-1.0, lam, out=lam, where=lam > 0)
+        lam.flat[0] = 1.0
+    else:
+        lam += eps
+        np.divide(-1.0, lam, out=lam)
+    return lam
 
 
 def _elliptic_cg(det, chart, eps, rhs, rtol, maxiter):
@@ -415,7 +457,8 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     forcing = chart.n > 1
 
     def residual_field(p):
-        h = g + ddc_fiber(p, chart)
+        h = ddc_fiber(p, chart)
+        h += g
         me = herm_min_eig(h)
         if me <= 0:
             return None, None, me
@@ -441,11 +484,13 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         u, fb, lin_iters, lin_res = _linear_solve(
             h, chart, eps, np.expm1(-F) if exact else -F, config, rtol)
         fallbacks += fb
+        # the line search replaces F and h: free them before it builds its own
+        del F, h
         t = 1.0
         while True:
-            F_new, h_new, _ = residual_field(phi + t * u)
-            if F_new is not None:
-                res_new = float(np.max(np.abs(F_new)))
+            F, h, _ = residual_field(phi + t * u)
+            if F is not None:
+                res_new = float(np.max(np.abs(F)))
                 if res_new < res * (1.0 - 0.25 * t) or res_new < config.tol:
                     break
             t *= 0.5
@@ -459,7 +504,7 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         trace["linear_rtol"].append(rtol)
         trace["linear_residual"].append(lin_res)
         phi = phi + t * u
-        F, h, res = F_new, h_new, float(np.max(np.abs(F_new)))
+        res = res_new
         iters += 1
 
     if not res <= config.tol:

@@ -195,6 +195,34 @@ def test_herm_inverse_n2():
             assert np.max(np.abs(prod - target)) < 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       case=st.sampled_from([(1, 16), (1, 64), (1, 128), (2, 8), (2, 12), (2, 24)]))
+def test_half_tables_are_the_full_tables_sliced(seed, case):
+    """ddc_mult_half equals ddc_mult sliced to the half spectrum, bit for bit.
+
+    z_mult, built from per-axis frequency vectors, also equals the sum over
+    full-grid frequency meshes, so real dd^c at n = 1 keeps its bytes.
+    """
+    n, N = case
+    chart, _ = random_chart_and_metric(np.random.RandomState(seed), n, N)
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k[N // 2] = 0.0
+    freqs = np.meshgrid(*([k] * 2 * n), indexing="ij")
+    for a in range(n):
+        m = np.zeros(chart.grid.shape, dtype=complex)
+        for axis in range(2 * n):
+            m = m + chart.dz_coeffs[a, axis] * freqs[axis]
+        assert np.array_equal(chart.z_mult[a], 2j * np.pi * m)
+    assert sorted(chart.ddc_mult_half) == [(a, b) for a in range(n) for b in range(a, n)]
+    for (a, b), (re, im) in chart.ddc_mult_half.items():
+        full = chart.ddc_mult(a, b)[..., : N // 2 + 1]
+        assert np.array_equal(re, full.real)
+        assert (im is None) == (a == b)
+        if im is not None:
+            assert np.array_equal(im, full.imag)
+
+
 def _flat_kernel_without_constant(chart, h_mean):
     mask = flat_symbol(chart, h_mean) == 0
     mask.flat[0] = False

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -30,6 +31,7 @@ from cyflab.masolver import (
     epsilon_continuation,
     eta_from_metric,
     fiberwise_ricci_flat,
+    lgmres,
     linearized_solve,
     semiflat_shift,
     solve_ma,
@@ -240,13 +242,13 @@ def test_elliptic_eps_positive_solves_are_lgmres_free(monkeypatch, perturbed_fam
     assert path.order > 0.95
 
 
-def test_forcing_terms_n2():
-    """Forcing terms keep the n = 2 Newton path and its answer, with fewer matvecs.
+def acceptance4_problem(N):
+    """The Ricci-flat problem of acceptance 4 on an N^4 grid, and its potential chi.
 
-    The acceptance-4 potential chi gives the flat metric <g> as the
-    Ricci-flat one, so phi = -(chi - mean chi) exactly.
+    chi gives the flat metric <g> as the Ricci-flat one, so
+    phi = -(chi - mean chi) exactly.
     """
-    grid = FiberGrid(2, 16)
+    grid = FiberGrid(2, N)
     chart = FiberChart.make(grid, omega_matrix=1j * np.eye(2))
     g = np.zeros((2, 2) + grid.shape, dtype=complex)
     g[0, 0] = g[1, 1] = 1.0
@@ -255,7 +257,12 @@ def test_forcing_terms_n2():
         (0, 0, 0, 1, 0, 0): 0.008, (0, 0, 0, -1, 0, 0): 0.008,
     }).eval(grid, 0.0).real
     g2 = g + ddc_fiber(chi, chart)
-    problem = MAProblem(chart=chart, gab=g2, eta=eta_from_metric(g2, chart), epsilon=0.0)
+    return MAProblem(chart=chart, gab=g2, eta=eta_from_metric(g2, chart), epsilon=0.0), chi
+
+
+def test_forcing_terms_n2():
+    """Forcing terms keep the n = 2 Newton path and its answer, with fewer matvecs."""
+    problem, chi = acceptance4_problem(16)
     config = SolverConfig()
     forced = solve_ma(problem, config)
 
@@ -275,6 +282,54 @@ def test_forcing_terms_n2():
                                    for res in diag["residual_history"]]
     assert diag["residual_history"][0] == pytest.approx(float(np.max(np.abs(problem.eta))))
     assert all(0 < t <= 1 for t in diag["step_lengths"])
+
+
+def test_n2_solve_peak_memory():
+    """An n = 2 solve holds at most 36 real fields of traced allocations at once.
+
+    The count takes in everything solve_ma allocates: the chart's spectral
+    tables, the Newton iterates, the GMRES basis and every temporary.
+    """
+    problem, _ = acceptance4_problem(12)
+    field_bytes = 8 * problem.chart.grid.num_nodes
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sol = solve_ma(problem)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sol.newton_iters == 4 and sum(sol.diagnostics["linear_iterations"]) == 12
+    assert peak <= 36 * field_bytes, f"peak {peak / field_bytes:.1f} real fields"
+
+
+def test_lgmres_solves_a_dense_nonsymmetric_system():
+    """lgmres on its own, without a preconditioner, on a LinearOperator as traced.
+
+    The system needs a restart (30 iterations per cycle) to reach rtol; an
+    rtol out of reach returns info == maxiter with the iterate it has.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    rng = np.random.RandomState(0)
+    m = 50
+    A = 1.5 * np.eye(m) + rng.standard_normal((m, m)) / np.sqrt(m)
+    b = rng.standard_normal(m)
+    op = LinearOperator((m, m), matvec=lambda v: A @ v, dtype=float)
+    residuals = []
+    x, info = lgmres(op, b, rtol=1e-12, atol=0.0, maxiter=10, callback=residuals.append)
+    assert info == 0 and len(residuals) >= 3
+    assert residuals[-1] <= 1e-12 * residuals[0]
+    exact = np.linalg.solve(A, b)
+    assert np.max(np.abs(x - exact)) < 1e-10 * np.max(np.abs(exact))
+    residuals = []
+    x, info = lgmres(op, b, rtol=1e-300, atol=0.0, maxiter=2, callback=residuals.append)
+    assert info == 2 and len(residuals) == 3
+    assert np.max(np.abs(x - exact)) < 1e-8 * np.max(np.abs(exact))
 
 
 def random_n2_metric(rng, N=8):

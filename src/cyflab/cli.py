@@ -594,10 +594,14 @@ def suite_epsilon(cfg: dict) -> dict:
     family = _perturbed_family(cfg)
     s = 1j
     path = epsilon_continuation(family, s, cfg["schedule"], cfg["solver"])
+    # every cross check compares with the same eps = 0 stencil: solve it once
+    rho0 = fiberwise_ricci_flat(family, BaseStencil(center=s, h_s=cfg["h_s"]),
+                                config=cfg["solver"])
     vphi_rows = []
     ok = path.order > 0.95
     for eps in cfg["schedule"]:
-        out = vphi_cross_check(family, s, eps=eps, h_s=cfg["h_s"], config=cfg["solver"])
+        out = vphi_cross_check(family, s, eps=eps, h_s=cfg["h_s"], config=cfg["solver"],
+                               rho0=rho0)
         vphi_rows.append({"eps": eps, "sup_difference": out["sup_difference"],
                           "vphi_integral": out["vphi_integral"],
                           "linear_fallbacks": out["linear_fallbacks"]})

@@ -459,17 +459,21 @@ def _vphi_rhs(family: Family, rho_eps: AssembledRho, a_p: np.ndarray,
 
 
 def vphi_cross_check(family: Family, s: complex, eps: float = 0.0,
-                     h_s: float = 1e-3, config: SolverConfig | None = None) -> dict:
+                     h_s: float = 1e-3, config: SolverConfig | None = None,
+                     rho0: AssembledRho | None = None) -> dict:
     """v_rho(phi_eps) two ways: stencil differences vs the linearized PDE.
 
     Route (a) differentiates the solved potentials across the base stencil
     at fixed z; route (b) solves -Delta_{rho_eps} u + eps u = R with the
     exactly assembled right-hand side.  Also evaluates the vanishing
-    integral int (v phi_eps) rho_eps^n (exact at quadrature level).
+    integral int (v phi_eps) rho_eps^n (exact at quadrature level).  rho0
+    is the eps = 0 form on the stencil of s and h_s, solved when not given;
+    a caller that checks several eps at one point can solve it once.
     """
     config = config or SolverConfig()
     stencil = BaseStencil(center=complex(s), h_s=h_s)
-    rho0 = fiberwise_ricci_flat(family, stencil, eps=0.0, config=config)
+    if rho0 is None:
+        rho0 = fiberwise_ricci_flat(family, stencil, eps=0.0, config=config)
     a_p = rho0.form.a_periodic()
     rho_e = rho0 if eps == 0 else fiberwise_ricci_flat(family, stencil, eps=eps, config=config)
 

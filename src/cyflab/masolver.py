@@ -106,6 +106,12 @@ class SolverConfig:
 
 @dataclass
 class MAProblem:
+    """The fiber equation for phi on the chart, with reference metric gab.
+
+    extra_f is the forcing term f of the equation; None means no forcing
+    (f = 0), and no field is stored for it.
+    """
+
     chart: FiberChart
     gab: np.ndarray
     eta: np.ndarray
@@ -113,8 +119,6 @@ class MAProblem:
     extra_f: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.extra_f is None:
-            self.extra_f = np.zeros(self.chart.grid.shape)
         if self.epsilon < 0:
             raise GeometryError("epsilon must be nonnegative")
         if herm_min_eig(self.gab) <= 0:
@@ -158,11 +162,21 @@ def _hessian_weights(h) -> dict:
     (0, 1), (1, 0) folds into one complex weight h^{1 0} + conj h^{0 1}
     = -2 conj(h_01) / det h.  The weights are computed in real arithmetic
     from h_00, h_11 and h_01; h may be a stack of fields or one matrix.
+    They weight the GMRES matvec (h the Newton iterate), the preconditioner
+    (h its mean) and the closing Delta_g phi of an n = 2 solve (h = g).
     """
     h00, h11, h01 = h[0, 0].real, h[1, 1].real, h[0, 1]
-    det = h00 * h11 - (h01.real ** 2 + h01.imag ** 2)
-    return {(0, 0): (h11 / det, None), (1, 1): (h00 / det, None),
-            (0, 1): (-2.0 * h01.real / det, -2.0 * h01.imag / det)}
+    # in place, in the order of h00 h11 - (Re h01^2 + Im h01^2)
+    abs2 = h01.real ** 2
+    abs2 += h01.imag ** 2
+    det = h00 * h11
+    det -= abs2
+    del abs2
+    w_re = -2.0 * h01.real
+    w_re /= det
+    w_im = -2.0 * h01.imag
+    w_im /= det
+    return {(0, 0): (h11 / det, None), (1, 1): (h00 / det, None), (0, 1): (w_re, w_im)}
 
 
 def _project_rhs(rhs, h):
@@ -294,12 +308,25 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
         im, fb_im, it_im, res_im = _linear_solve(h, chart, eps, rhs.imag, config, rtol)
         residual = None if res_re is None else max(res_re, res_im)
         return re + 1j * im, fb_re + fb_im, it_re + it_im, residual
+    return _prepare_linear_solve(h, chart, eps, rhs, config, rtol)()
+
+
+def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Callable:
+    """Set up _linear_solve's real system; returns the solve, a function of no arguments.
+
+    The solve returns (u, fallbacks, iterations, residual) as _linear_solve
+    does.  At n >= 2 it holds what GMRES reads, the filtered right-hand side,
+    the Hessian weights of h and the preconditioner symbol, and neither h
+    nor the rhs given, so a caller that drops them before calling it does
+    not keep them through the Krylov solve.  At n = 1 the step is solved here.
+    """
     grid = chart.grid
     n = chart.n
     pin = eps == 0
     if n == 1 and not pin:
-        return _elliptic_cg(herm_det(h).real, chart, eps, rhs, rtol,
-                            RESTART * config.linear_maxiter)
+        out = _elliptic_cg(herm_det(h).real, chart, eps, rhs, rtol,
+                           RESTART * config.linear_maxiter)
+        return lambda: out
     if pin:
         rhs = _project_rhs(rhs, h)
         if n == 1:
@@ -307,7 +334,8 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
             # is one division by the flat symbol, whose zeroed kernel modes
             # drop the constant and the pure-Nyquist content of det(h) rhs
             u = fourier_multiply(herm_det(h).real * rhs, chart.flat_inverse_mult)
-            return u - np.mean(u), 0, 0, None
+            out = u - np.mean(u), 0, 0, None
+            return lambda: out
     weights = _hessian_weights(h)
     inv_denom = _preconditioner_symbol(h, chart, eps)
 
@@ -351,15 +379,20 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
         return out.ravel()
 
     rhs = filtered(np.asarray(rhs, dtype=float))
-    residuals = []
-    y, info = lgmres(Operator((grid.num_nodes, grid.num_nodes), apply), rhs.ravel(), rtol=rtol,
-                     atol=0.0, maxiter=config.linear_maxiter, callback=residuals.append)
-    rel = residuals[-1] / residuals[0] if residuals[0] > 0 else 0.0
-    fallbacks = 0 if info == 0 else _accept_unconverged(rel, f"gmres, {info} cycles")
-    u = irfft(preconditioned(y), grid.shape)
-    if pin:
-        u -= np.mean(u)
-    return u, fallbacks, matvecs, rel
+
+    def solve():
+        residuals = []
+        y, info = lgmres(Operator((grid.num_nodes, grid.num_nodes), apply), rhs.ravel(),
+                         rtol=rtol, atol=0.0, maxiter=config.linear_maxiter,
+                         callback=residuals.append)
+        rel = residuals[-1] / residuals[0] if residuals[0] > 0 else 0.0
+        fallbacks = 0 if info == 0 else _accept_unconverged(rel, f"gmres, {info} cycles")
+        u = irfft(preconditioned(y), grid.shape)
+        if pin:
+            u -= np.mean(u)
+        return u, fallbacks, matvecs, rel
+
+    return solve
 
 
 def _preconditioner_symbol(h, chart, eps) -> np.ndarray:
@@ -429,11 +462,18 @@ def _elliptic_cg(det, chart, eps, rhs, rtol, maxiter):
 
 def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
              normalization: str = KE_VOLUME, initial_guess=None) -> MASolution:
-    """Damped Newton solve of the fiber Monge-Ampere equation."""
+    """Damped Newton solve of the fiber Monge-Ampere equation.
+
+    Each field is dropped after its last read: during a Krylov solve the
+    loop holds phi, log det g and the solve's own data, not the previous
+    iterate h, its residual F or the last step u.
+    """
     config = config or SolverConfig()
     chart = problem.chart
     g = problem.gab
-    target = problem.eta.real + problem.extra_f.real
+    target = problem.eta.real
+    if problem.extra_f is not None:
+        target = target + problem.extra_f.real
     eps = problem.epsilon
     # a non-finite eta + f would pass every test below as NaN
     chart.check_field(target)
@@ -448,6 +488,8 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
                 "eps = 0 problem violates the solvability normalization "
                 f"(residual {compat:.3e})")
     logdet_g = np.log(det_g)
+    # the normalization shift recomputes det g rather than hold it through the loop
+    del det_g
 
     # at n = 1, eps = 0 the equation h_{z z-bar} = g e^target is linear in
     # phi_{z z-bar}: the step u with u_{z z-bar} = h (e^{-F} - 1) lands on it
@@ -466,12 +508,13 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         return F, h, me
 
     if initial_guess is None:
-        # phi = 0: h = g, whose positivity MAProblem has checked
+        # phi = 0: h = g, whose positivity MAProblem has checked; its least
+        # eigenvalue is taken only if no Newton step replaces h
         phi = np.zeros(chart.grid.shape)
-        F, h = -target, g
+        F, h, me = -target, g, None
     else:
         phi = initial_guess.real.copy()
-        F, h, _ = residual_field(phi)
+        F, h, me = residual_field(phi)
         if F is None:
             raise DefinitenessError("initial guess loses fiber positivity")
     res = float(np.max(np.abs(F)))
@@ -481,29 +524,35 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
              "linear_rtol": [], "linear_residual": []}
     while res > config.tol and iters < config.max_iters:
         rtol = max(config.linear_rtol, min(1e-2, 0.1 * res)) if forcing else config.linear_rtol
-        u, fb, lin_iters, lin_res = _linear_solve(
-            h, chart, eps, np.expm1(-F) if exact else -F, config, rtol)
-        fallbacks += fb
-        # the line search replaces F and h: free them before it builds its own
+        solve = _prepare_linear_solve(h, chart, eps, np.expm1(-F) if exact else -F,
+                                      config, rtol)
+        # the solve holds none of F, h and its right-hand side, and the line
+        # search builds its own F and h: free them before the Krylov solve
         del F, h
+        u, fb, lin_iters, lin_res = solve()
+        del solve
+        fallbacks += fb
         t = 1.0
         while True:
-            F, h, _ = residual_field(phi + t * u)
+            F, h, me = residual_field(phi + t * u)
             if F is not None:
                 res_new = float(np.max(np.abs(F)))
                 if res_new < res * (1.0 - 0.25 * t) or res_new < config.tol:
                     break
             t *= 0.5
             if t < config.damping_floor:
+                cause = ("positivity loss: the last trial step left the fiber metric "
+                         "indefinite" if F is None else
+                         "stagnation: no trial step lowered sup |F| enough")
                 raise SolverDivergence(
-                    "damping floor reached (stagnation or positivity loss) "
-                    f"at residual {res:.3e}", residual=res)
+                    f"damping floor reached ({cause}) at residual {res:.3e}", residual=res)
         trace["residual_history"].append(res)
         trace["step_lengths"].append(t)
         trace["linear_iterations"].append(lin_iters)
         trace["linear_rtol"].append(rtol)
         trace["linear_residual"].append(lin_res)
         phi = phi + t * u
+        del u
         res = res_new
         iters += 1
 
@@ -511,31 +560,30 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         raise SolverDivergence(
             f"Newton did not converge in {config.max_iters} iterations "
             f"(residual {res:.3e})", residual=res)
+    del F, logdet_g
 
     if eps == 0 and normalization != NO_NORMALIZATION:
         if normalization == REFERENCE_VOLUME:
-            weight = det_g
+            weight = herm_det(g).real
         elif normalization == KE_VOLUME:
             # e^(eta+f) omega^n is the solved Ricci-flat volume rho^n
-            weight = np.exp(target) * det_g
+            weight = np.exp(target) * herm_det(g).real
         else:
             raise GeometryError(f"unknown normalization {normalization!r}")
         phi = phi - float(np.mean(phi * weight) / np.mean(weight))
+        del weight
     elif eps > 0:
         normalization = NO_NORMALIZATION
 
     # the shift leaves dd^c phi, hence the last h, unchanged
     det_h = herm_det(h).real
-    # Delta_g phi = g^{b a} phi_ab with phi_ab = (h - g)_ab
-    gup = herm_inverse(g)
-    lap = sum(gup[b, a] * (h[a, b] - g[a, b])
-              for a in range(chart.n) for b in range(chart.n)).real
+    lap = _laplacian_of_potential(g, h)
     diagnostics = {
         "sup_phi": float(np.max(np.abs(phi))),
         "sup_lap_phi": float(np.max(np.abs(lap))),
         # trace-form positivity monitor: 0 <= n + Delta_omega phi
         "trace_min": float(np.min(chart.n + lap)),
-        "fiber_min_eig": herm_min_eig(h),
+        "fiber_min_eig": herm_min_eig(h) if me is None else me,
         "volume_residual": abs(float(np.mean(det_h)) - vol_g) / vol_g,
         "det_h_constancy": float(np.max(np.abs(det_h - np.mean(det_h))) / np.mean(det_h)),
         # Newton steps whose Krylov solve missed rtol and was accepted on
@@ -548,6 +596,27 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     }
     return MASolution(phi=phi, h=h, residual_sup=res, newton_iters=iters,
                       normalization=normalization, diagnostics=diagnostics)
+
+
+def _laplacian_of_potential(g, h) -> np.ndarray:
+    """Delta_g phi = g^{b a} phi_ab for the phi with phi_ab = (h - g)_ab.
+
+    At n = 2 the sum is taken from the real Hessian weights of g, one entry
+    at a time, with no inverse of g.  At n = 1 it stays complex: g_00 may
+    carry an imaginary rounding residue, which 1/g_00 folds in.
+    """
+    if g.shape[0] == 1:
+        return (herm_inverse(g)[0, 0] * (h[0, 0] - g[0, 0])).real
+    lap = np.zeros(g.shape[2:])
+    for (a, b), (w_re, w_im) in _hessian_weights(g).items():
+        part = h[a, b].real - g[a, b].real
+        part *= w_re
+        lap += part
+        if w_im is not None:
+            part = h[a, b].imag - g[a, b].imag
+            part *= w_im
+            lap += part
+    return lap
 
 
 def linearized_solve(h: np.ndarray, chart: FiberChart, epsilon: float, R: np.ndarray,

@@ -305,6 +305,18 @@ def test_vphi_cross_check(perturbed_family, eps):
     assert out["vphi_integral"] < 1e-8
 
 
+def test_vphi_cross_check_given_rho0(perturbed_family):
+    """A given eps = 0 stencil gives the bits of one solved inside the check."""
+    s = 0.2 + 1.0j
+    rho0 = fiberwise_ricci_flat(perturbed_family, BaseStencil(center=s))
+    for eps in (0.0, 0.1):
+        given = vphi_cross_check(perturbed_family, s, eps=eps, rho0=rho0)
+        solved = vphi_cross_check(perturbed_family, s, eps=eps)
+        for key in ("vphi_fd", "vphi_pde"):
+            assert np.array_equal(given[key], solved[key])
+        assert given["linear_fallbacks"] == solved["linear_fallbacks"]
+
+
 def test_vphi_cross_check_counts_fallbacks():
     """The cross check reports the Krylov fallbacks of its eps stencil solves."""
     spec = FamilySpec(kind="universal_elliptic", chi=perturbation_chi(), grid_n=16,

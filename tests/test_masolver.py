@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest.mock import patch
 
@@ -16,6 +17,7 @@ from cyflab.geometry import (
     drop_nyquist_modes,
     fiber_integral,
     herm_det,
+    herm_inverse,
     herm_min_eig,
     laplace_beltrami,
 )
@@ -26,6 +28,7 @@ from cyflab.masolver import (
     REFERENCE_VOLUME,
     SolverConfig,
     SolverDivergence,
+    _laplacian_of_potential,
     _linear_solve,
     compute_eta,
     epsilon_continuation,
@@ -266,12 +269,12 @@ def test_forcing_terms_n2():
     config = SolverConfig()
     forced = solve_ma(problem, config)
 
-    solve = cyflab.masolver._linear_solve
+    prepare = cyflab.masolver._prepare_linear_solve
 
-    def at_linear_rtol(h, chart, eps, rhs, config, rtol=None):
-        return solve(h, chart, eps, rhs, config)
+    def at_linear_rtol(h, chart, eps, rhs, config, rtol):
+        return prepare(h, chart, eps, rhs, config, config.linear_rtol)
 
-    with patch("cyflab.masolver._linear_solve", at_linear_rtol):
+    with patch("cyflab.masolver._prepare_linear_solve", at_linear_rtol):
         strict = solve_ma(problem, config)
 
     assert np.max(np.abs(forced.phi + chi - np.mean(chi))) < 1e-12
@@ -305,6 +308,90 @@ def test_n2_solve_peak_memory():
             tracemalloc.stop()
     assert sol.newton_iters == 4 and sum(sol.diagnostics["linear_iterations"]) == 12
     assert peak <= 36 * field_bytes, f"peak {peak / field_bytes:.1f} real fields"
+
+
+def test_n2_solve_holds_only_what_the_next_step_reads():
+    """The same solve as test_n2_solve_peak_memory peaks at 22 real fields.
+
+    The Newton loop frees h, F and the last step u before each Krylov
+    solve and keeps no zero forcing field, and the closing Delta_g phi
+    takes the real Hessian weights of g, not herm_inverse(g).
+    """
+    problem, _ = acceptance4_problem(12)
+    field_bytes = 8 * problem.chart.grid.num_nodes
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sol = solve_ma(problem)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sol.newton_iters == 4 and sum(sol.diagnostics["linear_iterations"]) == 12
+    assert peak <= 22 * field_bytes, f"peak {peak / field_bytes:.1f} real fields"
+
+
+def unforced_problem(case, family):
+    """A problem with no extra_f: n = 1 at eps = 0 and 0.1, n = 2, or one at its solution."""
+    if case == "n2":
+        return acceptance4_problem(8)[0]
+    if case == "solved":
+        grid = FiberGrid(1, 16)
+        chart = FiberChart.make(grid, tau=1j)
+        return MAProblem(chart=chart, gab=np.ones((1, 1) + grid.shape, dtype=complex),
+                         eta=np.zeros(grid.shape), epsilon=0.0)
+    form = family.omega(1j)
+    return MAProblem(chart=form.chart, gab=form.gab, eta=eta_from_metric(form.gab, form.chart),
+                     epsilon=0.1 if case == "n1-eps" else 0.0)
+
+
+@pytest.mark.parametrize("case", ["n1", "n1-eps", "n2"])
+def test_omitted_forcing_is_zero_forcing(case, perturbed_family):
+    """extra_f omitted and an explicit zero field give the same bits."""
+    problem = unforced_problem(case, perturbed_family)
+    assert problem.extra_f is None
+    zero = dataclasses.replace(problem, extra_f=np.zeros(problem.chart.grid.shape))
+    omitted, zeroed = solve_ma(problem), solve_ma(zero)
+    assert np.array_equal(omitted.phi, zeroed.phi) and np.array_equal(omitted.h, zeroed.h)
+    assert omitted.diagnostics == zeroed.diagnostics
+
+
+@pytest.mark.parametrize("case", ["n1", "n1-eps", "n2", "solved"])
+def test_fiber_min_eig_is_that_of_the_returned_metric(case, perturbed_family):
+    """The diagnostic reuses the last Newton step's eigenvalue, or takes g's
+    when no step ran; either way it is herm_min_eig of the solution's h."""
+    sol = solve_ma(unforced_problem(case, perturbed_family))
+    assert (sol.newton_iters == 0) == (case == "solved")
+    assert sol.diagnostics["fiber_min_eig"] == herm_min_eig(sol.h)
+
+
+def test_damping_floor_names_its_cause():
+    """The damping-floor error says whether the line search stagnated or
+    lost positivity, with the residual it stopped at."""
+    grid = FiberGrid(1, 16)
+    chart = FiberChart.make(grid, tau=1j)
+    g = np.ones((1, 1) + grid.shape, dtype=complex)
+    x = grid.coords[0]
+    phi_star = 0.1 * np.cos(2 * np.pi * x)
+    extra_f = np.log(1.0 + ddc_fiber(phi_star, chart)[0, 0].real) - 0.5 * phi_star
+    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
+                        epsilon=0.5, extra_f=extra_f)
+    # below the rounding floor of F, no step can lower sup |F|
+    with pytest.raises(SolverDivergence) as err:
+        solve_ma(problem, SolverConfig(tol=1e-30))
+    message, residual = str(err.value), err.value.residual
+    assert message.startswith("damping floor reached (stagnation")
+    assert "positivity" not in message and f"at residual {residual:.3e}" in message
+    assert 0 < residual < 1e-11
+    # an undamped Newton step that overshoots the positivity of h
+    problem = MAProblem(chart=chart, gab=g, eta=2.0 * np.cos(2 * np.pi * x), epsilon=1.0)
+    with pytest.raises(SolverDivergence) as err:
+        solve_ma(problem, SolverConfig(damping_floor=1.0))
+    assert str(err.value).startswith("damping floor reached (positivity loss")
+    assert "stagnation" not in str(err.value) and err.value.residual == 2.0
 
 
 def test_lgmres_solves_a_dense_nonsymmetric_system():
@@ -367,6 +454,20 @@ def test_gmres_solves_n2(seed, eps):
     assert np.max(np.abs(back - rhs)) < 5e-10 * max(1.0, float(np.max(np.abs(rhs))))
     assert fallbacks == 0 and iterations > 0
     assert residual <= config.linear_rtol
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_n2_laplacian_from_real_weights(seed):
+    """At n = 2 the closing Delta_g phi, summed from the real Hessian weights
+    of g, is g^{b a} phi_ab with g^{b a} from herm_inverse(g)."""
+    rng = np.random.RandomState(seed)
+    chart, g = random_n2_metric(rng)
+    h = g + ddc_fiber(random_trig_field(rng, chart.grid, kmax=2).real, chart)
+    gup = herm_inverse(g)
+    expected = sum(gup[b, a] * (h[a, b] - g[a, b]) for a in range(2) for b in range(2)).real
+    lap = _laplacian_of_potential(g, h)
+    assert np.max(np.abs(lap - expected)) <= 1e-14 * float(np.max(np.abs(expected)))
 
 
 def test_gmres_counts_true_residual_misses_n2():

@@ -363,11 +363,19 @@ def write_phi_csv(path: Path, phi: np.ndarray):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("flat_index,phi\r\n" if cols is None else "i,j,phi\r\n")
         for start in range(0, flat.size, PHI_CSV_BLOCK):
-            rows = enumerate(flat[start:start + PHI_CSV_BLOCK].tolist(), start)
+            values = flat[start:start + PHI_CSV_BLOCK].tolist()
+            index = range(start, start + len(values))
+            # every piece of the block's rows in one list, joined once
             if cols is None:
-                fh.write("".join(f"{k},{v!r}\r\n" for k, v in rows))
+                parts = ["", ",", "", "\r\n"] * len(values)
+                parts[0::4] = map(str, index)
+                parts[2::4] = map(repr, values)
             else:
-                fh.write("".join(f"{k // cols},{k % cols},{v!r}\r\n" for k, v in rows))
+                parts = ["", ",", "", ",", "", "\r\n"] * len(values)
+                parts[0::6] = [str(k // cols) for k in index]
+                parts[2::6] = [str(k % cols) for k in index]
+                parts[4::6] = map(repr, values)
+            fh.write("".join(parts))
 
 
 def write_heatmap_svg(path: Path, samples: list, values: list, cell: int = 40):

@@ -18,7 +18,10 @@ Conventions used throughout the package:
 * c_n = i^{n^2} is the positivity constant for pairing (n,0)-forms.
 
 This module is the package's only spectral layer: every Fourier transform
-goes through the functions below, with scipy.fft as the backend.  Operators
+goes through the functions below, with numpy.fft as the backend; each
+transform writes its passes into one output array (numpy's fftn, ifftn
+and rfftn with out=, and irfftn's passes in place), which saves an
+allocation per axis on the 4-D grids of n = 2.  Operators
 that map real fields to real fields (dd^c, real even Fourier multipliers)
 take a real field through real transforms on the half spectrum (last axis
 0..N/2), which suffices because its spectrum is Hermitian.  Complex fields,
@@ -31,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 
 class GeometryError(ValueError):
@@ -52,21 +54,29 @@ class InvalidFieldError(GeometryError):
 
 def fft(f: np.ndarray) -> np.ndarray:
     """Full complex spectrum of a field (all axes)."""
-    return scipy.fft.fftn(f)
+    return np.fft.fftn(f, out=np.empty(f.shape, complex))
 
 
 def ifft(fh: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifftn(fh)
+    return np.fft.ifftn(fh, out=np.empty(fh.shape, complex))
 
 
 def rfft(f: np.ndarray) -> np.ndarray:
     """Half spectrum of a real field: the last axis keeps frequencies 0..N/2."""
-    return scipy.fft.rfftn(f)
+    return np.fft.rfftn(f, out=np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), complex))
 
 
 def irfft(fh: np.ndarray, shape: tuple) -> np.ndarray:
-    """Real field of the given grid shape from a Hermitian half spectrum."""
-    return scipy.fft.irfftn(fh, s=shape)
+    """Real field of the given grid shape from a Hermitian half spectrum.
+
+    These are numpy's irfftn passes (complex along each axis but the last,
+    in order, then real along the last), with the complex passes done in
+    place in one buffer.
+    """
+    work = np.fft.ifft(fh, axis=0)
+    for axis in range(1, len(shape) - 1):
+        np.fft.ifft(work, axis=axis, out=work)
+    return np.fft.irfft(work, n=shape[-1], axis=-1)
 
 
 def fourier_multiply(f: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -89,11 +99,15 @@ def drop_nyquist_modes(f: np.ndarray) -> np.ndarray:
     and these modes span the fields constant on the classes.  Projecting
     them out subtracts the class means; adding back the grid mean keeps
     the constant mode.  This is the Fourier multiplier that is 0 on those
-    modes and 1 elsewhere, without a transform.
+    modes and 1 elsewhere, without a transform.  Each class is the strided
+    view out[p_0::2, p_1::2, ...] and is shifted in place.
     """
-    classes = f.reshape(sum(((m // 2, 2) for m in f.shape), ()))
-    means = classes.mean(axis=tuple(range(0, classes.ndim, 2)), keepdims=True)
-    return (classes - means).reshape(f.shape) + np.mean(f)
+    out = np.array(f)
+    grid_mean = np.mean(f)
+    for parity in np.ndindex((2,) * f.ndim):
+        cls = out[tuple(slice(p, None, 2) for p in parity)]
+        cls -= np.mean(cls) - grid_mean
+    return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import exp1
 
 from .geometry import (
     FiberChart,
@@ -220,6 +219,10 @@ def ewald_kernel(green: GreenOperator, axes, t: float = 0.02,
     result is t-independent up to the cutoffs.  Entry (i, j) is G at
     (axes[0][i], axes[1][j]); one phase table per axis, as in kernel_on_tensor_grid.
     """
+    # scipy's E_1 keeps this oracle independent of the code it checks; it is
+    # imported here so that the solver's start-up does not load scipy.special
+    from scipy.special import exp1
+
     if green.chart.n != 1:
         raise GeometryError("the Ewald oracle is implemented for n = 1 fibers")
     C = green.chart.dz_coeffs[0]

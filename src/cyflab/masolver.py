@@ -575,8 +575,9 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     elif eps > 0:
         normalization = NO_NORMALIZATION
 
-    # the shift leaves dd^c phi, hence the last h, unchanged
-    det_h = herm_det(h).real
+    # the shift leaves dd^c phi, hence the last h, unchanged; a copy, since
+    # a .real view would keep the complex determinant alive
+    det_h = herm_det(h).real.copy()
     lap = _laplacian_of_potential(g, h)
     diagnostics = {
         "sup_phi": float(np.max(np.abs(phi))),

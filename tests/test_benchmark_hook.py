@@ -100,10 +100,12 @@ def test_tracer_counts_n2_krylov_matvecs():
 
 
 def test_cli_import_leaves_out_sparse_and_linalg():
-    """import cyflab.cli loads neither scipy.sparse nor scipy.linalg."""
+    """import cyflab.cli loads neither scipy.sparse nor scipy.linalg, nor
+    scipy.fft (geometry transforms through numpy.fft) nor scipy.special
+    (the Ewald oracle imports exp1 when it runs)."""
     code = ("import sys, cyflab.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'sparse'], ['scipy', 'linalg'])))")
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'sparse'], ['scipy', 'linalg'], ['scipy', 'fft'], ['scipy', 'special'])))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=subprocess_env())
     assert proc.returncode == 0, proc.stderr

@@ -579,3 +579,31 @@ def test_phi_csv_bytes_match_csv_module(tmp_path, shape):
     write_phi_csv(tmp_path / "new.csv", phi)
     _csv_module_phi(tmp_path / "ref.csv", phi)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _per_row_phi(path, phi):
+    """write_phi_csv as one f-string per row, the reference for the joined blocks."""
+    flat = np.asarray(phi, dtype=float).ravel().tolist()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if phi.ndim == 2:
+            cols = phi.shape[1]
+            fh.write("i,j,phi\r\n")
+            fh.write("".join(f"{k // cols},{k % cols},{v!r}\r\n" for k, v in enumerate(flat)))
+        else:
+            fh.write("flat_index,phi\r\n")
+            fh.write("".join(f"{k},{v!r}\r\n" for k, v in enumerate(flat)))
+
+
+@pytest.mark.parametrize("block", [7, 2 ** 15])
+@pytest.mark.parametrize("shape", [(9, 12), (4, 4, 4, 4)])
+def test_phi_csv_blocks_match_per_row_writer(tmp_path, monkeypatch, shape, block):
+    """The joined blocks give the per-row writer's bytes, across block edges too."""
+    import cyflab.cli
+    monkeypatch.setattr(cyflab.cli, "PHI_CSV_BLOCK", block)
+    rng = np.random.RandomState(2)
+    phi = rng.standard_normal(shape) * 10.0 ** rng.randint(-20, 20, size=shape)
+    phi.flat[:4] = [1e-05, -3.2e-17, 0.0, -0.0]
+    assert repr(float(phi.flat[0])) == "1e-05" and repr(float(phi.flat[1])) == "-3.2e-17"
+    cyflab.cli.write_phi_csv(tmp_path / "new.csv", phi)
+    _per_row_phi(tmp_path / "ref.csv", phi)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +24,11 @@ from cyflab.geometry import (
     herm_min_eig,
     ifft,
     invert_flat_laplacian,
+    irfft,
     laplace_beltrami,
     linear_coeff_derivative,
     matrix_min_eig,
+    rfft,
 )
 from conftest import random_chart_and_metric, random_trig_field
 
@@ -240,6 +244,52 @@ def test_nyquist_filter_matches_fourier_multiplier(seed, case):
     f = rng.standard_normal(chart.grid.shape) * rng.uniform(0.1, 10.0)
     assert np.max(np.abs(drop_nyquist_modes(f) - fourier_multiply(f, keep))) \
         <= 1e-14 * np.max(np.abs(f))
+
+
+def _class_means_by_reshape(f):
+    """drop_nyquist_modes as one reshape to (N/2, 2) per axis: the reference."""
+    classes = f.reshape(sum(((m // 2, 2) for m in f.shape), ()))
+    means = classes.mean(axis=tuple(range(0, classes.ndim, 2)), keepdims=True)
+    return (classes - means).reshape(f.shape) + np.mean(f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (1, 64), (2, 8), (2, 12)]))
+def test_nyquist_filter_matches_reshape_formula(seed, case):
+    """The strided parity-class loop agrees with the reshape formula, annihilates
+    every pure-Nyquist mode and keeps the constant."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    shape = (N,) * (2 * n)
+    f = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
+    before = f.copy()
+    out = drop_nyquist_modes(f)
+    assert np.array_equal(f, before)  # the classes are shifted in a copy
+    scale = np.max(np.abs(f))
+    assert np.max(np.abs(out - _class_means_by_reshape(f))) <= 1e-15 * scale
+    spectrum = fft(out)
+    for parity in np.ndindex((2,) * len(shape)):
+        index = tuple(p * (N // 2) for p in parity)
+        if any(index):
+            assert abs(spectrum[index]) <= 1e-13 * scale * f.size
+    assert abs(spectrum.flat[0] - fft(f).flat[0]) <= 1e-13 * scale * f.size
+
+
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
+def test_irfft_raises_no_warning(n, N):
+    """The transforms give numpy's fftn/ifftn/rfftn/irfftn bits, and irfft
+    raises no warning (numpy 2 warns on an irfftn given s without axes)."""
+    rng = np.random.RandomState(0)
+    shape = (N,) * (2 * n)
+    f = rng.standard_normal(shape)
+    c = f + 1j * rng.standard_normal(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = irfft(rfft(f), shape)
+    assert np.array_equal(back, np.fft.irfftn(np.fft.rfftn(f), s=shape, axes=range(len(shape))))
+    assert np.max(np.abs(back - f)) < 1e-13
+    assert np.array_equal(rfft(f), np.fft.rfftn(f))
+    assert np.array_equal(fft(c), np.fft.fftn(c)) and np.array_equal(ifft(c), np.fft.ifftn(c))
 
 
 @settings(max_examples=25, deadline=None)

@@ -197,7 +197,7 @@ CONFIG_SCHEMA = {
         "damping_floor": Key(_float, 2.0 ** -20, *_range(0, 1, open_lo=True)),
     },
     "stencil": {
-        "h_s": Key(_float, 1e-3, *_range(0, open_lo=True)),
+        "h_s": Key(_float, 1e-3, *_range(1e-6)),
         "richardson": Key(_bool, False),
     },
     "continuation": {
@@ -262,6 +262,8 @@ def parse_config(doc) -> dict:
     manufactured = fiber["manufactured"]
     if manufactured is not None and len(manufactured["mode"]) != 2 * n:
         raise ConfigError(f"fiber.manufactured.mode must list {2 * n} frequencies")
+    if manufactured is not None and max(map(abs, manufactured["mode"])) > grid_n // 2 - 1:
+        raise ConfigError("fiber.manufactured.mode exceeds the grid Nyquist range")
 
     try:
         chi = FourierPoly(n, chi_terms)
@@ -706,7 +708,11 @@ SUITE_RUNNERS = {
 
 
 def cmd_verify(cfg: dict, out_dir: Path, suites=None) -> int:
-    results = {name: SUITE_RUNNERS[name](cfg) for name in suites or cfg["suites"]}
+    suites = suites or cfg["suites"]
+    if "epsilon" in suites and sum(eps > 0 for eps in cfg["schedule"]) < 2:
+        raise ConfigError("continuation.eps_schedule needs two values > 0 for the "
+                          "epsilon suite to fit its order")
+    results = {name: SUITE_RUNNERS[name](cfg) for name in suites}
     ok = all(r["pass"] for r in results.values())
     report = {"provenance": provenance_block(cfg), "suites": results, "pass": ok}
     if "json" in cfg["outputs"]["formats"]:

@@ -24,8 +24,10 @@ and rfftn with out=, and irfftn's passes in place), which saves an
 allocation per axis on the 4-D grids of n = 2.  Operators
 that map real fields to real fields (dd^c, real even Fourier multipliers)
 take a real field through real transforms on the half spectrum (last axis
-0..N/2), which suffices because its spectrum is Hermitian.  Complex fields,
-and the complex-valued d/dz and d/dzbar, use full complex transforms.
+0..N/2), which suffices because its spectrum is Hermitian; a real
+multiplier is a half-spectrum table.  The complex-valued d/dz and d/dzbar,
+and dd^c of a complex field, use full complex transforms.  The fiber
+Laplacian and its constant-metric symbol are built here for every caller.
 """
 
 from __future__ import annotations
@@ -80,15 +82,13 @@ def irfft(fh: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def fourier_multiply(f: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Apply the Fourier multiplier mult (full grid, real and even in k) to f.
+    """Apply a real multiplier, even in k and given on the half spectrum, to f.
 
-    Such a multiplier maps real fields to real fields, so a real f goes
-    through the half spectrum and gives a real result; a complex f gives
-    a complex result.
+    A real f gives a real result; a complex f is taken as Re f + i Im f.
     """
     if np.iscomplexobj(f):
-        return ifft(fft(f) * mult)
-    return irfft(rfft(f) * mult[..., : f.shape[-1] // 2 + 1], f.shape)
+        return fourier_multiply(f.real, mult) + 1j * fourier_multiply(f.imag, mult)
+    return irfft(rfft(f) * mult, f.shape)
 
 
 def drop_nyquist_modes(f: np.ndarray) -> np.ndarray:
@@ -270,10 +270,9 @@ class FiberChart:
     def flat_inverse_mult(self) -> np.ndarray:
         """Multiplier -1/lambda(k) of the flat Laplacian's inverse, 0 where lambda = 0.
 
-        lambda is flat_symbol(self): f_{alpha alpha-bar} summed over alpha
-        has symbol -lambda.  The zeroed modes are its kernel: the constant
-        mode and the pure-Nyquist modes that the spectral derivative
-        annihilates.
+        lambda is flat_symbol(self), on the half spectrum.  The zeroed modes
+        are its kernel: the constant mode and the pure-Nyquist modes that
+        the spectral derivative annihilates.
         """
         lam = flat_symbol(self)
         with np.errstate(divide="ignore"):
@@ -364,8 +363,8 @@ def ddc_real_fields(fh: np.ndarray, chart: FiberChart):
     Each part is one real inverse transform of fh times a ddc_mult_half
     table; Im f_aa is None, as the diagonal is real.  This is the one
     implementation of dd^c on real fields: ddc_fiber packs its output into
-    the Hermitian matrix, and a caller that only weights and sums the parts
-    can take them one pair at a time.
+    the Hermitian matrix, and add_weighted_ddc weights and sums the parts
+    one pair at a time.
     """
     for (a, b), (re_mult, im_mult) in chart.ddc_mult_half.items():
         re = irfft(fh * re_mult, chart.grid.shape)
@@ -431,31 +430,61 @@ def matrix_min_eig(mat: np.ndarray) -> float:
     return float(np.min(vals[:, 0]))
 
 
+def hessian_weights(g) -> dict:
+    """Real weights {(a, b): (w_re, w_im)}, a <= b, of u -> g^{b a} u_ab for real u.
+
+    The sum is sum w_re Re u_ab + w_im Im u_ab (w_im is None on the real
+    diagonal); g is a field stack or a matrix.  At n = 2 the Hermitian pair
+    (0, 1), (1, 0) folds into -2 conj(g_01) / det g, in real arithmetic.
+    """
+    if g.shape[0] == 1:
+        return {(0, 0): (1.0 / g[0, 0].real, None)}
+    h00, h11, h01 = g[0, 0].real, g[1, 1].real, g[0, 1]
+    # in place, in the order of h00 h11 - (Re h01^2 + Im h01^2)
+    abs2 = h01.real ** 2
+    abs2 += h01.imag ** 2
+    det = h00 * h11
+    det -= abs2
+    del abs2
+    w_re = -2.0 * h01.real
+    w_re /= det
+    w_im = -2.0 * h01.imag
+    w_im /= det
+    return {(0, 0): (h11 / det, None), (1, 1): (h00 / det, None), (0, 1): (w_re, w_im)}
+
+
+def add_weighted_ddc(out: np.ndarray, fh: np.ndarray, chart: FiberChart, weights: dict):
+    """out += sum w_re Re f_ab + w_im Im f_ab over hessian_weights, fh the half spectrum of f."""
+    for a, b, re, im in ddc_real_fields(fh, chart):
+        w_re, w_im = weights[a, b]
+        re *= w_re
+        out += re
+        if im is not None:
+            im *= w_im
+            out += im
+
+
 def laplace_beltrami(g: np.ndarray, f: np.ndarray, chart: FiberChart) -> np.ndarray:
-    """Delta_g f = g^{beta-bar alpha} f_{alpha beta-bar} on the fiber."""
+    """Delta_g f = g^{beta-bar alpha} f_{alpha beta-bar}; a complex f is Re f + i Im f."""
     if herm_min_eig(g) <= 0:
         raise DefinitenessError("laplace_beltrami needs a positive-definite metric")
-    gup = herm_inverse(g)
-    hess = ddc_fiber(f, chart)
-    n = chart.n
-    out = np.zeros(chart.grid.shape, dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            out = out + gup[b, a] * hess[a, b]
+    f = chart.check_field(f)
+    if np.iscomplexobj(f):
+        return laplace_beltrami(g, f.real, chart) + 1j * laplace_beltrami(g, f.imag, chart)
+    out = np.zeros(chart.grid.shape)
+    add_weighted_ddc(out, rfft(f), chart, hessian_weights(g))
     return out
 
 
 def flat_symbol(chart: FiberChart, g_const: np.ndarray | None = None) -> np.ndarray:
-    """lambda(k) >= 0 with Delta_g e_k = -lambda(k) e_k for constant g."""
-    n = chart.n
-    if g_const is None:
-        g_const = np.eye(n, dtype=complex)
-    gup = np.linalg.inv(np.asarray(g_const, dtype=complex))
-    lam = np.zeros(chart.grid.shape, dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            lam = lam + gup[b, a] * chart.z_mult[a] * np.conj(chart.z_mult[b])
-    lam = lam.real
+    """lambda(k) >= 0 with Delta_g e_k = -lambda(k) e_k for constant g, on the half spectrum."""
+    lam = np.zeros(chart.ddc_mult_half[0, 0][0].shape)
+    g = np.eye(chart.n) if g_const is None else np.asarray(g_const)
+    for (a, b), (w_re, w_im) in hessian_weights(g).items():
+        re_mult, im_mult = chart.ddc_mult_half[a, b]
+        lam -= w_re * re_mult
+        if im_mult is not None:
+            lam -= w_im * im_mult
     lam[lam < 0] = 0.0
     return lam
 

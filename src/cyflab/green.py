@@ -37,8 +37,12 @@ class NonConstantMetricError(GeometryError):
 class GreenOperator:
     chart: FiberChart
     h_const: np.ndarray          # (n, n) constant fiber metric
-    lam: np.ndarray              # grid multipliers of -Delta_h (operator form)
     volume: float
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """Half-spectrum multipliers of -Delta_h (operator form)."""
+        return flat_symbol(self.chart, self.h_const)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Inverse of -Delta_h on the zero-mean subspace (grid mean removed)."""
@@ -153,9 +157,8 @@ def build_green(h: np.ndarray, chart: FiberChart, constancy_tol: float = 1e-8) -
                 "Green kernels are supported for flat metrics only")
     if np.min(np.linalg.eigvalsh((h_const + h_const.conj().T) / 2)).real <= 0:
         raise GeometryError("Green kernel needs a positive-definite metric")
-    lam = flat_symbol(chart, h_const)
     volume = float(np.linalg.det(h_const).real) * chart.measure
-    return GreenOperator(chart=chart, h_const=h_const, lam=lam, volume=volume)
+    return GreenOperator(chart=chart, h_const=h_const, volume=volume)
 
 
 def k_bound(green: GreenOperator, resolution: int | None = None,

@@ -46,10 +46,10 @@ from .geometry import (
     FiberChart,
     GeometryError,
     NormalizationError,
+    add_weighted_ddc,
     d_z,
     d_zbar,
     ddc_fiber,
-    ddc_real_fields,
     drop_nyquist_modes,
     fiber_integral,
     flat_symbol,
@@ -57,6 +57,7 @@ from .geometry import (
     herm_det,
     herm_inverse,
     herm_min_eig,
+    hessian_weights,
     irfft,
     rfft,
 )
@@ -151,32 +152,6 @@ def eta_from_metric(gab: np.ndarray, chart: FiberChart) -> np.ndarray:
     # int e^eta det(g) = int det(g) forces the additive constant
     c = np.log(np.mean(det))
     return -np.log(det) + c
-
-
-def _hessian_weights(h) -> dict:
-    """Real weights of u -> Re sum_ab h^{b a} u_{a b-bar} for real u, at n = 2.
-
-    Returns {(a, b): (w_re, w_im)} for a <= b, with the sum equal to
-    sum w_re Re u_ab + w_im Im u_ab (w_im is None on the diagonal, where
-    u_aa is real).  The hessian of a real u is Hermitian, so the pair
-    (0, 1), (1, 0) folds into one complex weight h^{1 0} + conj h^{0 1}
-    = -2 conj(h_01) / det h.  The weights are computed in real arithmetic
-    from h_00, h_11 and h_01; h may be a stack of fields or one matrix.
-    They weight the GMRES matvec (h the Newton iterate), the preconditioner
-    (h its mean) and the closing Delta_g phi of an n = 2 solve (h = g).
-    """
-    h00, h11, h01 = h[0, 0].real, h[1, 1].real, h[0, 1]
-    # in place, in the order of h00 h11 - (Re h01^2 + Im h01^2)
-    abs2 = h01.real ** 2
-    abs2 += h01.imag ** 2
-    det = h00 * h11
-    det -= abs2
-    del abs2
-    w_re = -2.0 * h01.real
-    w_re /= det
-    w_im = -2.0 * h01.imag
-    w_im /= det
-    return {(0, 0): (h11 / det, None), (1, 1): (h00 / det, None), (0, 1): (w_re, w_im)}
 
 
 def _project_rhs(rhs, h):
@@ -336,7 +311,7 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
             u = fourier_multiply(herm_det(h).real * rhs, chart.flat_inverse_mult)
             out = u - np.mean(u), 0, 0, None
             return lambda: out
-    weights = _hessian_weights(h)
+    weights = hessian_weights(h)
     inv_denom = _preconditioner_symbol(h, chart, eps)
 
     # Pure-Nyquist modes are annihilated by the spectral derivative, hence
@@ -365,13 +340,7 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
             out *= -eps
         else:
             out = np.zeros(grid.shape)
-        for a, b, re, im in ddc_real_fields(fh, chart):
-            w_re, w_im = weights[a, b]
-            re *= w_re
-            out += re
-            if im is not None:
-                im *= w_im
-                out += im
+        add_weighted_ddc(out, fh, chart, weights)
         out = filtered(out)
         if pin:
             # M keeps the constant mode, so mean(M vec) = mean(vec)
@@ -398,20 +367,11 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
 def _preconditioner_symbol(h, chart, eps) -> np.ndarray:
     """The symbol -1/(lambda + eps) of M on the half spectrum (n >= 2).
 
-    lambda >= 0 with Delta e_k = -lambda(k) e_k for the mean of h: the
-    matvec's Hessian weights and dd^c tables at constant h.  At eps = 0, M
-    keeps the constant mode and zeroes the rest of lambda's kernel (the
-    pure-Nyquist modes).  The symbol is formed in place of lambda.
+    lambda is flat_symbol at the mean of h.  At eps = 0, M keeps the
+    constant mode and zeroes the rest of lambda's kernel (the pure-Nyquist
+    modes).  The symbol is formed in place of lambda.
     """
-    n = chart.n
-    h_mean = np.array([[np.mean(h[a, b]) for b in range(n)] for a in range(n)])
-    lam = np.zeros(chart.ddc_mult_half[0, 0][0].shape)
-    for (a, b), (w_re, w_im) in _hessian_weights(h_mean).items():
-        re_mult, im_mult = chart.ddc_mult_half[a, b]
-        lam -= w_re * re_mult
-        if im_mult is not None:
-            lam -= w_im * im_mult
-    lam[lam < 0] = 0.0
+    lam = flat_symbol(chart, np.array([[np.mean(h_ab) for h_ab in row] for row in h]))
     if eps == 0:
         np.divide(-1.0, lam, out=lam, where=lam > 0)
         lam.flat[0] = 1.0
@@ -609,7 +569,7 @@ def _laplacian_of_potential(g, h) -> np.ndarray:
     if g.shape[0] == 1:
         return (herm_inverse(g)[0, 0] * (h[0, 0] - g[0, 0])).real
     lap = np.zeros(g.shape[2:])
-    for (a, b), (w_re, w_im) in _hessian_weights(g).items():
+    for (a, b), (w_re, w_im) in hessian_weights(g).items():
         part = h[a, b].real - g[a, b].real
         part *= w_re
         lap += part

@@ -406,6 +406,9 @@ RECT = [-0.1, 0.1, 0.9, 1.1]
                                  "period_matrix": [[[0, 1], 0], [0, [0, 1]]]},
                       "solver.grid_n": 34}),
     (["run-family"], {"solver.grid_n": 17}),
+    (["solve-fiber"], {"fiber": {"manufactured": {"amplitude": 0.05, "mode": [8, 0]}}}),
+    (["verify", "--suite", "elliptic"], {"stencil.h_s": 1e-300}),
+    (["verify", "--suite", "epsilon"], {"continuation": {"eps_schedule": [0.1, 0.0]}}),
 ], ids=["manufactured-no-amplitude", "mode-3-entries", "grid-n-string",
         "empty-eps-schedule", "threads-0",
         "chi-5", "samples-5", "suites-5", "formats-5", "nx-negative", "seed-negative",
@@ -413,7 +416,7 @@ RECT = [-0.1, 0.1, 0.9, 1.1]
         "h-s-infinite", "fiber-eps-negative", "fiber-s-below-axis", "grid-n-float",
         "chi-frequency-float", "richardson-string", "damping-floor-2", "dir-5",
         "normalization-bad", "chi-coefficient-overflow", "grid-n2-past-node-bound",
-        "grid-n-odd"])
+        "grid-n-odd", "mode-past-nyquist", "h-s-tiny", "eps-schedule-one-positive"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, edit):
     path, doc = base_config(tmp_path)
     doc["solver"]["grid_n"] = 16
@@ -426,6 +429,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, edit):
     path.write_text(json.dumps(doc))
     assert main(command + ["--config", str(path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, edit", [

@@ -448,9 +448,9 @@ def test_curvature_report_builds_the_model_form_once(perturbed_family, monkeypat
     builds the model form at the center only, and takes dzbar phi on the
     five-point cross that the differences read: 7 fiber derivatives in all,
     with the q1 chain-rule term and dbar of the lift.  rho's fiber block is the
-    center solve's metric, not rebuilt from phi: dd^c is taken once per solve
-    (one exact Newton step) and once in the PDE's Laplace-Beltrami operator,
-    10 times in all."""
+    center solve's metric, not rebuilt from phi: dd^c of a real field
+    (geometry.ddc_real_fields) is taken once per solve (one exact Newton
+    step) and once in the PDE's Laplace-Beltrami operator, 10 times in all."""
     import sys
 
     import cyflab.geometry
@@ -459,9 +459,9 @@ def test_curvature_report_builds_the_model_form_once(perturbed_family, monkeypat
 
     owners = [(cyflab.masolver, "solve_ma"), (Family, "omega"),
               (cyflab.geometry, "fiber_derivative")]
-    # every module that binds ddc_fiber, so that no caller escapes the count
-    owners += [(mod, "ddc_fiber") for name, mod in sorted(sys.modules.items())
-               if name.split(".")[0] == "cyflab" and hasattr(mod, "ddc_fiber")]
+    # every module that binds ddc_real_fields, so that no caller escapes the count
+    owners += [(mod, "ddc_real_fields") for name, mod in sorted(sys.modules.items())
+               if name.split(".")[0] == "cyflab" and hasattr(mod, "ddc_real_fields")]
     calls = dict.fromkeys((name for _, name in owners), 0)
     for owner, name in owners:
         def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
@@ -469,4 +469,4 @@ def test_curvature_report_builds_the_model_form_once(perturbed_family, monkeypat
             return _real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     curvature_report(perturbed_family, 0.2 + 1.0j)
-    assert calls == {"solve_ma": 9, "omega": 1, "fiber_derivative": 7, "ddc_fiber": 10}
+    assert calls == {"solve_ma": 9, "omega": 1, "fiber_derivative": 7, "ddc_real_fields": 10}

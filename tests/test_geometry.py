@@ -104,6 +104,69 @@ def test_laplace_beltrami_flat(square_chart):
         laplace_beltrami(-g, f, square_chart)
 
 
+def _random_positive_metric(rng, chart, g_const):
+    """g_const scaled by a positive field, plus at n = 2 a Hermitian off-diagonal bump."""
+    n, shape = chart.n, chart.grid.shape
+    bump = random_trig_field(rng, chart.grid, kmax=2).real
+    bump = 0.3 * bump / max(1.0, float(np.max(np.abs(bump))))
+    g = g_const.reshape((n, n) + (1,) * len(shape)) * (1.0 + bump)
+    if n == 2:
+        c = random_trig_field(rng, chart.grid, kmax=2, real=False)
+        c = 0.05 * c / max(1.0, float(np.max(np.abs(c))))
+        g[0, 1] += c
+        g[1, 0] += np.conj(c)
+    return g
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (1, 32), (2, 8)]))
+def test_laplace_beltrami_matches_inverse_metric_formula(seed, case):
+    """The weighted dd^c sum equals sum_ab herm_inverse(g)[b, a] ddc_fiber(f)[a, b],
+    the formula it replaces, for real and complex f."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    chart, g_const = random_chart_and_metric(rng, n, N)
+    g = _random_positive_metric(rng, chart, g_const)
+    assert herm_min_eig(g) > 0
+    gup = herm_inverse(g)
+    for real in (True, False):
+        f = random_trig_field(rng, chart.grid, kmax=3, real=real)
+        f = f.real if real else f
+        hess = ddc_fiber(f, chart)
+        reference = sum(gup[b, a] * hess[a, b] for a in range(n) for b in range(n))
+        lap = laplace_beltrami(g, f, chart)
+        assert np.iscomplexobj(lap) == (not real)
+        scale = max(1.0, float(np.max(np.abs(reference))))
+        assert np.max(np.abs(lap - reference)) <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       case=st.sampled_from([(1, 16), (1, 32), (2, 8), (2, 12)]))
+def test_flat_symbol_matches_quadratic_form(seed, case):
+    """flat_symbol is Re sum_ab g^{b a} z_a conj(z_b) on the half spectrum, negative
+    rounding set to 0: bit for bit at g = I, to rounding for a constant positive g."""
+    n, N = case
+    chart, g = random_chart_and_metric(np.random.RandomState(seed), n, N)
+
+    def reference(g_const):
+        gup = np.linalg.inv(g_const)
+        lam = np.zeros(chart.grid.shape, dtype=complex)
+        for a in range(n):
+            for b in range(n):
+                lam = lam + gup[b, a] * chart.z_mult[a] * np.conj(chart.z_mult[b])
+        lam = lam.real[..., : N // 2 + 1].copy()
+        lam[lam < 0] = 0.0
+        return lam
+
+    identity = reference(np.eye(n, dtype=complex))
+    assert np.array_equal(flat_symbol(chart), identity)
+    assert np.array_equal(flat_symbol(chart, np.eye(n, dtype=complex)), identity)
+    expected = reference(g)
+    assert np.max(np.abs(flat_symbol(chart, g) - expected)) \
+        <= 8 * np.finfo(float).eps * np.max(expected)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_laplacian_integral_vanishes(seed):
@@ -303,4 +366,5 @@ def test_parity_modes_are_the_flat_kernel(seed, case):
     parity = np.logical_and.reduce([(k == 0) | (np.abs(k) == N // 2) for k in freqs])
     parity.flat[0] = False
     assert parity.sum() == 2 ** (2 * n) - 1
-    assert np.array_equal(parity, _flat_kernel_without_constant(chart, h_mean))
+    assert np.array_equal(parity[..., : N // 2 + 1],
+                          _flat_kernel_without_constant(chart, h_mean))

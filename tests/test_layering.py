@@ -2,7 +2,8 @@
 curvature report in cyflab.familygeom can use it without an import cycle;
 cyflab.models does too, so the closed-form eps = 0 answer it holds shares no
 code with the solver (cyflab.masolver) or the Green kernels it checks.  No
-module reaches into another's private names."""
+module reaches into another's private names, and the fiber Laplacian is
+built in cyflab.geometry only."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,21 @@ def test_public_names_resolve():
     """Every name the package exports exists."""
     missing = [name for name in cyflab.__all__ if not hasattr(cyflab, name)]
     assert missing == []
+
+
+def test_fiber_laplacian_built_in_geometry_only():
+    """Only cyflab.geometry reads a chart's derivative tables (z_mult, ddc_mult,
+    ddc_mult_half) or defines Hessian weights: every other module takes Delta_g
+    and its symbol from geometry's functions."""
+    tables = {"z_mult", "ddc_mult", "ddc_mult_half"}
+    found = []
+    for path in sorted(Path(cyflab.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in tables:
+                found.append((path.name, node.attr))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and "hessian_weights" in node.name:
+                found.append((path.name, node.name))
+    assert found == []

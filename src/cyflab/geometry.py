@@ -110,6 +110,31 @@ def drop_nyquist_modes(f: np.ndarray) -> np.ndarray:
     return out
 
 
+def prolong(f: np.ndarray, shape: tuple) -> np.ndarray:
+    """The real field on a finer grid of the given shape whose half spectrum is f's.
+
+    f's half spectrum is zero-padded: each mode k of f with every |k_m| below
+    f's Nyquist frequency keeps its coefficient, scaled by the ratio of node
+    counts, so the trigonometric polynomial is the same; the Nyquist planes
+    of f, which the finer grid would read as two modes, are dropped.
+    """
+    fh = rfft(f)
+    out = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), complex)
+    coarse, fine = [], []
+    for m, (nc, nf) in enumerate(zip(f.shape, shape)):
+        low = np.arange(nc // 2)
+        if m == len(shape) - 1:
+            coarse.append(low)
+            fine.append(low)
+        else:
+            # frequencies 0 .. nc/2 - 1, then -(nc/2 - 1) .. -1
+            high = np.arange(1 - nc // 2, 0)
+            coarse.append(np.concatenate([low, high % nc]))
+            fine.append(np.concatenate([low, high % nf]))
+    out[np.ix_(*fine)] = fh[np.ix_(*coarse)] * (np.prod(shape) / f.size)
+    return irfft(out, shape)
+
+
 @dataclass(frozen=True)
 class FiberGrid:
     """Uniform N^(2n) lattice on [0,1)^{2n} with its spectral index set.
@@ -401,23 +426,39 @@ def herm_inverse(g: np.ndarray) -> np.ndarray:
 
 
 def herm_det(g: np.ndarray) -> np.ndarray:
+    """Pointwise det g; at n = 2, g_00 g_11 - g_01 g_10 with the difference taken in place."""
     n = g.shape[0]
     if n == 1:
         return g[0, 0]
     if n == 2:
-        return g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        det = g[0, 0] * g[1, 1]
+        det -= g[0, 1] * g[1, 0]
+        return det
     raise GeometryError(f"unsupported fiber dimension {n}")
 
 
 def herm_min_eig(g: np.ndarray) -> float:
-    """Minimum over grid nodes of the smallest eigenvalue of g[a,b]."""
+    """Minimum over grid nodes of the smallest eigenvalue of g[a,b].
+
+    At n = 2 this is min (g_00 + g_11)/2 - sqrt(((g_00 - g_11)/2)^2 + |g_01|^2),
+    evaluated in that order of operations in three fields, updated in place.
+    """
     n = g.shape[0]
     if n == 1:
         return float(np.min(g[0, 0].real))
     if n == 2:
-        half_tr = (g[0, 0].real + g[1, 1].real) / 2.0
-        rad = np.sqrt(((g[0, 0].real - g[1, 1].real) / 2.0) ** 2 + np.abs(g[0, 1]) ** 2)
-        return float(np.min(half_tr - rad))
+        g00, g11 = g[0, 0].real, g[1, 1].real
+        half_tr = g00 + g11
+        half_tr /= 2.0
+        rad = g00 - g11
+        rad /= 2.0
+        rad **= 2
+        off = np.abs(g[0, 1])
+        off **= 2
+        rad += off
+        np.sqrt(rad, out=rad)
+        half_tr -= rad
+        return float(np.min(half_tr))
     raise GeometryError(f"unsupported fiber dimension {n}")
 
 

@@ -59,6 +59,7 @@ from .geometry import (
     herm_min_eig,
     hessian_weights,
     irfft,
+    prolong,
     rfft,
 )
 from .models import Family, FamilyForm
@@ -559,6 +560,58 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
                       normalization=normalization, diagnostics=diagnostics)
 
 
+def solve_nested(problem_at: Callable, grid_n: int, max_frequency: int,
+                 config: SolverConfig | None = None,
+                 normalization: str = KE_VOLUME) -> MASolution:
+    """solve_ma on the grid_n grid, started from the solution of a coarser grid.
+
+    problem_at(N) builds the problem from the same analytic data on an N
+    grid, and max_frequency bounds the |k_m| of every mode in that data.  A
+    coarser level at N/2 exists when N/2 is even and at least 8 (the
+    FiberGrid floor), when max_frequency lies below its Nyquist frequency
+    N/4, and when the step is not the exact one of n = 1, eps = 0.  That
+    level is solved by this function first, and its phi, prolonged to the
+    grid_n grid, is solve_ma's initial guess (grid sequencing: by mesh
+    independence, Newton from a coarse-grid start needs few fine steps).
+    The answer is accepted by solve_ma's tol test on the grid_n grid only.
+    If the coarse levels fail, or the solve from their guess does (for one,
+    the guess may lose fiber positivity), the problem is solved from phi = 0
+    as solve_ma alone does, and that outcome stands.
+
+    diagnostics["levels"] lists, coarsest first, the levels that led to the
+    answer: grid_n, newton_iters, matvecs (the sum of the level's
+    linear_iterations) and start_residual (sup |F| at the prolonged guess;
+    None on the level solved from phi = 0).
+    """
+    config = config or SolverConfig()
+    problem = problem_at(grid_n)
+    coarse_n = grid_n // 2
+    nested = (not (problem.chart.n == 1 and problem.epsilon == 0)
+              and coarse_n % 2 == 0 and coarse_n >= 8 and max_frequency < coarse_n // 2)
+    if nested:
+        try:
+            # a constant shift of the guess moves no dd^c: the coarse level
+            # skips the normalization
+            coarse = solve_nested(problem_at, coarse_n, max_frequency, config, NO_NORMALIZATION)
+            levels = coarse.diagnostics["levels"]
+            guess = prolong(coarse.phi, problem.chart.grid.shape)
+            del coarse
+            sol = solve_ma(problem, config, normalization, initial_guess=guess)
+        except (SolverDivergence, GeometryError):
+            nested = False
+    if not nested:
+        levels = []
+        sol = solve_ma(problem, config, normalization)
+    trace = sol.diagnostics
+    start = None
+    if nested:
+        start = trace["residual_history"][0] if sol.newton_iters else sol.residual_sup
+    trace["levels"] = levels + [{"grid_n": grid_n, "newton_iters": sol.newton_iters,
+                                 "matvecs": sum(trace["linear_iterations"]),
+                                 "start_residual": start}]
+    return sol
+
+
 def _laplacian_of_potential(g, h) -> np.ndarray:
     """Delta_g phi = g^{b a} phi_ab for the phi with phi_ab = (h - g)_ab.
 
@@ -772,10 +825,14 @@ def semiflat_shift(rho: AssembledRho) -> dict:
 
 @dataclass
 class EpsilonPath:
+    """order is the fitted decay order of sup |phi_eps - phi_0| in eps; None
+    with fewer than two eps > 0 rows, or when one of their differences is not
+    positive and has no logarithm."""
+
     schedule: tuple
     solutions: list
     table: list
-    order: float
+    order: float | None
     c_normalization: float
     sup_phi_max: float
     sup_lap_max: float
@@ -850,7 +907,7 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
 
     pos = [(row["eps"], row["sup_diff_to_limit"], abs(row["ke_integral"]))
            for row in table if row["eps"] > 0]
-    order = float("nan")
+    order = None
     c_norm = 0.0
     if len(pos) >= 2:
         xs = np.log([p[0] for p in pos])

@@ -37,7 +37,7 @@ its curvatures follow from tau, tau', base_coeff and the fiber mean of chi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -247,6 +247,15 @@ class Family:
         # the n = 1 path caches them: an n = 2 wave with k_m != 0 on every
         # axis is a full 4-D field.
         self._waves = {}
+
+    def on_grid(self, grid_n: int) -> "Family":
+        """The family of the same spec with its fibers sampled on a grid_n grid.
+
+        The base samples are not validated again.
+        """
+        if grid_n == self.grid.N:
+            return self
+        return Family(replace(self.spec, grid_n=grid_n))
 
     # -- modulus -----------------------------------------------------------
 

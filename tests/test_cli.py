@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyflab.cli import CONFIG_SCHEMA, ConfigError, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, \
-    load_config, main, parse_config
+import cyflab.cli
+import cyflab.masolver
+from cyflab.cli import CONFIG_SCHEMA, ConfigError, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, \
+    EXIT_OK, load_config, main, manufactured_phi, manufactured_problem, parse_config, write_json
+from cyflab.geometry import DefinitenessError
+from cyflab.masolver import SolverConfig, SolverDivergence, solve_ma
+from cyflab.models import FamilySpec, make_family
 
 
 def base_config(tmp_path, **overrides):
@@ -107,6 +112,123 @@ def test_solve_fiber_product_trivial(tmp_path):
     assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
     rep = json.loads((tmp_path / "out" / "fiber_solution.json").read_text())
     assert rep["diagnostics"]["sup_phi"] < 1e-12
+
+
+# the acceptance-4 potential 0.01 cos 2 pi x_1 + 0.008 cos 2 pi y_2 on the
+# fiber with period matrix i I (the benchmark's fiber-n2 seed-0 input)
+N2_FAMILY = {"kind": "product", "n": 2,
+             "period_matrix": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]],
+             "chi": [[1, 0, 0, 0, 0, 0, 0.01, 0.0], [-1, 0, 0, 0, 0, 0, 0.01, 0.0],
+                     [0, 0, 0, 1, 0, 0, 0.008, 0.0], [0, 0, 0, -1, 0, 0, 0.008, 0.0]]}
+
+
+def read_phi(out):
+    """The field of phi.csv, flat, as written (repr round-trips every float)."""
+    return np.loadtxt(out / "phi.csv", delimiter=",", skiprows=1)[:, -1]
+
+
+def test_solve_fiber_n2_starts_from_the_coarse_grid(tmp_path):
+    """The fiber-n2 solve runs its Newton steps on the 12^4 grid; the 24^4
+    grid accepts the prolonged answer with no step."""
+    path, doc = base_config(tmp_path, family=N2_FAMILY, fiber={"eps": 0.0})
+    doc["solver"] = {"grid_n": 24, "tol": 1e-11}
+    doc["outputs"]["formats"] = ["json"]
+    path.write_text(json.dumps(doc))
+    assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
+    rep = json.loads((tmp_path / "out" / "fiber_solution.json").read_text())
+    levels = rep["diagnostics"]["levels"]
+    assert [lv["grid_n"] for lv in levels] == [12, 24]
+    assert levels[0]["newton_iters"] == 4 and levels[0]["matvecs"] > 0
+    assert levels[0]["start_residual"] is None
+    assert rep["newton_iters"] == levels[1]["newton_iters"] == 0
+    assert levels[1]["start_residual"] == rep["residual_sup"] <= 1e-11
+
+
+def manufactured_n1(tmp_path):
+    path, doc = base_config(tmp_path)
+    doc["solver"]["grid_n"] = 32
+    doc["fiber"] = {"s": [0.0, 1.0], "eps": 0.5,
+                    "manufactured": {"amplitude": 0.05, "mode": [1, 0]}}
+    path.write_text(json.dumps(doc))
+    return path, doc
+
+
+@pytest.mark.parametrize("failure", ["coarse-diverges", "coarse-indefinite", "guess-fails"])
+def test_solve_fiber_falls_back_to_the_direct_solve(tmp_path, monkeypatch, failure):
+    """When a coarse level fails, or the solve from its guess does, solve-fiber
+    returns the direct solve from phi = 0, bit for bit, with its exit code."""
+    path, doc = manufactured_n1(tmp_path)
+    assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
+    rep = json.loads((tmp_path / "out" / "fiber_solution.json").read_text())
+    assert [lv["grid_n"] for lv in rep["diagnostics"]["levels"]] == [8, 16, 32]
+
+    def failing(problem, config=None, normalization="ke_volume", initial_guess=None):
+        N = problem.chart.grid.N
+        if failure == "coarse-diverges" and N < 32:
+            raise SolverDivergence("coarse level diverged")
+        if failure == "coarse-indefinite" and N < 32:
+            raise DefinitenessError("coarse level lost positivity")
+        if failure == "guess-fails" and initial_guess is not None:
+            raise SolverDivergence("fine solve from the guess diverged")
+        return solve_ma(problem, config, normalization, initial_guess)
+
+    monkeypatch.setattr(cyflab.masolver, "solve_ma", failing)
+    assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
+    rep = json.loads((tmp_path / "out" / "fiber_solution.json").read_text())
+    (level,) = rep["diagnostics"]["levels"]
+    assert level["grid_n"] == 32 and level["start_residual"] is None
+    assert level["newton_iters"] == rep["newton_iters"]
+    cfg = load_config(str(path))
+    family = make_family(cfg["spec"])
+    metric = family.fiber_metric(cfg["fiber"]["s"])
+    problem = manufactured_problem(metric, manufactured_phi(cfg["fiber"]["manufactured"],
+                                                            metric.chart.grid), 0.5)
+    direct = solve_ma(problem, cfg["solver"], "none")
+    assert rep["newton_iters"] == direct.newton_iters > 0
+    assert np.array_equal(read_phi(tmp_path / "out"), direct.phi.ravel())
+
+
+def test_solve_fiber_n2_manufactured_eps_positive(tmp_path):
+    """A full n = 2 Newton solve at eps > 0 on a metric with non-constant
+    coefficients recovers the manufactured phi*, on the nested path and
+    directly, and the two answers agree."""
+    path, doc = base_config(tmp_path, family=N2_FAMILY)
+    doc["solver"] = {"grid_n": 16, "tol": 1e-11}
+    doc["fiber"] = {"eps": 0.4, "manufactured": {"amplitude": 0.02, "mode": [1, 1, 0, -1]}}
+    path.write_text(json.dumps(doc))
+    assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
+    out = tmp_path / "out"
+    rep = json.loads((out / "fiber_solution.json").read_text())
+    assert rep["recovery_error"] <= 1e-10 and rep["residual_sup"] <= 1e-11
+    assert [lv["grid_n"] for lv in rep["diagnostics"]["levels"]] == [8, 16]
+
+    cfg = load_config(str(path))
+    metric = make_family(cfg["spec"]).fiber_metric(cfg["fiber"]["s"])
+    phi_star = manufactured_phi(cfg["fiber"]["manufactured"], metric.chart.grid)
+    direct = solve_ma(manufactured_problem(metric, phi_star, 0.4), cfg["solver"], "none")
+    assert direct.newton_iters > 1 and direct.residual_sup <= 1e-11
+    assert np.max(np.abs(direct.phi - phi_star)) <= 1e-10
+    assert np.max(np.abs(read_phi(out) - direct.phi.ravel())) <= 1e-10
+
+
+def test_epsilon_suite_without_a_decay_order_fails_with_a_reason(tmp_path, monkeypatch):
+    """On a chi = 0 family every phi_eps is the eps = 0 one, so no order can be
+    fitted: the suite fails, says why, and its report is valid JSON."""
+    monkeypatch.setattr(cyflab.cli, "_perturbed_family", lambda cfg: make_family(
+        FamilySpec(kind="universal_elliptic", grid_n=cfg["spec"].grid_n)))
+    path, doc = base_config(tmp_path)
+    doc["solver"]["grid_n"] = 16
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--suite", "epsilon"]) == EXIT_ASSERTION
+    suite = json.loads((tmp_path / "out" / "verify_report.json").read_text())["suites"]["epsilon"]
+    assert suite["order"] is None and not suite["pass"]
+    assert suite["failure"].startswith("no decay order")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_refuses_non_finite_values(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "report.json", {"rows": [{"order": value}]})
 
 
 def test_run_family_outputs_and_determinism(tmp_path):

@@ -20,6 +20,7 @@ from cyflab.geometry import (
     flat_symbol,
     fourier_multiply,
     herm_check,
+    herm_det,
     herm_inverse,
     herm_min_eig,
     ifft,
@@ -28,6 +29,7 @@ from cyflab.geometry import (
     laplace_beltrami,
     linear_coeff_derivative,
     matrix_min_eig,
+    prolong,
     rfft,
 )
 from conftest import random_chart_and_metric, random_trig_field
@@ -368,3 +370,61 @@ def test_parity_modes_are_the_flat_kernel(seed, case):
     assert parity.sum() == 2 ** (2 * n) - 1
     assert np.array_equal(parity[..., : N // 2 + 1],
                           _flat_kernel_without_constant(chart, h_mean))
+
+
+def _trig_poly(rng, grid, kmax, terms=5):
+    """A real trigonometric polynomial with |k_m| <= kmax and sup at most 1, and its
+    (k, amplitude, phase) terms."""
+    spec = [(rng.randint(-kmax, kmax + 1, size=2 * grid.n), rng.uniform(-1, 1) / terms,
+             rng.uniform(0, 2 * np.pi)) for _ in range(terms)]
+
+    def on(g):
+        f = np.zeros(g.shape)
+        for k, amp, phase in spec:
+            f += amp * np.cos(2 * np.pi * sum(kk * g.coords[ax] for ax, kk in enumerate(k))
+                              + phase)
+        return f
+
+    return on(grid), on
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 8, 16), (1, 16, 64), (2, 8, 16)]))
+def test_prolong_reproduces_trig_polynomials(seed, case):
+    """A real trigonometric polynomial with |k_m| < N_c/2, prolonged from the
+    N_c grid, is its own values on the finer grid, and on the shared nodes
+    (every N/N_c-th) it is the coarse field."""
+    n, nc, nf = case
+    coarse, fine = FiberGrid(n, nc), FiberGrid(n, nf)
+    f, on = _trig_poly(np.random.RandomState(seed), coarse, nc // 2 - 1)
+    p = prolong(f, fine.shape)
+    assert p.dtype == np.float64 and p.shape == fine.shape
+    assert np.max(np.abs(p - on(fine))) < 1e-14
+    assert np.max(np.abs(p[(slice(None, None, nf // nc),) * (2 * n)] - f)) < 1e-14
+
+
+def test_prolong_drops_the_coarse_nyquist_planes():
+    """cos(pi N_c x), the Nyquist mode of the N_c grid, is not carried to a finer grid."""
+    coarse = FiberGrid(1, 8)
+    f = np.cos(np.pi * coarse.N * coarse.coords[0]) + 0.5
+    assert np.max(np.abs(prolong(f, FiberGrid(1, 16).shape) - 0.5)) < 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), N=st.sampled_from([8, 12]))
+def test_n2_det_and_min_eig_keep_their_bits(seed, N):
+    """herm_det and herm_min_eig at n = 2, computed in place, equal the plain
+    formulas bit for bit on random Hermitian fields."""
+    rng = np.random.RandomState(seed)
+    grid = FiberGrid(2, N)
+    g = np.empty((2, 2) + grid.shape, dtype=complex)
+    # a diagonal with an imaginary rounding residue, as a solved metric may carry
+    g[0, 0] = rng.uniform(0.1, 3) + rng.standard_normal(grid.shape) \
+        + 1e-17j * rng.standard_normal(grid.shape)
+    g[1, 1] = rng.uniform(0.1, 3) + rng.standard_normal(grid.shape)
+    g[0, 1] = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    g[1, 0] = np.conj(g[0, 1])
+    assert np.array_equal(herm_det(g), g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+    half_tr = (g[0, 0].real + g[1, 1].real) / 2.0
+    rad = np.sqrt(((g[0, 0].real - g[1, 1].real) / 2.0) ** 2 + np.abs(g[0, 1]) ** 2)
+    assert herm_min_eig(g) == float(np.min(half_tr - rad))

@@ -72,3 +72,16 @@ def test_fiber_laplacian_built_in_geometry_only():
                     and "hessian_weights" in node.name:
                 found.append((path.name, node.name))
     assert found == []
+
+
+def test_solve_fiber_has_one_solve_path():
+    """cmd_solve_fiber solves through masolver.solve_nested only, never calling
+    solve_ma itself, so both of its branches take the nested solve."""
+    cli = Path(cyflab.__file__).parent / "cli.py"
+    (func,) = [node for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "cmd_solve_fiber"]
+    called = [node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(func) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))]
+    assert "solve_ma" not in called
+    assert called.count("solve_nested") == 2

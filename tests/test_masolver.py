@@ -38,6 +38,7 @@ from cyflab.masolver import (
     linearized_solve,
     semiflat_shift,
     solve_ma,
+    solve_nested,
     solve_stencil,
 )
 from cyflab.models import FamilySpec, FourierPoly, make_family
@@ -332,6 +333,45 @@ def test_n2_solve_holds_only_what_the_next_step_reads():
             tracemalloc.stop()
     assert sol.newton_iters == 4 and sum(sol.diagnostics["linear_iterations"]) == 12
     assert peak <= 22 * field_bytes, f"peak {peak / field_bytes:.1f} real fields"
+
+
+@pytest.mark.parametrize("case, grid_n, band, levels", [
+    ("n2", 16, 1, [8, 16]),
+    ("n1-eps", 64, 1, [8, 16, 32, 64]),
+    ("n1-eps", 32, 4, [16, 32]),
+    ("n1", 64, 1, [64]),
+])
+def test_nested_levels_follow_the_halving_rule(case, grid_n, band, levels, perturbed_family):
+    """A level at N/2 exists when N/2 is even and >= 8 and the input band lies
+    below its Nyquist frequency N/4; the exact n = 1, eps = 0 step has none.
+    Each level records its own Newton steps and matvecs, and the answer is
+    the direct solve's within rounding."""
+    built = []
+
+    def problem_at(N):
+        built.append(N)
+        if case == "n2":
+            return acceptance4_problem(N)[0]
+        fiber = perturbed_family.on_grid(N).fiber_metric(1j)
+        return MAProblem(chart=fiber.chart, gab=fiber.gab,
+                         eta=eta_from_metric(fiber.gab, fiber.chart),
+                         epsilon=0.1 if case == "n1-eps" else 0.0)
+
+    sol = solve_nested(problem_at, grid_n, band)
+    assert built == levels[::-1]
+    records = sol.diagnostics["levels"]
+    assert [r["grid_n"] for r in records] == levels
+    assert records[0]["start_residual"] is None
+    assert all(r["start_residual"] > 0 for r in records[1:])
+    fine = records[-1]
+    assert fine["newton_iters"] == sol.newton_iters
+    assert fine["matvecs"] == sum(sol.diagnostics["linear_iterations"])
+    if len(levels) > 1:
+        assert fine["start_residual"] == (sol.diagnostics["residual_history"] or
+                                          [sol.residual_sup])[0]
+    direct = solve_ma(problem_at(grid_n))
+    assert sol.residual_sup <= SolverConfig().tol
+    assert np.max(np.abs(sol.phi - direct.phi)) < 1e-13
 
 
 def unforced_problem(case, family):
@@ -658,6 +698,9 @@ def test_linearized_round_trip(flat_setup):
 def test_continuation_trivial(elliptic_family):
     path = epsilon_continuation(elliptic_family, 1j, [1.0, 0.1, 0.0])
     assert path.sup_phi_max < 1e-12
+    # every phi_eps is the eps = 0 one: no decay order to fit, and no NaN
+    assert [row["sup_diff_to_limit"] for row in path.table] == [0.0, 0.0, 0.0]
+    assert path.order is None
     for row in path.table:
         assert abs(row["ke_integral"]) < 1e-13
 

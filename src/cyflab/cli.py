@@ -55,7 +55,8 @@ from .masolver import (
     solve_ma,
     solve_nested,
 )
-from .models import VALID_KINDS, FamilySpec, FourierPoly, make_family, random_positive_form
+from .models import VALID_KINDS, Family, FamilySpec, FourierPoly, make_family, \
+    random_positive_form
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -231,7 +232,7 @@ def parse_config(doc) -> dict:
     n = fam["n"]
     grid_n = conf["solver"]["grid_n"] or (64 if n == 1 else 24)
     # at most 2^20 nodes per field, so grid_n <= 1024 at n = 1 and <= 32 at
-    # n = 2, where a grid-24 solve already peaks near 280 MB
+    # n = 2, where a grid-32 solve peaks near 190 MB
     if grid_n % 2 or grid_n ** (2 * n) > 2 ** 20:
         raise ConfigError(f"solver.grid_n must be even with grid_n^{2 * n} <= 2^20 nodes")
 
@@ -425,11 +426,23 @@ def manufactured_phi(manufactured: dict, grid: FiberGrid) -> np.ndarray:
 
 
 def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
-    family = make_family(cfg["spec"])
     fiber = cfg["fiber"]
     s = fiber["s"]
     eps = fiber["eps"]
     manufactured = fiber["manufactured"]
+    family = Family(cfg["spec"])
+    # make_family's check of the base samples; the metric it builds at s is
+    # the fine problem's, which is then not built again
+    metrics = {}
+    for sample in map(complex, family.spec.base_samples):
+        metric = family.validate_at(sample)
+        if sample == s:
+            metrics[family.grid.N] = metric
+        del metric
+
+    def metric_at(grid_n):
+        return metrics.pop(grid_n, None) or family.on_grid(grid_n).fiber_metric(s)
+
     report = {"provenance": provenance_block(cfg), "s": s, "eps": eps}
     # every grid's problem comes from the same analytic data: solve_nested
     # starts the fine Newton from the solves of coarser grids
@@ -438,7 +451,7 @@ def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
         built = {}
 
         def problem_at(grid_n):
-            metric = family.on_grid(grid_n).fiber_metric(s)
+            metric = metric_at(grid_n)
             phi_star = manufactured_phi(manufactured, metric.chart.grid)
             built[grid_n] = phi_star, manufactured_problem(metric, phi_star, eps)
             return built[grid_n][1]
@@ -455,7 +468,7 @@ def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
         report["recovery_error"] = float(np.max(np.abs(sol.phi - (phi_star - shift))))
     else:
         def problem_at(grid_n):
-            metric = family.on_grid(grid_n).fiber_metric(s)
+            metric = metric_at(grid_n)
             return MAProblem(chart=metric.chart, gab=metric.gab,
                              eta=eta_from_metric(metric.gab, metric.chart), epsilon=eps)
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import (
     DefinitenessError,
+    Herm2,
     d_z,
     d_zbar,
     fiber_integral,
@@ -99,10 +100,16 @@ def semmes_residual(form: FamilyForm, c: np.ndarray | None = None) -> float:
     """sup | det(full) - c(tau) det(fiber) |: the wedge-power identity
     tau^{n+1} = c(tau) tau^n ^ i ds ^ ds-bar in component arithmetic."""
     full = form.full_matrix()
-    det_full = herm_det(full) if form.n == 1 else _det3(full)
+    det_full = _det2(full) if form.n == 1 else _det3(full)
     det_fib = herm_det(form.gab)
     c = geodesic_curvature(form) if c is None else c
     return float(np.max(np.abs(det_full - c * det_fib)))
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    det = m[0, 0] * m[1, 1]
+    det -= m[0, 1] * m[1, 0]
+    return det
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
@@ -591,9 +598,12 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
 def combined_form_min_eig(rho: FamilyForm, bound: float) -> float:
     """Min eigenvalue of rho + bound * (i ds ^ ds-bar) over the grid.
 
-    At n = 1 the matrix is a 2 x 2 Hermitian block, whose smallest
-    eigenvalue has a closed form.
+    At n = 1 the matrix is the 2 x 2 Hermitian block
+    [[g_ss + bound, g_sz], [conj g_sz, g_zz]], whose smallest eigenvalue
+    herm_min_eig takes in closed form from its independent parts.
     """
+    if rho.n == 1:
+        return herm_min_eig(Herm2((rho.gss + bound).real, rho.gab[0, 0].real, rho.gsb[0]))
     full = rho.full_matrix()
     full[0, 0] = full[0, 0] + bound
-    return herm_min_eig(full) if rho.n == 1 else matrix_min_eig(full)
+    return matrix_min_eig(full)

@@ -28,6 +28,13 @@ take a real field through real transforms on the half spectrum (last axis
 multiplier is a half-spectrum table.  The complex-valued d/dz and d/dzbar,
 and dd^c of a complex field, use full complex transforms.  The fiber
 Laplacian and its constant-metric symbol are built here for every caller.
+
+A Hermitian fiber field is stored by its independent parts.  At n = 1 it is
+the (1, 1, *grid) complex stack of g_00.  At n = 2 it is a Herm2: the real
+diagonals g00 and g11 and the complex upper entry g01, with the lower entry
+conj(g01) formed only when read.  This module is the only one that
+allocates an n = 2 stack or fills a lower entry by conjugation; the others
+build a Herm2 from its parts.
 """
 
 from __future__ import annotations
@@ -68,14 +75,15 @@ def rfft(f: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(f, out=np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), complex))
 
 
-def irfft(fh: np.ndarray, shape: tuple) -> np.ndarray:
+def irfft(fh: np.ndarray, shape: tuple, overwrite: bool = False) -> np.ndarray:
     """Real field of the given grid shape from a Hermitian half spectrum.
 
     These are numpy's irfftn passes (complex along each axis but the last,
     in order, then real along the last), with the complex passes done in
-    place in one buffer.
+    place in one buffer: fh itself with overwrite, which a caller that
+    passes a spectrum it does not read again can ask for.
     """
-    work = np.fft.ifft(fh, axis=0)
+    work = np.fft.ifft(fh, axis=0, out=fh if overwrite else None)
     for axis in range(1, len(shape) - 1):
         np.fft.ifft(work, axis=axis, out=work)
     return np.fft.irfft(work, n=shape[-1], axis=-1)
@@ -91,7 +99,7 @@ def fourier_multiply(f: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return irfft(rfft(f) * mult, f.shape)
 
 
-def drop_nyquist_modes(f: np.ndarray) -> np.ndarray:
+def drop_nyquist_modes(f: np.ndarray, in_place: bool = False) -> np.ndarray:
     """f without its pure-Nyquist modes other than the constant, in real space.
 
     A mode whose every frequency is 0 or N/2 equals (-1)^(j.r) at grid
@@ -100,10 +108,11 @@ def drop_nyquist_modes(f: np.ndarray) -> np.ndarray:
     them out subtracts the class means; adding back the grid mean keeps
     the constant mode.  This is the Fourier multiplier that is 0 on those
     modes and 1 elsewhere, without a transform.  Each class is the strided
-    view out[p_0::2, p_1::2, ...] and is shifted in place.
+    view out[p_0::2, p_1::2, ...] and is shifted in place; out is f itself
+    with in_place, else a new array.
     """
-    out = np.array(f)
     grid_mean = np.mean(f)
+    out = f if in_place else np.array(f)
     for parity in np.ndindex((2,) * f.ndim):
         cls = out[tuple(slice(p, None, 2) for p in parity)]
         cls -= np.mean(cls) - grid_mean
@@ -194,6 +203,95 @@ def _ddc_product(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     return np.multiply(za, -np.conj(zb))
 
 
+@dataclass(eq=False)
+class Herm2:
+    """An n = 2 Hermitian matrix field held by its independent parts.
+
+    g00 and g11 are the real diagonal fields and g01 the complex upper
+    entry; the lower entry g10 = conj(g01) is formed only when read, so the
+    field takes 4 real fields where a complex (2, 2) stack takes 8.  The
+    parts may also be scalars, for a constant matrix.  h[a, b] reads an
+    entry, so index sums over a and b run as on an (n, n, *grid) stack; the
+    package never converts one to an array.
+    """
+
+    g00: np.ndarray
+    g11: np.ndarray
+    g01: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        """The shape of the (2, 2, *grid) stack it stands for."""
+        return (2, 2) + np.shape(self.g00)
+
+    def __getitem__(self, index):
+        a, b = index
+        if a == b:
+            return self.g11 if a else self.g00
+        return np.conj(self.g01) if a else self.g01
+
+    def __add__(self, other: "Herm2") -> "Herm2":
+        return Herm2(self.g00 + other.g00, self.g11 + other.g11, self.g01 + other.g01)
+
+    def __iadd__(self, other: "Herm2") -> "Herm2":
+        for mine, theirs in ((self.g00, other.g00), (self.g11, other.g11),
+                             (self.g01, other.g01)):
+            np.add(mine, theirs, out=mine)
+        return self
+
+    def __array__(self, dtype=None, copy=None):
+        """The (2, 2, *grid) complex stack, 8 real fields, built for numpy
+        conversion only (such as hashing a metric's bytes)."""
+        if copy is False:
+            raise ValueError("a Herm2 becomes an array only as a new stack")
+        out = np.empty(self.shape, dtype=complex)
+        for a in range(2):
+            for b in range(2):
+                out[a, b] = self[a, b]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def herm_pack(m) -> Herm2:
+    """The Herm2 of a 2 x 2 Hermitian matrix, or of a (2, 2, *grid) stack.
+
+    It keeps the real parts of the diagonal and the upper entry, so the
+    imaginary residue of a diagonal and the lower entry are not read.
+    """
+    m = np.asarray(m)
+    return Herm2(np.array(m[0, 0].real), np.array(m[1, 1].real),
+                 np.array(m[0, 1], dtype=complex))
+
+
+def herm_mean(g: Herm2) -> Herm2:
+    """The fiber mean of g, a constant Herm2.
+
+    The diagonal means are summed over complex copies, as the off-diagonal
+    one is: numpy blocks the pairwise sum of a complex array differently
+    from that of a real one, and a complex (2, 2) stack of g gives these
+    bits.
+    """
+    return Herm2(np.mean(g.g00.astype(complex)).real, np.mean(g.g11.astype(complex)).real,
+                 np.mean(g.g01))
+
+
+def herm_bordered(corner: np.ndarray, border: np.ndarray, block) -> np.ndarray:
+    """The (n+1, n+1, *grid) complex stack [[corner, border], [border^*, block]].
+
+    corner is a field, border[b] the n fields of the first row past it and
+    block the n x n fiber block, read entry by entry; each lower entry of
+    the border is the conjugate of its upper one.
+    """
+    n = border.shape[0]
+    out = np.empty((n + 1, n + 1) + np.shape(corner), dtype=complex)
+    out[0, 0] = corner
+    for b in range(n):
+        out[0, 1 + b] = border[b]
+        out[1 + b, 0] = np.conj(border[b])
+        for a in range(n):
+            out[1 + a, 1 + b] = block[a, b]
+    return out
+
+
 @dataclass(frozen=True)
 class FiberChart:
     """Complex structure z = x + Omega y on the torus [0,1)^{2n}.
@@ -246,7 +344,7 @@ class FiberChart:
                 C[a, 2 * b + 1] = cy[b, a]
         return C
 
-    def _z_mult(self, half: bool) -> list:
+    def _z_mult(self, half: bool, a: int) -> np.ndarray:
         """M_a(k) = 2 pi i sum_m C[a, m] k_m on the full grid or the half spectrum.
 
         The sum runs over per-axis frequency vectors that broadcast to the
@@ -256,18 +354,16 @@ class FiberChart:
         ks = self.grid.deriv_freq_axes
         if half:
             ks = ks[:-1] + (ks[-1][..., : self.grid.N // 2 + 1],)
-        out = []
-        for a in range(self.n):
-            m = np.zeros((1,) * (2 * self.n), dtype=complex)
-            for axis in range(2 * self.n):
-                m = m + C[a, axis] * ks[axis]
-            out.append(2j * np.pi * m)
-        return out
+        m = np.zeros((1,) * (2 * self.n), dtype=complex)
+        for axis in range(2 * self.n):
+            m = m + C[a, axis] * ks[axis]
+        # 2 pi i * m, scalar first, written over the last sum
+        return np.multiply(2j * np.pi, m, out=m)
 
     @cached_property
     def z_mult(self) -> list:
         """Fourier multipliers M_a(k) with d/dz^a e_k = M_a(k) e_k."""
-        return self._z_mult(half=False)
+        return [self._z_mult(False, a) for a in range(self.n)]
 
     def ddc_mult(self, a: int, b: int) -> np.ndarray:
         """Multiplier M_a(k) * (-conj M_b(k)) of f -> f_{alpha beta-bar}."""
@@ -283,13 +379,28 @@ class FiberChart:
         the half spectrum with ddc_mult's elementwise operations, so they
         equal the slices [..., :N/2 + 1] of its full tables bit for bit.
         """
-        z = self._z_mult(half=True)
+        # One z table is built at a time, and -conj z_b once.  The products
+        # keep _ddc_product's operand order and are written over an operand
+        # that is not read again: z_a after its last product, -conj z_b
+        # after the diagonal one.
         out = {}
-        for a in range(self.n):
-            for b in range(a, self.n):
-                m = _ddc_product(z[a], z[b])
-                out[a, b] = (m.real.copy(), None if a == b else m.imag.copy())
-        return out
+        z = []
+        for b in range(self.n):
+            z.append(self._z_mult(True, b))
+            nzb = np.conj(z[b])
+            np.negative(nzb, out=nzb)
+            for a in range(b):
+                last = b == self.n - 1
+                m = np.multiply(z[a], nzb, out=z[a] if last else None)
+                out[a, b] = (m.real.copy(), m.imag.copy())
+                if last:
+                    z[a] = None
+                del m
+            m = np.multiply(z[b], nzb, out=nzb)
+            out[b, b] = (m.real.copy(), None)
+            del m, nzb
+        del z
+        return {key: out[key] for key in sorted(out)}
 
     @cached_property
     def flat_inverse_mult(self) -> np.ndarray:
@@ -355,30 +466,38 @@ def d_zbar(f, chart, a=0):
     return fiber_derivative(f, chart, ("zbar", a))
 
 
-def ddc_fiber(f: np.ndarray, chart: FiberChart) -> np.ndarray:
-    """Matrix of mixed second derivatives f_{alpha beta-bar}, shape (n,n,grid).
+def ddc_fiber(f: np.ndarray, chart: FiberChart):
+    """Matrix of mixed second derivatives f_{alpha beta-bar}.
 
     These are the fiber components of dd^c f.  For real f the matrix is
     Hermitian and is built from the half spectrum: the diagonal and the
     real and imaginary parts of each upper entry are real inverse
-    transforms, and each lower entry is the conjugate of its partner.
+    transforms.  At n = 1 it is returned as a (1, 1, *grid) complex stack,
+    at n = 2 as a Herm2 holding those parts.  A complex f gives the
+    (n, n, *grid) complex stack of its f_{alpha beta-bar}.
     """
     f = chart.check_field(f)
     n = chart.n
-    out = np.empty((n, n) + f.shape, dtype=complex)
     if np.iscomplexobj(f):
+        out = np.empty((n, n) + f.shape, dtype=complex)
         fh = fft(f)
         for a in range(n):
             for b in range(n):
                 out[a, b] = ifft(fh * chart.ddc_mult(a, b))
         return out
+    parts = {}
     for a, b, re, im in ddc_real_fields(rfft(f), chart):
         if im is None:
-            out[a, a] = re
+            parts[a, b] = re
         else:
-            out[a, b].real = re
-            out[a, b].imag = im
-            np.conjugate(out[a, b], out=out[b, a])
+            parts[a, b] = np.empty(f.shape, dtype=complex)
+            parts[a, b].real = re
+            parts[a, b].imag = im
+        del re, im
+    if n == 2:
+        return Herm2(parts[0, 0], parts[1, 1], parts[0, 1])
+    out = np.empty((1, 1) + f.shape, dtype=complex)
+    out[0, 0] = parts[0, 0]
     return out
 
 
@@ -391,12 +510,14 @@ def ddc_real_fields(fh: np.ndarray, chart: FiberChart):
     the Hermitian matrix, and add_weighted_ddc weights and sums the parts
     one pair at a time.
     """
+    shape = chart.grid.shape
     for (a, b), (re_mult, im_mult) in chart.ddc_mult_half.items():
-        re = irfft(fh * re_mult, chart.grid.shape)
-        yield a, b, re, None if im_mult is None else irfft(fh * im_mult, chart.grid.shape)
+        # the parts are not kept here once yielded
+        yield (a, b, irfft(fh * re_mult, shape, overwrite=True),
+               None if im_mult is None else irfft(fh * im_mult, shape, overwrite=True))
 
 
-def herm_check(g: np.ndarray) -> float:
+def herm_check(g) -> float:
     """Max deviation from conjugate-transpose symmetry of g[a,b] = g_{a b-bar}."""
     n = g.shape[0]
     dev = 0.0
@@ -406,60 +527,70 @@ def herm_check(g: np.ndarray) -> float:
     return dev
 
 
-def herm_inverse(g: np.ndarray) -> np.ndarray:
-    """Pointwise inverse gup with sum_b g[a,b] gup[b,c] = delta_ac.
+def _unsupported(g) -> GeometryError:
+    return GeometryError("a fiber metric is a (1, 1, *grid) stack (n = 1) or a Herm2 "
+                         f"(n = 2), got an array of shape {np.shape(g)}")
 
-    In index language gup[b, a] = g^{beta-bar alpha}.
+
+def herm_inverse(g) -> np.ndarray:
+    """Pointwise inverse gup with sum_b g[a,b] gup[b,c] = delta_ac, an (n, n, *grid) stack.
+
+    In index language gup[b, a] = g^{beta-bar alpha}.  At n = 2 each entry
+    is a cofactor over the complex det g (herm_det), so the lower entry is
+    -conj(g_01) / det g and need not be the conjugate of the upper one.
     """
-    n = g.shape[0]
-    if n == 1:
-        return 1.0 / g
-    if n == 2:
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        inv = np.empty_like(g)
-        inv[0, 0] = g[1, 1] / det
-        inv[1, 1] = g[0, 0] / det
-        inv[0, 1] = -g[0, 1] / det
-        inv[1, 0] = -g[1, 0] / det
+    if isinstance(g, Herm2):
+        det = herm_det(g)
+        inv = np.empty((2, 2) + det.shape, dtype=complex)
+        inv[0, 0] = g.g11 / det
+        inv[1, 1] = g.g00 / det
+        inv[0, 1] = -g.g01 / det
+        inv[1, 0] = -np.conj(g.g01) / det
         return inv
-    raise GeometryError(f"unsupported fiber dimension {n}")
+    if g.shape[0] == 1:
+        return 1.0 / g
+    raise _unsupported(g)
 
 
-def herm_det(g: np.ndarray) -> np.ndarray:
-    """Pointwise det g; at n = 2, g_00 g_11 - g_01 g_10 with the difference taken in place."""
-    n = g.shape[0]
-    if n == 1:
-        return g[0, 0]
-    if n == 2:
-        det = g[0, 0] * g[1, 1]
-        det -= g[0, 1] * g[1, 0]
+def herm_det(g) -> np.ndarray:
+    """Pointwise det g, complex.
+
+    At n = 2 this is g00 g11 - g01 conj(g01), with the complex product and
+    the difference taken in one buffer; numpy's complex product leaves an
+    imaginary rounding residue, which the determinant keeps.
+    """
+    if isinstance(g, Herm2):
+        det = np.conj(g.g01)
+        np.multiply(g.g01, det, out=det)
+        np.subtract(g.g00 * g.g11, det, out=det)
         return det
-    raise GeometryError(f"unsupported fiber dimension {n}")
+    if g.shape[0] == 1:
+        return g[0, 0]
+    raise _unsupported(g)
 
 
-def herm_min_eig(g: np.ndarray) -> float:
+def herm_min_eig(g) -> float:
     """Minimum over grid nodes of the smallest eigenvalue of g[a,b].
 
-    At n = 2 this is min (g_00 + g_11)/2 - sqrt(((g_00 - g_11)/2)^2 + |g_01|^2),
+    At n = 2 this is min (g00 + g11)/2 - sqrt(((g00 - g11)/2)^2 + |g01|^2),
     evaluated in that order of operations in three fields, updated in place.
     """
-    n = g.shape[0]
-    if n == 1:
-        return float(np.min(g[0, 0].real))
-    if n == 2:
-        g00, g11 = g[0, 0].real, g[1, 1].real
-        half_tr = g00 + g11
+    if isinstance(g, Herm2):
+        half_tr = g.g00 + g.g11
         half_tr /= 2.0
-        rad = g00 - g11
+        rad = g.g00 - g.g11
         rad /= 2.0
         rad **= 2
-        off = np.abs(g[0, 1])
+        off = np.abs(g.g01)
         off **= 2
         rad += off
+        del off
         np.sqrt(rad, out=rad)
         half_tr -= rad
         return float(np.min(half_tr))
-    raise GeometryError(f"unsupported fiber dimension {n}")
+    if g.shape[0] == 1:
+        return float(np.min(g[0, 0].real))
+    raise _unsupported(g)
 
 
 def matrix_min_eig(mat: np.ndarray) -> float:
@@ -471,27 +602,43 @@ def matrix_min_eig(mat: np.ndarray) -> float:
     return float(np.min(vals[:, 0]))
 
 
-def hessian_weights(g) -> dict:
-    """Real weights {(a, b): (w_re, w_im)}, a <= b, of u -> g^{b a} u_ab for real u.
+def iter_hessian_weights(g):
+    """Yield ((a, b), w_re, w_im), a <= b, the real weights of u -> g^{b a} u_ab for real u.
 
     The sum is sum w_re Re u_ab + w_im Im u_ab (w_im is None on the real
-    diagonal); g is a field stack or a matrix.  At n = 2 the Hermitian pair
-    (0, 1), (1, 0) folds into -2 conj(g_01) / det g, in real arithmetic.
+    diagonal); g is a metric field or a constant one.  At n = 2 the
+    Hermitian pair (0, 1), (1, 0) folds into -2 conj(g01) / det g, in real
+    arithmetic.  The pairs come in the order (0, 0), (1, 1), (0, 1), and
+    each weight is built when its pair is yielded, so a caller that sums
+    them one at a time holds one pair of weights at once.
     """
-    if g.shape[0] == 1:
-        return {(0, 0): (1.0 / g[0, 0].real, None)}
-    h00, h11, h01 = g[0, 0].real, g[1, 1].real, g[0, 1]
+    if not isinstance(g, Herm2):
+        if g.shape[0] != 1:
+            raise _unsupported(g)
+        yield (0, 0), 1.0 / g[0, 0].real, None
+        return
+    h00, h11, h01 = g.g00, g.g11, np.asarray(g.g01)
     # in place, in the order of h00 h11 - (Re h01^2 + Im h01^2)
     abs2 = h01.real ** 2
     abs2 += h01.imag ** 2
-    det = h00 * h11
+    det = np.asarray(h00 * h11)
     det -= abs2
     del abs2
-    w_re = -2.0 * h01.real
-    w_re /= det
-    w_im = -2.0 * h01.imag
-    w_im /= det
-    return {(0, 0): (h11 / det, None), (1, 1): (h00 / det, None), (0, 1): (w_re, w_im)}
+    yield (0, 0), h11 / det, None
+    yield (1, 1), h00 / det, None
+    # -2 Re h01 / det and -2 Im h01 / det; the factor -2 is exact after the
+    # division as before it, and w_im is formed in det's field
+    w_re = h01.real / det
+    w_re *= -2.0
+    w_im = np.divide(h01.imag, det, out=det)
+    w_im *= -2.0
+    del det
+    yield (0, 1), w_re, w_im
+
+
+def hessian_weights(g) -> dict:
+    """{(a, b): (w_re, w_im)} of iter_hessian_weights(g), all held at once."""
+    return {key: (w_re, w_im) for key, w_re, w_im in iter_hessian_weights(g)}
 
 
 def add_weighted_ddc(out: np.ndarray, fh: np.ndarray, chart: FiberChart, weights: dict):
@@ -503,6 +650,7 @@ def add_weighted_ddc(out: np.ndarray, fh: np.ndarray, chart: FiberChart, weights
         if im is not None:
             im *= w_im
             out += im
+        del re, im
 
 
 def laplace_beltrami(g: np.ndarray, f: np.ndarray, chart: FiberChart) -> np.ndarray:
@@ -517,11 +665,16 @@ def laplace_beltrami(g: np.ndarray, f: np.ndarray, chart: FiberChart) -> np.ndar
     return out
 
 
-def flat_symbol(chart: FiberChart, g_const: np.ndarray | None = None) -> np.ndarray:
-    """lambda(k) >= 0 with Delta_g e_k = -lambda(k) e_k for constant g, on the half spectrum."""
+def flat_symbol(chart: FiberChart, g_const=None) -> np.ndarray:
+    """lambda(k) >= 0 with Delta_g e_k = -lambda(k) e_k for constant g, on the half spectrum.
+
+    g_const is an n x n matrix or, at n = 2, a constant Herm2; None is the identity.
+    """
     lam = np.zeros(chart.ddc_mult_half[0, 0][0].shape)
-    g = np.eye(chart.n) if g_const is None else np.asarray(g_const)
-    for (a, b), (w_re, w_im) in hessian_weights(g).items():
+    g = np.eye(chart.n) if g_const is None else g_const
+    if chart.n == 2 and not isinstance(g, Herm2):
+        g = herm_pack(g)
+    for (a, b), w_re, w_im in iter_hessian_weights(np.asarray(g) if chart.n == 1 else g):
         re_mult, im_mult = chart.ddc_mult_half[a, b]
         lam -= w_re * re_mult
         if im_mult is not None:

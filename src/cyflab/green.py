@@ -21,6 +21,7 @@ import numpy as np
 from .geometry import (
     FiberChart,
     GeometryError,
+    Herm2,
     InvalidFieldError,
     fiber_integral,
     flat_symbol,
@@ -143,7 +144,8 @@ def build_green(h: np.ndarray, chart: FiberChart, constancy_tol: float = 1e-8) -
     case it must be constant on the fiber up to constancy_tol.
     """
     n = chart.n
-    h = np.asarray(h, dtype=complex)
+    if not isinstance(h, Herm2):
+        h = np.asarray(h, dtype=complex)
     if h.shape == (n, n):
         h_const = h
     else:

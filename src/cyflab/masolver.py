@@ -45,6 +45,7 @@ from .geometry import (
     DefinitenessError,
     FiberChart,
     GeometryError,
+    Herm2,
     NormalizationError,
     add_weighted_ddc,
     d_z,
@@ -56,9 +57,11 @@ from .geometry import (
     fourier_multiply,
     herm_det,
     herm_inverse,
+    herm_mean,
     herm_min_eig,
     hessian_weights,
     irfft,
+    iter_hessian_weights,
     prolong,
     rfft,
 )
@@ -110,12 +113,13 @@ class SolverConfig:
 class MAProblem:
     """The fiber equation for phi on the chart, with reference metric gab.
 
+    gab is a (1, 1, *grid) complex stack at n = 1 and a Herm2 at n = 2.
     extra_f is the forcing term f of the equation; None means no forcing
     (f = 0), and no field is stored for it.
     """
 
     chart: FiberChart
-    gab: np.ndarray
+    gab: np.ndarray | Herm2
     eta: np.ndarray
     epsilon: float
     extra_f: np.ndarray | None = None
@@ -130,10 +134,11 @@ class MAProblem:
 @dataclass
 class MASolution:
     """A converged solve: phi, and h = g + dd^c phi, the fiber metric of the
-    last Newton iterate (the normalization shift of phi leaves it unchanged)."""
+    last Newton iterate (the normalization shift of phi leaves it unchanged),
+    stored as the problem's gab is."""
 
     phi: np.ndarray
-    h: np.ndarray
+    h: np.ndarray | Herm2
     residual_sup: float
     newton_iters: int
     normalization: str
@@ -146,19 +151,28 @@ def compute_eta(family: Family, s: complex) -> np.ndarray:
     return eta_from_metric(fiber.gab, fiber.chart)
 
 
-def eta_from_metric(gab: np.ndarray, chart: FiberChart) -> np.ndarray:
+def eta_from_metric(gab, chart: FiberChart) -> np.ndarray:
     if herm_min_eig(gab) <= 0:
         raise DefinitenessError("eta needs a positive-definite fiber metric")
     det = herm_det(gab).real
     # int e^eta det(g) = int det(g) forces the additive constant
     c = np.log(np.mean(det))
-    return -np.log(det) + c
+    eta = np.log(det)
+    del det
+    np.negative(eta, out=eta)
+    eta += c
+    return eta
 
 
-def _project_rhs(rhs, h):
-    """rhs less its det(h)-weighted mean: the range of Delta_h at eps = 0."""
+def _project_rhs(rhs, h, in_place=False):
+    """rhs less its det(h)-weighted mean: the range of Delta_h at eps = 0.
+
+    With in_place the shift is made in rhs itself.
+    """
     det = herm_det(h).real
-    return rhs - np.mean(rhs * det) / np.mean(det)
+    shift = np.mean(rhs * det) / np.mean(det)
+    del det
+    return np.subtract(rhs, shift, out=rhs if in_place else None)
 
 
 def _accept_unconverged(rel, solver):
@@ -284,17 +298,20 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
         im, fb_im, it_im, res_im = _linear_solve(h, chart, eps, rhs.imag, config, rtol)
         residual = None if res_re is None else max(res_re, res_im)
         return re + 1j * im, fb_re + fb_im, it_re + it_im, residual
-    return _prepare_linear_solve(h, chart, eps, rhs, config, rtol)()
+    # the setup overwrites its right-hand side: give it a copy
+    return _prepare_linear_solve(h, chart, eps, np.array(rhs, dtype=float), config, rtol)()
 
 
 def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Callable:
     """Set up _linear_solve's real system; returns the solve, a function of no arguments.
 
     The solve returns (u, fallbacks, iterations, residual) as _linear_solve
-    does.  At n >= 2 it holds what GMRES reads, the filtered right-hand side,
-    the Hessian weights of h and the preconditioner symbol, and neither h
-    nor the rhs given, so a caller that drops them before calling it does
-    not keep them through the Krylov solve.  At n = 1 the step is solved here.
+    does.  At n = 1 the step is solved here.  At n >= 2 rhs, a real field
+    the caller gives up, is projected and filtered in place before the
+    Hessian weights are built, and it is what GMRES reads; the solve holds
+    it, the weights of h and the preconditioner symbol, but not h, so a
+    caller that drops h and rhs before calling it keeps neither through the
+    Krylov solve.
     """
     grid = chart.grid
     n = chart.n
@@ -303,24 +320,24 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
         out = _elliptic_cg(herm_det(h).real, chart, eps, rhs, rtol,
                            RESTART * config.linear_maxiter)
         return lambda: out
-    if pin:
+    if pin and n == 1:
+        # det(h) h^{-1} = 1, so det(h) Delta_h u = u_{z z-bar}: the step
+        # is one division by the flat symbol, whose zeroed kernel modes
+        # drop the constant and the pure-Nyquist content of det(h) rhs
         rhs = _project_rhs(rhs, h)
-        if n == 1:
-            # det(h) h^{-1} = 1, so det(h) Delta_h u = u_{z z-bar}: the step
-            # is one division by the flat symbol, whose zeroed kernel modes
-            # drop the constant and the pure-Nyquist content of det(h) rhs
-            u = fourier_multiply(herm_det(h).real * rhs, chart.flat_inverse_mult)
-            out = u - np.mean(u), 0, 0, None
-            return lambda: out
-    weights = hessian_weights(h)
-    inv_denom = _preconditioner_symbol(h, chart, eps)
-
+        u = fourier_multiply(herm_det(h).real * rhs, chart.flat_inverse_mult)
+        out = u - np.mean(u), 0, 0, None
+        return lambda: out
     # Pure-Nyquist modes are annihilated by the spectral derivative, hence
     # sit in the kernel of Delta_h at eps = 0; their rhs content is aliasing
     # noise and is filtered out to keep the system consistent.
-    def filtered(f):
-        return drop_nyquist_modes(f) if pin else f
-
+    if pin:
+        _project_rhs(rhs, h, in_place=True)
+        drop_nyquist_modes(rhs, in_place=True)
+    # the symbol first: its mean of h takes complex copies, freed before
+    # the weights are built
+    inv_denom = _preconditioner_symbol(h, chart, eps)
+    weights = hessian_weights(h)
     matvecs = 0
 
     def preconditioned(vec):
@@ -342,13 +359,11 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
         else:
             out = np.zeros(grid.shape)
         add_weighted_ddc(out, fh, chart, weights)
-        out = filtered(out)
         if pin:
+            drop_nyquist_modes(out, in_place=True)
             # M keeps the constant mode, so mean(M vec) = mean(vec)
             out += fh.flat[0].real / grid.num_nodes
         return out.ravel()
-
-    rhs = filtered(np.asarray(rhs, dtype=float))
 
     def solve():
         residuals = []
@@ -372,7 +387,7 @@ def _preconditioner_symbol(h, chart, eps) -> np.ndarray:
     constant mode and zeroes the rest of lambda's kernel (the pure-Nyquist
     modes).  The symbol is formed in place of lambda.
     """
-    lam = flat_symbol(chart, np.array([[np.mean(h_ab) for h_ab in row] for row in h]))
+    lam = flat_symbol(chart, herm_mean(h))
     if eps == 0:
         np.divide(-1.0, lam, out=lam, where=lam > 0)
         lam.flat[0] = 1.0
@@ -475,6 +490,8 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         F, h, me = -target, g, None
     else:
         phi = initial_guess.real.copy()
+        # a caller that passes its guess without keeping it frees it here
+        del initial_guess
         F, h, me = residual_field(phi)
         if F is None:
             raise DefinitenessError("initial guess loses fiber positivity")
@@ -485,11 +502,13 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
              "linear_rtol": [], "linear_residual": []}
     while res > config.tol and iters < config.max_iters:
         rtol = max(config.linear_rtol, min(1e-2, 0.1 * res)) if forcing else config.linear_rtol
-        solve = _prepare_linear_solve(h, chart, eps, np.expm1(-F) if exact else -F,
-                                      config, rtol)
-        # the solve holds none of F, h and its right-hand side, and the line
-        # search builds its own F and h: free them before the Krylov solve
-        del F, h
+        # the right-hand side -F is formed in F's buffer
+        rhs = np.expm1(-F) if exact else np.negative(F, out=F)
+        del F
+        solve = _prepare_linear_solve(h, chart, eps, rhs, config, rtol)
+        # the solve holds neither h nor the rhs given, and the line search
+        # builds its own F and h: free them before the Krylov solve
+        del rhs, h
         u, fb, lin_iters, lin_res = solve()
         del solve
         fallbacks += fb
@@ -536,10 +555,10 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     elif eps > 0:
         normalization = NO_NORMALIZATION
 
-    # the shift leaves dd^c phi, hence the last h, unchanged; a copy, since
-    # a .real view would keep the complex determinant alive
-    det_h = herm_det(h).real.copy()
+    # the shift leaves dd^c phi, hence the last h, unchanged; det h is a
+    # copy, since a .real view would keep the complex determinant alive
     lap = _laplacian_of_potential(g, h)
+    det_h = herm_det(h).real.copy()
     diagnostics = {
         "sup_phi": float(np.max(np.abs(phi))),
         "sup_lap_phi": float(np.max(np.abs(lap))),
@@ -569,14 +588,14 @@ def solve_nested(problem_at: Callable, grid_n: int, max_frequency: int,
     grid, and max_frequency bounds the |k_m| of every mode in that data.  A
     coarser level at N/2 exists when N/2 is even and at least 8 (the
     FiberGrid floor), when max_frequency lies below its Nyquist frequency
-    N/4, and when the step is not the exact one of n = 1, eps = 0.  That
-    level is solved by this function first, and its phi, prolonged to the
-    grid_n grid, is solve_ma's initial guess (grid sequencing: by mesh
+    N/4, and when the step is not the exact one of n = 1, eps = 0.  The
+    coarsest level is solved from phi = 0, and each finer one from the
+    phi of the level below, prolonged to its grid (grid sequencing: by mesh
     independence, Newton from a coarse-grid start needs few fine steps).
     The answer is accepted by solve_ma's tol test on the grid_n grid only.
-    If the coarse levels fail, or the solve from their guess does (for one,
-    the guess may lose fiber positivity), the problem is solved from phi = 0
-    as solve_ma alone does, and that outcome stands.
+    If any level fails (for one, a prolonged guess may lose fiber
+    positivity), the grid_n problem is solved from phi = 0 once, as solve_ma
+    alone does, and that outcome stands.
 
     diagnostics["levels"] lists, coarsest first, the levels that led to the
     answer: grid_n, newton_iters, matvecs (the sum of the level's
@@ -585,28 +604,47 @@ def solve_nested(problem_at: Callable, grid_n: int, max_frequency: int,
     """
     config = config or SolverConfig()
     problem = problem_at(grid_n)
-    coarse_n = grid_n // 2
+    if _coarse_grid(problem, max_frequency) is not None:
+        try:
+            return _solve_levels(problem_at, problem, max_frequency, config, normalization)
+        except (SolverDivergence, GeometryError):
+            pass
+    # outside the except block, whose traceback holds the failed levels' fields
+    return _with_level(problem, solve_ma(problem, config, normalization), [], None)
+
+
+def _coarse_grid(problem: MAProblem, max_frequency: int) -> int | None:
+    """The grid of the level below problem's in solve_nested, None if it has none."""
+    coarse_n = problem.chart.grid.N // 2
     nested = (not (problem.chart.n == 1 and problem.epsilon == 0)
               and coarse_n % 2 == 0 and coarse_n >= 8 and max_frequency < coarse_n // 2)
-    if nested:
-        try:
-            # a constant shift of the guess moves no dd^c: the coarse level
-            # skips the normalization
-            coarse = solve_nested(problem_at, coarse_n, max_frequency, config, NO_NORMALIZATION)
-            levels = coarse.diagnostics["levels"]
-            guess = prolong(coarse.phi, problem.chart.grid.shape)
-            del coarse
-            sol = solve_ma(problem, config, normalization, initial_guess=guess)
-        except (SolverDivergence, GeometryError):
-            nested = False
-    if not nested:
-        levels = []
-        sol = solve_ma(problem, config, normalization)
+    return coarse_n if nested else None
+
+
+def _solve_levels(problem_at, problem, max_frequency, config, normalization) -> MASolution:
+    """problem solved from the prolonged answer of the level below, or from
+    phi = 0 if it has none; a failure on any level propagates."""
+    coarse_n = _coarse_grid(problem, max_frequency)
+    if coarse_n is None:
+        return _with_level(problem, solve_ma(problem, config, normalization), [], None)
+    # a constant shift of the guess moves no dd^c: the coarse level skips
+    # the normalization
+    coarse = _solve_levels(problem_at, problem_at(coarse_n), max_frequency, config,
+                           NO_NORMALIZATION)
+    levels, coarse_phi = coarse.diagnostics["levels"], coarse.phi
+    del coarse
+    # the guess is passed, not kept: solve_ma frees it once it has its copy
+    sol = solve_ma(problem, config, normalization,
+                   initial_guess=prolong(coarse_phi, problem.chart.grid.shape))
+    start = sol.diagnostics["residual_history"][0] if sol.newton_iters else sol.residual_sup
+    return _with_level(problem, sol, levels, start)
+
+
+def _with_level(problem, sol, levels, start) -> MASolution:
+    """sol with diagnostics["levels"]: the levels below and the record of its own."""
     trace = sol.diagnostics
-    start = None
-    if nested:
-        start = trace["residual_history"][0] if sol.newton_iters else sol.residual_sup
-    trace["levels"] = levels + [{"grid_n": grid_n, "newton_iters": sol.newton_iters,
+    trace["levels"] = levels + [{"grid_n": problem.chart.grid.N,
+                                 "newton_iters": sol.newton_iters,
                                  "matvecs": sum(trace["linear_iterations"]),
                                  "start_residual": start}]
     return sol
@@ -615,21 +653,23 @@ def solve_nested(problem_at: Callable, grid_n: int, max_frequency: int,
 def _laplacian_of_potential(g, h) -> np.ndarray:
     """Delta_g phi = g^{b a} phi_ab for the phi with phi_ab = (h - g)_ab.
 
-    At n = 2 the sum is taken from the real Hessian weights of g, one entry
-    at a time, with no inverse of g.  At n = 1 it stays complex: g_00 may
-    carry an imaginary rounding residue, which 1/g_00 folds in.
+    At n = 2 the sum is taken from the real Hessian weights of g, one pair
+    of weights at a time, with no inverse of g.  At n = 1 it stays complex:
+    g_00 may carry an imaginary rounding residue, which 1/g_00 folds in.
     """
-    if g.shape[0] == 1:
+    if not isinstance(g, Herm2):
         return (herm_inverse(g)[0, 0] * (h[0, 0] - g[0, 0])).real
-    lap = np.zeros(g.shape[2:])
-    for (a, b), (w_re, w_im) in hessian_weights(g).items():
-        part = h[a, b].real - g[a, b].real
+    lap = np.zeros(np.shape(g.g00))
+    part = np.empty_like(lap)
+    for (a, b), w_re, w_im in iter_hessian_weights(g):
+        np.subtract(h[a, b].real, g[a, b].real, out=part)
         part *= w_re
         lap += part
         if w_im is not None:
-            part = h[a, b].imag - g[a, b].imag
+            np.subtract(h[a, b].imag, g[a, b].imag, out=part)
             part *= w_im
             lap += part
+        del w_re, w_im
     return lap
 
 

@@ -46,7 +46,9 @@ from .geometry import (
     FiberChart,
     FiberGrid,
     GeometryError,
+    Herm2,
     InvalidFieldError,
+    herm_bordered,
     herm_min_eig,
     linear_coeff_derivative,
 )
@@ -271,13 +273,16 @@ class Family:
             return FiberChart.make(self.grid, tau=self.tau(s))
         return FiberChart.make(self.grid, omega_matrix=self.spec.omega_matrix)
 
-    def validate_at(self, s: complex):
+    def validate_at(self, s: complex) -> "FiberMetric":
+        """The fiber metric at s, checked positive-definite; DefinitenessError if not."""
         if self.n == 1 and self.tau(s).imag <= 0:
             raise DefinitenessError(f"Im tau(s) <= 0 at s = {s}")
-        me = herm_min_eig(self.fiber_metric(s).gab)
+        fiber = self.fiber_metric(s)
+        me = herm_min_eig(fiber.gab)
         if me <= 0:
             raise DefinitenessError(
                 f"model form loses fiber definiteness at s = {s} (min eig {me:.3e})")
+        return fiber
 
     # -- the Kahler form and its exact derivatives --------------------------
 
@@ -300,19 +305,21 @@ class Family:
             if not self.chi.is_zero():
                 gzz = gzz + self._d(self.chi, chart, s, "z", "zbar")
             return FiberMetric(chart=chart, gab=gzz[np.newaxis, np.newaxis])
-        g0 = np.linalg.inv(chart.omega_matrix.imag).astype(complex)
-        gab = np.empty((2, 2) + grid.shape, dtype=complex)
-        gab[:] = g0.reshape((2, 2) + (1,) * 4)
-        if not self.chi.is_zero():
-            def hess(a, b):
-                return self.chi.eval(grid, s, chart=chart, derivs=(("z", a), ("zbar", b)))
-            gab[0, 0] += hess(0, 0)
-            gab[1, 1] += hess(1, 1)
-            # chi is real, so its fiber hessian is Hermitian
-            h01 = hess(0, 1)
-            gab[0, 1] += h01
-            gab[1, 0] += np.conj(h01)
-        return FiberMetric(chart=chart, gab=gab)
+        g0 = np.linalg.inv(chart.omega_matrix.imag)
+        # chi is real, so its fiber hessian is Hermitian: the diagonals are
+        # real (the real parts of their complex sums) and g_10 = conj(g_01)
+        if self.chi.is_zero():
+            return FiberMetric(chart=chart, gab=Herm2(
+                np.full(grid.shape, g0[0, 0]), np.full(grid.shape, g0[1, 1]),
+                np.full(grid.shape, complex(g0[0, 1]))))
+
+        def hess(a, b):
+            return self.chi.eval(grid, s, chart=chart, derivs=(("z", a), ("zbar", b)))
+        g00 = hess(0, 0).real + g0[0, 0]
+        g11 = hess(1, 1).real + g0[1, 1]
+        g01 = hess(0, 1)
+        g01 += g0[0, 1]
+        return FiberMetric(chart=chart, gab=Herm2(g00, g11, g01))
 
     def _omega_n2(self, s: complex) -> "FamilyForm":
         fiber = self.fiber_metric(s)
@@ -447,7 +454,7 @@ class FiberMetric:
     """Family.fiber_metric at one base point: the fiber chart and g_{alpha beta-bar}."""
 
     chart: FiberChart
-    gab: np.ndarray               # shape (n, n, *grid)
+    gab: np.ndarray | Herm2       # (1, 1, *grid) complex stack at n = 1, Herm2 at n = 2
 
 
 @dataclass
@@ -513,14 +520,7 @@ class FamilyForm:
 
     def full_matrix(self) -> np.ndarray:
         """(n+1) x (n+1) component matrix per node, base index first."""
-        n = self.n
-        out = np.empty((n + 1, n + 1) + self.chart.grid.shape, dtype=complex)
-        out[0, 0] = self.gss
-        for b in range(n):
-            out[0, 1 + b] = self.gsb[b]
-            out[1 + b, 0] = np.conj(self.gsb[b])
-        out[1:, 1:] = self.gab
-        return out
+        return herm_bordered(self.gss, self.gsb, self.gab)
 
     def fiber_min_eig(self) -> float:
         return herm_min_eig(self.gab)
@@ -547,20 +547,20 @@ def random_positive_form(rng: np.random.RandomState, grid: FiberGrid,
             f += amp * _wave(grid, tuple(k))
         return f
 
-    gab = np.zeros((n, n) + grid.shape, dtype=complex)
-    for a in range(n):
-        for b in range(a, n):
-            f = band_field(0.25)
-            if a == b:
-                gab[a, b] = 1.5 + f.real
-            else:
-                gab[a, b] = f
-                gab[b, a] = np.conj(f)
+    upper = {(a, b): band_field(0.25) for a in range(n) for b in range(a, n)}
+    diag = [1.5 + upper[a, a].real for a in range(n)]
+
+    def metric():
+        if n == 1:
+            return diag[0].astype(complex)[np.newaxis, np.newaxis]
+        return Herm2(diag[0], diag[1], upper[0, 1])
+
     # push up the diagonal until comfortably positive
-    me = herm_min_eig(gab)
+    me = herm_min_eig(metric())
     if me < 0.25:
-        for a in range(n):
-            gab[a, a] += 0.5 - me
+        for d in diag:
+            d += 0.5 - me
+    gab = metric()
     gsb = np.stack([band_field(0.5) for _ in range(n)])
     gss = 2.0 + band_field(0.3).real.astype(complex)
     return FamilyForm(chart=chart, s=1j, gss=gss, gsb=gsb, gab=gab)

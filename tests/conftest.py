@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyflab.geometry import FiberChart, FiberGrid
+from cyflab.geometry import FiberChart, FiberGrid, herm_pack
 from cyflab.models import FamilySpec, FourierPoly, make_family
 
 
@@ -66,3 +66,9 @@ def random_chart_and_metric(rng, n, N):
     chart = FiberChart.make(FiberGrid(2, N), omega_matrix=om)
     b = 0.2 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return chart, np.array([[rng.uniform(0.8, 1.5), b], [np.conj(b), rng.uniform(0.8, 1.5)]])
+
+
+def as_metric(g):
+    """A test's Hermitian (n, n, *grid) stack or n x n matrix as the library
+    stores a fiber metric: unchanged at n = 1, a Herm2 at n = 2."""
+    return g if np.shape(g)[0] == 1 else herm_pack(g)

@@ -37,7 +37,7 @@ from cyflab.masolver import (
 from cyflab.models import FamilySpec, FourierPoly, make_family
 from cyflab.cli import parse_config, suite_convergence, suite_elliptic, suite_epsilon, \
     suite_identities, suite_product
-from conftest import perturbation_chi, random_trig_field
+from conftest import as_metric, perturbation_chi, random_trig_field
 
 
 def _suite_config():
@@ -119,8 +119,8 @@ def test_criterion_4_determinant_nonlinearity():
     phi_star = 0.05 * np.cos(2 * np.pi * x1) + 0.05 * np.cos(2 * np.pi * y2)
     g = np.zeros((2, 2) + grid.shape, dtype=complex)
     g[0, 0] = g[1, 1] = 1.0
-    extra_f = np.log(herm_det(g + ddc_fiber(phi_star, chart)).real)
-    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
+    extra_f = np.log(herm_det(as_metric(g) + ddc_fiber(phi_star, chart)).real)
+    problem = MAProblem(chart=chart, gab=as_metric(g), eta=np.zeros(grid.shape),
                         epsilon=0.0, extra_f=extra_f)
     sol = solve_ma(problem, normalization=REFERENCE_VOLUME)
     recovery = float(np.max(np.abs(sol.phi - phi_star)))
@@ -131,7 +131,7 @@ def test_criterion_4_determinant_nonlinearity():
         (1, 0, 0, 0, 0, 0): 0.01, (-1, 0, 0, 0, 0, 0): 0.01,
         (0, 0, 0, 1, 0, 0): 0.008, (0, 0, 0, -1, 0, 0): 0.008,
     })
-    g2 = g + ddc_fiber(chi2.eval(grid, 0.0), chart)
+    g2 = as_metric(g + ddc_fiber(chi2.eval(grid, 0.0), chart))
     eta = eta_from_metric(g2, chart)
     prob2 = MAProblem(chart=chart, gab=g2, eta=eta, epsilon=0.0)
     sol2 = solve_ma(prob2)

@@ -21,6 +21,7 @@ import cyflab.masolver
 from cyflab.geometry import FiberChart, FiberGrid, ddc_fiber
 from cyflab.masolver import MAProblem, eta_from_metric
 from cyflab.models import FourierPoly
+from conftest import as_metric
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,6 +77,7 @@ def test_tracer_counts_n2_krylov_matvecs():
     chart = FiberChart.make(grid, omega_matrix=1j * np.eye(2))
     g = np.zeros((2, 2) + grid.shape, dtype=complex)
     g[0, 0] = g[1, 1] = 1.0
+    g = as_metric(g)
     chi = FourierPoly(2, {
         (1, 0, 0, 0, 0, 0): 0.01, (-1, 0, 0, 0, 0, 0): 0.01,
         (0, 0, 0, 1, 0, 0): 0.008, (0, 0, 0, -1, 0, 0): 0.008,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cyflab.cli
 import cyflab.masolver
+import cyflab.models
 from cyflab.cli import CONFIG_SCHEMA, ConfigError, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, \
     EXIT_OK, load_config, main, manufactured_phi, manufactured_problem, parse_config, write_json
 from cyflab.geometry import DefinitenessError
@@ -467,6 +469,102 @@ def test_solve_fiber_divergence_exit3(tmp_path):
                     "manufactured": {"amplitude": 0.1, "mode": [1, 0]}}
     path.write_text(json.dumps(doc))
     assert main(["solve-fiber", "--config", str(path)]) == 3
+
+
+def test_solve_fiber_divergence_falls_back_once(tmp_path, monkeypatch, capsys):
+    """On test_solve_fiber_divergence_exit3's input every level diverges: the
+    coarsest level (8) fails, the failure passes up through 16 and 32
+    without a solve of their own, and only the 64 grid is solved again from
+    phi = 0, which fails with the message of a direct solve."""
+    path, doc = base_config(tmp_path)
+    doc["solver"] = {"grid_n": 64, "max_iters": 1}
+    doc["fiber"] = {"s": [0.0, 1.0], "eps": 0.5,
+                    "manufactured": {"amplitude": 0.1, "mode": [1, 0]}}
+    path.write_text(json.dumps(doc))
+    calls = []
+
+    def counting(problem, *args, **kwargs):
+        calls.append((problem.chart.grid.N, kwargs.get("initial_guess") is not None))
+        return solve_ma(problem, *args, **kwargs)
+
+    monkeypatch.setattr(cyflab.masolver, "solve_ma", counting)
+    assert main(["solve-fiber", "--config", str(path)]) == EXIT_NUMERICAL
+    assert calls == [(8, False), (64, False)]
+    assert capsys.readouterr().err == ("numerical failure: Newton did not converge in 1 "
+                                       "iterations (residual 2.082e+00)\n")
+
+
+def n2_solve_fiber_config(tmp_path, grid_n=24):
+    """The fiber-n2 input: N2_FAMILY at s = i, eps = 0, on a grid_n^4 grid."""
+    path, doc = base_config(tmp_path, family=N2_FAMILY, fiber={"eps": 0.0})
+    doc["solver"] = {"grid_n": grid_n, "tol": 1e-11}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_solve_fiber_builds_the_fine_metric_once(tmp_path, monkeypatch):
+    """The metric that validates the base sample s is the fine problem's:
+    Family.fiber_metric runs once on the 24^4 grid and once on 12^4."""
+    built = []
+    fiber_metric = cyflab.models.Family.fiber_metric
+
+    def counting(family, s):
+        built.append(family.grid.N)
+        return fiber_metric(family, s)
+
+    monkeypatch.setattr(cyflab.models.Family, "fiber_metric", counting)
+    assert main(["solve-fiber", "--config", str(n2_solve_fiber_config(tmp_path))]) == EXIT_OK
+    assert built == [24, 12]
+
+
+@pytest.mark.parametrize("family, fiber, message", [
+    # n = 2, indefinite at s
+    ({**N2_FAMILY, "chi": [[1, 0, 0, 0, 0, 0, 0.1, 0.0], [-1, 0, 0, 0, 0, 0, 0.1, 0.0]]},
+     {"eps": 0.0}, "at s = 1j (min eig -9.739e-01)"),
+    # n = 1, indefinite at s = 3i and at the sample i after it: the first is named
+    ({"kind": "universal_elliptic", "chi": [[1, 0, 0, 0, 0.1, 0], [-1, 0, 0, 0, 0.1, 0]],
+      "base": {"samples": [[0.0, 3.0], [0.0, 1.0]]}},
+     {"s": [0.0, 3.0]}, "at s = 3j (min eig -1.641e+00)"),
+    # n = 1, indefinite at a base sample other than s
+    ({"kind": "universal_elliptic", "chi": [[1, 0, 0, 0, 0.1, 0], [-1, 0, 0, 0, 0.1, 0]],
+      "base": {"samples": [[0.0, 3.0]]}},
+     {"s": [0.0, 1.0]}, "at s = 3j (min eig -1.641e+00)"),
+])
+def test_solve_fiber_rejects_an_indefinite_model_metric(tmp_path, capsys, family, fiber,
+                                                         message):
+    """A base sample where the model form's fiber metric is indefinite ends
+    solve-fiber with exit 3 and names the sample and the least eigenvalue."""
+    path, doc = base_config(tmp_path, family=family, fiber=fiber)
+    doc["solver"] = {"grid_n": 12 if family.get("n") == 2 else 16}
+    path.write_text(json.dumps(doc))
+    assert main(["solve-fiber", "--config", str(path)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == \
+        f"numerical failure: model form loses fiber definiteness {message}\n"
+
+
+def test_solve_fiber_n2_peak_memory(tmp_path):
+    """The whole fiber-n2 command, reports included, holds at most 19 real
+    24^4 fields of traced allocations over what it starts with.
+
+    Measured: 17.35 fields, reached while the 24^4 residual of the prolonged
+    guess is formed (g, h, eta, log det g, phi and the dd^c tables are alive);
+    the bound leaves 1.65 fields of margin.  A complex (2, 2) stack for g and
+    h took 29.2 fields.
+    """
+    path = n2_solve_fiber_config(tmp_path)
+    field_bytes = 8 * 24 ** 4
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 19 * field_bytes, f"peak {peak / field_bytes:.2f} real fields"
 
 
 def test_richardson_theta(tmp_path):

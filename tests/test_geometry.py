@@ -9,11 +9,13 @@ from cyflab.geometry import (
     FiberChart,
     FiberGrid,
     GeometryError,
+    Herm2,
     InvalidFieldError,
     NormalizationError,
     d_z,
     d_zbar,
     ddc_fiber,
+    ddc_real_fields,
     drop_nyquist_modes,
     fft,
     fiber_integral,
@@ -22,7 +24,9 @@ from cyflab.geometry import (
     herm_check,
     herm_det,
     herm_inverse,
+    herm_mean,
     herm_min_eig,
+    hessian_weights,
     ifft,
     invert_flat_laplacian,
     irfft,
@@ -32,7 +36,7 @@ from cyflab.geometry import (
     prolong,
     rfft,
 )
-from conftest import random_chart_and_metric, random_trig_field
+from conftest import as_metric, random_chart_and_metric, random_trig_field
 
 
 def test_grid_validation():
@@ -128,7 +132,7 @@ def test_laplace_beltrami_matches_inverse_metric_formula(seed, case):
     n, N = case
     rng = np.random.RandomState(seed)
     chart, g_const = random_chart_and_metric(rng, n, N)
-    g = _random_positive_metric(rng, chart, g_const)
+    g = as_metric(_random_positive_metric(rng, chart, g_const))
     assert herm_min_eig(g) > 0
     gup = herm_inverse(g)
     for real in (True, False):
@@ -237,7 +241,7 @@ def test_min_eig():
     g2 = np.zeros((2, 2) + (16, 16, 16, 16)[:0] + FiberGrid(2, 8).shape, dtype=complex)
     g2[0, 0] = 1.0
     g2[1, 1] = -1.0
-    assert herm_min_eig(g2) == -1.0
+    assert herm_min_eig(as_metric(g2)) == -1.0
     mat = np.zeros((2, 2) + grid.shape, dtype=complex)
     mat[0, 0] = 2.0
     mat[1, 1] = 3.0
@@ -256,7 +260,7 @@ def test_herm_inverse_n2():
     off = 0.2 * random_trig_field(rng, grid, kmax=1, real=False)
     g[0, 1] = off
     g[1, 0] = np.conj(off)
-    gup = herm_inverse(g)
+    gup = herm_inverse(as_metric(g))
     for a in range(2):
         for c in range(2):
             prod = sum(g[a, b] * gup[b, c] for b in range(2))
@@ -414,17 +418,93 @@ def test_prolong_drops_the_coarse_nyquist_planes():
 @given(seed=st.integers(0, 10 ** 6), N=st.sampled_from([8, 12]))
 def test_n2_det_and_min_eig_keep_their_bits(seed, N):
     """herm_det and herm_min_eig at n = 2, computed in place, equal the plain
-    formulas bit for bit on random Hermitian fields."""
+    formulas bit for bit on random Hermitian fields (whose diagonals, as a
+    Herm2 holds them, are real)."""
     rng = np.random.RandomState(seed)
     grid = FiberGrid(2, N)
     g = np.empty((2, 2) + grid.shape, dtype=complex)
-    # a diagonal with an imaginary rounding residue, as a solved metric may carry
-    g[0, 0] = rng.uniform(0.1, 3) + rng.standard_normal(grid.shape) \
-        + 1e-17j * rng.standard_normal(grid.shape)
+    g[0, 0] = rng.uniform(0.1, 3) + rng.standard_normal(grid.shape)
     g[1, 1] = rng.uniform(0.1, 3) + rng.standard_normal(grid.shape)
     g[0, 1] = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     g[1, 0] = np.conj(g[0, 1])
-    assert np.array_equal(herm_det(g), g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+    assert np.array_equal(herm_det(as_metric(g)), g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
     half_tr = (g[0, 0].real + g[1, 1].real) / 2.0
     rad = np.sqrt(((g[0, 0].real - g[1, 1].real) / 2.0) ** 2 + np.abs(g[0, 1]) ** 2)
+    assert herm_min_eig(as_metric(g)) == float(np.min(half_tr - rad))
+
+
+def _stack_hessian_weights(g):
+    """The n = 2 Hessian weights from a complex (2, 2, *grid) stack."""
+    h00, h11, h01 = g[0, 0].real, g[1, 1].real, g[0, 1]
+    abs2 = h01.real ** 2
+    abs2 += h01.imag ** 2
+    det = h00 * h11
+    det -= abs2
+    w_re = -2.0 * h01.real
+    w_re /= det
+    w_im = -2.0 * h01.imag
+    w_im /= det
+    return {(0, 0): (h11 / det, None), (1, 1): (h00 / det, None), (0, 1): (w_re, w_im)}
+
+
+def _stack_ddc(f, chart):
+    """dd^c of a real f at n = 2 as a complex stack, each lower entry the
+    conjugate of the upper one."""
+    out = np.empty((2, 2) + f.shape, dtype=complex)
+    for a, b, re, im in ddc_real_fields(rfft(f), chart):
+        if im is None:
+            out[a, a] = re
+        else:
+            out[a, b].real = re
+            out[a, b].imag = im
+            np.conjugate(out[a, b], out=out[b, a])
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), N=st.sampled_from([8, 12, 16]))
+def test_packed_n2_metric_keeps_the_complex_stack_bits(seed, N):
+    """On random n = 2 metrics, a Herm2 gives the bits of the complex (2, 2)
+    stack: herm_det, herm_min_eig, herm_inverse, the Hessian weights with
+    their order, Delta_g, the mean matrix and dd^c of a real f."""
+    rng = np.random.RandomState(seed)
+    chart, g_const = random_chart_and_metric(rng, 2, N)
+    stack = _random_positive_metric(rng, chart, g_const)
+    g = as_metric(stack)
+    det = stack[0, 0] * stack[1, 1]
+    det -= stack[0, 1] * stack[1, 0]
+    assert np.array_equal(herm_det(g), det)
+    half_tr = (stack[0, 0].real + stack[1, 1].real) / 2.0
+    rad = np.sqrt(((stack[0, 0].real - stack[1, 1].real) / 2.0) ** 2
+                  + np.abs(stack[0, 1]) ** 2)
     assert herm_min_eig(g) == float(np.min(half_tr - rad))
+    inv = herm_inverse(g)
+    det = stack[0, 0] * stack[1, 1] - stack[0, 1] * stack[1, 0]
+    for (a, b), entry in {(0, 0): stack[1, 1], (1, 1): stack[0, 0],
+                          (0, 1): -stack[0, 1], (1, 0): -stack[1, 0]}.items():
+        assert np.array_equal(inv[a, b], entry / det)
+    weights, expected = hessian_weights(g), _stack_hessian_weights(stack)
+    assert list(weights) == list(expected)
+    for key, (w_re, w_im) in expected.items():
+        assert np.array_equal(weights[key][0], w_re)
+        assert (weights[key][1] is None) == (w_im is None)
+        if w_im is not None:
+            assert np.array_equal(weights[key][1], w_im)
+    mean = herm_mean(g)
+    assert mean[0, 1] == np.mean(stack[0, 1])
+    assert mean[0, 0] == np.mean(stack[0, 0]).real and mean[1, 1] == np.mean(stack[1, 1]).real
+    f = random_trig_field(rng, chart.grid, kmax=3).real
+    lap = np.zeros(chart.grid.shape)
+    ddc = _stack_ddc(f, chart)
+    for a, b, re, im in ddc_real_fields(rfft(f), chart):
+        w_re, w_im = expected[a, b]
+        lap += re * w_re
+        if im is not None:
+            lap += im * w_im
+    assert np.array_equal(laplace_beltrami(g, f, chart), lap)
+    packed = ddc_fiber(f, chart)
+    assert isinstance(packed, Herm2)
+    for a in range(2):
+        for b in range(2):
+            assert np.array_equal(packed[a, b], ddc[a, b])
+    assert np.array_equal(packed.g00, ddc[0, 0].real) and not np.any(ddc[0, 0].imag)

@@ -2,8 +2,8 @@
 curvature report in cyflab.familygeom can use it without an import cycle;
 cyflab.models does too, so the closed-form eps = 0 answer it holds shares no
 code with the solver (cyflab.masolver) or the Green kernels it checks.  No
-module reaches into another's private names, and the fiber Laplacian is
-built in cyflab.geometry only."""
+module reaches into another's private names, and the fiber Laplacian and
+every n = 2 Hermitian field are built in cyflab.geometry only."""
 
 import ast
 from pathlib import Path
@@ -85,3 +85,73 @@ def test_solve_fiber_has_one_solve_path():
               and isinstance(node.func, (ast.Name, ast.Attribute))]
     assert "solve_ma" not in called
     assert called.count("solve_nested") == 2
+
+
+ALLOCATORS = {"empty", "zeros", "ones", "full"}
+CONJUGATES = {"conj", "conjugate"}
+
+
+def _starts_with_2_2(shape) -> bool:
+    """shape is (2, 2, ...) or (2, 2) + ..., written with literal 2s."""
+    if isinstance(shape, ast.BinOp) and isinstance(shape.op, ast.Add):
+        shape = shape.left
+    return isinstance(shape, ast.Tuple) and len(shape.elts) >= 2 and all(
+        isinstance(e, ast.Constant) and e.value == 2 for e in shape.elts[:2])
+
+
+def _is_entry(node) -> bool:
+    """node is a matrix entry m[i, j]."""
+    return isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple) \
+        and len(node.slice.elts) == 2
+
+
+def _is_conjugate(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)) \
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id) \
+        in CONJUGATES
+
+
+def hermitian_stack_builds(source: str) -> list:
+    """Line numbers where source allocates a (2, 2, ...) array, or fills a
+    matrix entry m[i, j] with a conjugate (by assignment or by out=)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ALLOCATORS and node.args \
+                and _starts_with_2_2(node.args[0]):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)) and _is_conjugate(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(_is_entry(t) for t in targets):
+                found.append(node.lineno)
+        elif _is_conjugate(node) and any(kw.arg == "out" and _is_entry(kw.value)
+                                         for kw in node.keywords):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_hermitian_stack_check_finds_each_form():
+    """The check below sees each way a module could build an n = 2 stack."""
+    source = "\n".join([
+        "g = np.zeros((2, 2) + grid.shape, dtype=complex)",
+        "g = np.empty((2, 2, 8, 8))",
+        "g[1, 0] = np.conj(g[0, 1])",
+        "g[b, a] += np.conj(h01)",
+        "np.conjugate(g[0, 1], out=g[1, 0])",
+        "g[1, 0] = g[0, 1].conj()",
+        "a = np.zeros((n, n) + grid.shape)",
+        "w = np.conj(z) * g[0, 1]",
+    ])
+    assert hermitian_stack_builds(source) == [1, 2, 3, 4, 5, 6]
+
+
+def test_n2_hermitian_fields_built_in_geometry_only():
+    """Only cyflab.geometry allocates an n = 2 Hermitian stack or fills a lower
+    entry by conjugation: every other module holds an n = 2 metric as the
+    Herm2 that geometry and models build, and reads its entries."""
+    found = []
+    for path in sorted(Path(cyflab.__file__).parent.glob("*.py")):
+        if path.name != "geometry.py":
+            found += [(path.name, line)
+                      for line in hermitian_stack_builds(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -42,7 +42,7 @@ from cyflab.masolver import (
     solve_stencil,
 )
 from cyflab.models import FamilySpec, FourierPoly, make_family
-from conftest import perturbation_chi, random_chart_and_metric, random_trig_field
+from conftest import as_metric, perturbation_chi, random_chart_and_metric, random_trig_field
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,7 @@ def test_manufactured_n2():
     phi_star = 0.05 * np.cos(2 * np.pi * x1) + 0.05 * np.cos(2 * np.pi * y2)
     g = np.zeros((2, 2) + grid.shape, dtype=complex)
     g[0, 0] = g[1, 1] = 1.0
+    g = as_metric(g)
     extra_f = np.log(herm_det(g + ddc_fiber(phi_star, chart)).real)
     problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
                         epsilon=0.0, extra_f=extra_f)
@@ -256,6 +257,7 @@ def acceptance4_problem(N):
     chart = FiberChart.make(grid, omega_matrix=1j * np.eye(2))
     g = np.zeros((2, 2) + grid.shape, dtype=complex)
     g[0, 0] = g[1, 1] = 1.0
+    g = as_metric(g)
     chi = FourierPoly(2, {
         (1, 0, 0, 0, 0, 0): 0.01, (-1, 0, 0, 0, 0, 0): 0.01,
         (0, 0, 0, 1, 0, 0): 0.008, (0, 0, 0, -1, 0, 0): 0.008,
@@ -462,10 +464,12 @@ def test_lgmres_solves_a_dense_nonsymmetric_system():
 def random_n2_metric(rng, N=8):
     """A random n = 2 chart and h = g + dd^c psi, psi small and band-limited."""
     chart, g0 = random_chart_and_metric(rng, 2, N)
-    g = g0[:, :, np.newaxis, np.newaxis, np.newaxis, np.newaxis] * np.ones(chart.grid.shape)
+    g = as_metric(g0[:, :, np.newaxis, np.newaxis, np.newaxis, np.newaxis]
+                  * np.ones(chart.grid.shape))
     psi = random_trig_field(rng, chart.grid, kmax=1, terms=4).real
     hess = ddc_fiber(psi, chart)
-    h = g + 0.3 * herm_min_eig(g) / float(np.max(np.abs(hess))) * hess
+    # dd^c is linear: scaling psi scales its hessian
+    h = g + ddc_fiber(0.3 * herm_min_eig(g) / float(np.max(np.abs(hess))) * psi, chart)
     assert herm_min_eig(h) > 0
     return chart, h
 

@@ -433,15 +433,19 @@ def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
     family = Family(cfg["spec"])
     # make_family's check of the base samples; the metric it builds at s is
     # the fine problem's, which is then not built again
-    metrics = {}
+    fine = None
     for sample in map(complex, family.spec.base_samples):
         metric = family.validate_at(sample)
         if sample == s:
-            metrics[family.grid.N] = metric
+            fine = metric
         del metric
 
     def metric_at(grid_n):
-        return metrics.pop(grid_n, None) or family.on_grid(grid_n).fiber_metric(s)
+        nonlocal fine
+        if grid_n != family.grid.N or fine is None:
+            return family.on_grid(grid_n).fiber_metric(s)
+        metric, fine = fine, None
+        return metric
 
     report = {"provenance": provenance_block(cfg), "s": s, "eps": eps}
     # every grid's problem comes from the same analytic data: solve_nested

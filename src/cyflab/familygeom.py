@@ -30,6 +30,7 @@ from .geometry import (
     fiber_integral_complex,
     herm_det,
     herm_inverse,
+    herm_mean,
     herm_min_eig,
     laplace_beltrami,
     matrix_min_eig,
@@ -306,7 +307,7 @@ def kodaira_spencer_norm(rho: FamilyForm, field: DbarVField | None = None) -> fl
     field = dbar_vertical(rho) if field is None else field
     n = rho.n
     Abar = field.harmonic_mean
-    hbar = np.array([[np.mean(rho.gab[a, b]) for b in range(n)] for a in range(n)])
+    hbar = herm_mean(rho.gab)
     hup = np.linalg.inv(hbar)
     # |A|^2 with constant coefficients: A^a_b conj(A^c_d) h_ac hup[d,b]
     val = 0.0 + 0.0j

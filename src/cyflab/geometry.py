@@ -262,16 +262,22 @@ def herm_pack(m) -> Herm2:
                  np.array(m[0, 1], dtype=complex))
 
 
-def herm_mean(g: Herm2) -> Herm2:
-    """The fiber mean of g, a constant Herm2.
+def herm_mean(g) -> np.ndarray:
+    """The fiber mean of g, an (n, n) complex matrix; g is a (1, 1) stack or a Herm2.
 
-    The diagonal means are summed over complex copies, as the off-diagonal
-    one is: numpy blocks the pairwise sum of a complex array differently
-    from that of a real one, and a complex (2, 2) stack of g gives these
-    bits.
+    At n = 2 the diagonal means are summed over complex copies, as the
+    off-diagonal one is: numpy blocks the pairwise sum of a complex array
+    differently from that of a real one, and a complex (2, 2) stack of g
+    gives these bits.  The lower entry is the conjugate of the upper mean,
+    which the mean of the conjugate equals exactly.
     """
-    return Herm2(np.mean(g.g00.astype(complex)).real, np.mean(g.g11.astype(complex)).real,
-                 np.mean(g.g01))
+    if not isinstance(g, Herm2):
+        if g.shape[0] != 1:
+            raise _unsupported(g)
+        return np.array([[np.mean(g[0, 0])]])
+    m01 = np.mean(g.g01)
+    return np.array([[np.mean(g.g00.astype(complex)), m01],
+                     [np.conj(m01), np.mean(g.g11.astype(complex))]])
 
 
 def herm_bordered(corner: np.ndarray, border: np.ndarray, block) -> np.ndarray:
@@ -602,7 +608,7 @@ def matrix_min_eig(mat: np.ndarray) -> float:
     return float(np.min(vals[:, 0]))
 
 
-def iter_hessian_weights(g):
+def hessian_weights(g):
     """Yield ((a, b), w_re, w_im), a <= b, the real weights of u -> g^{b a} u_ab for real u.
 
     The sum is sum w_re Re u_ab + w_im Im u_ab (w_im is None on the real
@@ -636,13 +642,11 @@ def iter_hessian_weights(g):
     yield (0, 1), w_re, w_im
 
 
-def hessian_weights(g) -> dict:
-    """{(a, b): (w_re, w_im)} of iter_hessian_weights(g), all held at once."""
-    return {key: (w_re, w_im) for key, w_re, w_im in iter_hessian_weights(g)}
-
-
 def add_weighted_ddc(out: np.ndarray, fh: np.ndarray, chart: FiberChart, weights: dict):
-    """out += sum w_re Re f_ab + w_im Im f_ab over hessian_weights, fh the half spectrum of f."""
+    """out += sum w_re Re f_ab + w_im Im f_ab, fh the half spectrum of f.
+
+    weights is {(a, b): (w_re, w_im)} of hessian_weights, all held at once.
+    """
     for a, b, re, im in ddc_real_fields(fh, chart):
         w_re, w_im = weights[a, b]
         re *= w_re
@@ -661,20 +665,19 @@ def laplace_beltrami(g: np.ndarray, f: np.ndarray, chart: FiberChart) -> np.ndar
     if np.iscomplexobj(f):
         return laplace_beltrami(g, f.real, chart) + 1j * laplace_beltrami(g, f.imag, chart)
     out = np.zeros(chart.grid.shape)
-    add_weighted_ddc(out, rfft(f), chart, hessian_weights(g))
+    weights = {key: (w_re, w_im) for key, w_re, w_im in hessian_weights(g)}
+    add_weighted_ddc(out, rfft(f), chart, weights)
     return out
 
 
 def flat_symbol(chart: FiberChart, g_const=None) -> np.ndarray:
     """lambda(k) >= 0 with Delta_g e_k = -lambda(k) e_k for constant g, on the half spectrum.
 
-    g_const is an n x n matrix or, at n = 2, a constant Herm2; None is the identity.
+    g_const is an n x n matrix; None is the identity.
     """
     lam = np.zeros(chart.ddc_mult_half[0, 0][0].shape)
-    g = np.eye(chart.n) if g_const is None else g_const
-    if chart.n == 2 and not isinstance(g, Herm2):
-        g = herm_pack(g)
-    for (a, b), w_re, w_im in iter_hessian_weights(np.asarray(g) if chart.n == 1 else g):
+    g = np.eye(chart.n) if g_const is None else np.asarray(g_const)
+    for (a, b), w_re, w_im in hessian_weights(herm_pack(g) if chart.n == 2 else g):
         re_mult, im_mult = chart.ddc_mult_half[a, b]
         lam -= w_re * re_mult
         if im_mult is not None:

@@ -26,6 +26,7 @@ from .geometry import (
     fiber_integral,
     flat_symbol,
     fourier_multiply,
+    herm_mean,
     ifft,
 )
 
@@ -149,7 +150,7 @@ def build_green(h: np.ndarray, chart: FiberChart, constancy_tol: float = 1e-8) -
     if h.shape == (n, n):
         h_const = h
     else:
-        h_const = np.array([[np.mean(h[a, b]) for b in range(n)] for a in range(n)])
+        h_const = herm_mean(h)
         dev = max(float(np.max(np.abs(h[a, b] - h_const[a, b])))
                   for a in range(n) for b in range(n))
         scale = float(np.max(np.abs(h_const)))

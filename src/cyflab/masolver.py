@@ -61,7 +61,6 @@ from .geometry import (
     herm_min_eig,
     hessian_weights,
     irfft,
-    iter_hessian_weights,
     prolong,
     rfft,
 )
@@ -164,15 +163,12 @@ def eta_from_metric(gab, chart: FiberChart) -> np.ndarray:
     return eta
 
 
-def _project_rhs(rhs, h, in_place=False):
-    """rhs less its det(h)-weighted mean: the range of Delta_h at eps = 0.
-
-    With in_place the shift is made in rhs itself.
-    """
+def _project_rhs(rhs, h):
+    """Shift rhs in place by its det(h)-weighted mean, onto the range of Delta_h at eps = 0."""
     det = herm_det(h).real
     shift = np.mean(rhs * det) / np.mean(det)
     del det
-    return np.subtract(rhs, shift, out=rhs if in_place else None)
+    rhs -= shift
 
 
 def _accept_unconverged(rel, solver):
@@ -298,20 +294,22 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
         im, fb_im, it_im, res_im = _linear_solve(h, chart, eps, rhs.imag, config, rtol)
         residual = None if res_re is None else max(res_re, res_im)
         return re + 1j * im, fb_re + fb_im, it_re + it_im, residual
-    # the setup overwrites its right-hand side: give it a copy
-    return _prepare_linear_solve(h, chart, eps, np.array(rhs, dtype=float), config, rtol)()
+    if eps == 0:
+        # the eps = 0 setup projects its right-hand side in place: give it a copy
+        rhs = np.array(rhs, dtype=float)
+    return _prepare_linear_solve(h, chart, eps, rhs, config, rtol)()
 
 
 def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Callable:
     """Set up _linear_solve's real system; returns the solve, a function of no arguments.
 
     The solve returns (u, fallbacks, iterations, residual) as _linear_solve
-    does.  At n = 1 the step is solved here.  At n >= 2 rhs, a real field
-    the caller gives up, is projected and filtered in place before the
-    Hessian weights are built, and it is what GMRES reads; the solve holds
-    it, the weights of h and the preconditioner symbol, but not h, so a
-    caller that drops h and rhs before calling it keeps neither through the
-    Krylov solve.
+    does.  At n = 1 the step is solved here.  rhs is a real field the
+    caller gives up: at eps = 0 it is projected (and at n >= 2 filtered) in
+    place, before the Hessian weights are built.  At n >= 2 it is what
+    GMRES reads; the solve holds it, the weights of h and the
+    preconditioner symbol, but not h, so a caller that drops h and rhs
+    before calling it keeps neither through the Krylov solve.
     """
     grid = chart.grid
     n = chart.n
@@ -324,7 +322,7 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
         # det(h) h^{-1} = 1, so det(h) Delta_h u = u_{z z-bar}: the step
         # is one division by the flat symbol, whose zeroed kernel modes
         # drop the constant and the pure-Nyquist content of det(h) rhs
-        rhs = _project_rhs(rhs, h)
+        _project_rhs(rhs, h)
         u = fourier_multiply(herm_det(h).real * rhs, chart.flat_inverse_mult)
         out = u - np.mean(u), 0, 0, None
         return lambda: out
@@ -332,12 +330,12 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
     # sit in the kernel of Delta_h at eps = 0; their rhs content is aliasing
     # noise and is filtered out to keep the system consistent.
     if pin:
-        _project_rhs(rhs, h, in_place=True)
+        _project_rhs(rhs, h)
         drop_nyquist_modes(rhs, in_place=True)
     # the symbol first: its mean of h takes complex copies, freed before
     # the weights are built
     inv_denom = _preconditioner_symbol(h, chart, eps)
-    weights = hessian_weights(h)
+    weights = {key: (w_re, w_im) for key, w_re, w_im in hessian_weights(h)}
     matvecs = 0
 
     def preconditioned(vec):
@@ -661,7 +659,7 @@ def _laplacian_of_potential(g, h) -> np.ndarray:
         return (herm_inverse(g)[0, 0] * (h[0, 0] - g[0, 0])).real
     lap = np.zeros(np.shape(g.g00))
     part = np.empty_like(lap)
-    for (a, b), w_re, w_im in iter_hessian_weights(g):
+    for (a, b), w_re, w_im in hessian_weights(g):
         np.subtract(h[a, b].real, g[a, b].real, out=part)
         part *= w_re
         lap += part

@@ -64,7 +64,7 @@ from .geometry import (
     prolong,
     rfft,
 )
-from .models import Family, FamilyForm
+from .models import Family, FamilyForm, FiberMetric
 
 KE_VOLUME = "ke_volume"
 REFERENCE_VOLUME = "reference_volume"
@@ -161,6 +161,17 @@ def eta_from_metric(gab, chart: FiberChart) -> np.ndarray:
     np.negative(eta, out=eta)
     eta += c
     return eta
+
+
+def manufactured_problem(metric: FiberMetric, phi_star: np.ndarray, eps: float) -> MAProblem:
+    """The fiber problem on metric whose solution is phi_star: eta = 0 and the
+    forcing f = log det(g + dd^c phi*) - log det g - eps phi*."""
+    h_star = metric.gab + ddc_fiber(phi_star, metric.chart)
+    if herm_min_eig(h_star) <= 0:
+        raise DefinitenessError("manufactured phi* breaks fiber positivity")
+    extra_f = np.log(herm_det(h_star).real) - np.log(herm_det(metric.gab).real) - eps * phi_star
+    return MAProblem(chart=metric.chart, gab=metric.gab, eta=np.zeros(phi_star.shape),
+                     epsilon=eps, extra_f=extra_f)
 
 
 def _project_rhs(rhs, h):

@@ -23,7 +23,6 @@ from cyflab.geometry import (
     ddc_fiber,
     fiber_integral,
     fiber_integral_complex,
-    herm_det,
 )
 from cyflab.green import build_green, kernel_mean_residual, reproducing_residual
 from cyflab.masolver import (
@@ -32,11 +31,13 @@ from cyflab.masolver import (
     REFERENCE_VOLUME,
     eta_from_metric,
     fiberwise_ricci_flat,
+    manufactured_problem,
     solve_ma,
 )
-from cyflab.models import FamilySpec, FourierPoly, make_family
-from cyflab.cli import parse_config, suite_convergence, suite_elliptic, suite_epsilon, \
-    suite_identities, suite_product
+from cyflab.models import FamilySpec, FiberMetric, FourierPoly, make_family
+from cyflab.config import parse_config
+from cyflab.suites import suite_convergence, suite_elliptic, suite_epsilon, suite_identities, \
+    suite_product
 from conftest import as_metric, perturbation_chi, random_trig_field
 
 
@@ -119,9 +120,7 @@ def test_criterion_4_determinant_nonlinearity():
     phi_star = 0.05 * np.cos(2 * np.pi * x1) + 0.05 * np.cos(2 * np.pi * y2)
     g = np.zeros((2, 2) + grid.shape, dtype=complex)
     g[0, 0] = g[1, 1] = 1.0
-    extra_f = np.log(herm_det(as_metric(g) + ddc_fiber(phi_star, chart)).real)
-    problem = MAProblem(chart=chart, gab=as_metric(g), eta=np.zeros(grid.shape),
-                        epsilon=0.0, extra_f=extra_f)
+    problem = manufactured_problem(FiberMetric(chart, as_metric(g)), phi_star, 0.0)
     sol = solve_ma(problem, normalization=REFERENCE_VOLUME)
     recovery = float(np.max(np.abs(sol.phi - phi_star)))
     vol_res = sol.diagnostics["volume_residual"]

@@ -8,16 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cyflab.cli
 import cyflab.masolver
 import cyflab.models
-from cyflab.cli import CONFIG_SCHEMA, ConfigError, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, \
-    EXIT_OK, load_config, main, manufactured_phi, manufactured_problem, parse_config, write_json
+import cyflab.reports
+import cyflab.suites
+from cyflab.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, \
+    manufactured_phi
+from cyflab.config import CONFIG_SCHEMA, ConfigError, load_config, parse_config
 from cyflab.geometry import DefinitenessError
-from cyflab.masolver import SolverConfig, SolverDivergence, solve_ma
-from cyflab.models import FamilySpec, make_family
+from cyflab.masolver import SolverDivergence, manufactured_problem, solve_ma
+from cyflab.models import VALID_KINDS, FamilySpec, make_family
+from cyflab.reports import write_json
 
 
 def base_config(tmp_path, **overrides):
@@ -216,7 +220,7 @@ def test_solve_fiber_n2_manufactured_eps_positive(tmp_path):
 def test_epsilon_suite_without_a_decay_order_fails_with_a_reason(tmp_path, monkeypatch):
     """On a chi = 0 family every phi_eps is the eps = 0 one, so no order can be
     fitted: the suite fails, says why, and its report is valid JSON."""
-    monkeypatch.setattr(cyflab.cli, "_perturbed_family", lambda cfg: make_family(
+    monkeypatch.setattr(cyflab.suites, "_perturbed_family", lambda cfg: make_family(
         FamilySpec(kind="universal_elliptic", grid_n=cfg["spec"].grid_n)))
     path, doc = base_config(tmp_path)
     doc["solver"]["grid_n"] = 16
@@ -414,7 +418,6 @@ def test_verify_convergence_suite(tmp_path):
 
 
 def test_positivity_suite_solves_each_sample_once(tmp_path, monkeypatch):
-    import cyflab.cli
     import cyflab.familygeom
     import cyflab.masolver
 
@@ -425,7 +428,6 @@ def test_positivity_suite_solves_each_sample_once(tmp_path, monkeypatch):
         calls.append(stencil.center)
         return solve(family, stencil, *args, **kwargs)
 
-    monkeypatch.setattr(cyflab.cli, "fiberwise_ricci_flat", counted)
     monkeypatch.setattr(cyflab.familygeom, "fiberwise_ricci_flat", counted)
     monkeypatch.setattr(cyflab.masolver, "fiberwise_ricci_flat", counted)
     path, doc = base_config(tmp_path)
@@ -662,13 +664,19 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, edit):
                                  "base": {"samples": [[0.0, 1.2]]},
                                  "chi": [[1, 0, 4000, 0, 0.01, 0.0],
                                          [-1, 0, 0, 4000, 0.01, 0.0]]}}),
+    (["run-family"], {"family": {"kind": "universal_elliptic", "base_coeff": 1e200,
+                                 "base": {"samples": [[0.0, 1.0]]}}}),
+    (["green"], {"family": {"kind": "universal_elliptic", "base_coeff": 1e200,
+                            "base": {"samples": [[0.0, 1.0]]}}}),
 ], ids=["tau0-below-axis", "manufactured-not-positive-eps-0",
-        "manufactured-not-positive-eps-positive", "chi-power-overflow"])
+        "manufactured-not-positive-eps-positive", "chi-power-overflow",
+        "base-coeff-overflow-run-family", "base-coeff-overflow-green"])
 def test_numerical_failure_exits_3(tmp_path, capsys, command, edit):
     """Well-formed configs whose numerics fail exit 3, never with a traceback
     or a report of non-finite values: a family whose fibers are not tori, a
     manufactured phi* whose g + dd^c phi* is not positive (its forcing would
-    be NaN), and a chi power of s past the float range."""
+    be NaN), a chi power of s past the float range, and a base term so large
+    that a report value overflows."""
     path, doc = base_config(tmp_path)
     doc.update(edit)
     doc["solver"]["grid_n"] = 16
@@ -676,6 +684,42 @@ def test_numerical_failure_exits_3(tmp_path, capsys, command, edit):
     assert main(command + ["--config", str(path)]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure")
     assert not (tmp_path / "out" / "fiber_solution.json").exists()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PAIR = st.lists(_FINITE, min_size=2, max_size=2)
+
+
+@settings(max_examples=30, deadline=None)
+# a base term whose report values overflow, and a modulus whose Im tau^2
+# underflows to zero in the base term's division
+@example(kind="universal_elliptic", base_coeff=1e308, tau0=[0.0, 1.0],
+         modulus_coeffs=[[0.0, 1.0]], h_s=1e-3, sample=(0.0, 1.0))
+@example(kind="modulus_map", base_coeff=1.0, tau0=[0.0, 1.0],
+         modulus_coeffs=[[0.0, 4.198338182088119e-286]], h_s=1.0, sample=(0.0, 1.0))
+@given(kind=st.sampled_from(VALID_KINDS), base_coeff=st.floats(0.0, 1e308, exclude_min=True),
+       tau0=_PAIR, modulus_coeffs=st.lists(_PAIR, min_size=1, max_size=3),
+       h_s=st.floats(1e-6, 1e308),
+       sample=st.tuples(_FINITE, st.floats(0.0, 1e308, exclude_min=True)))
+def test_family_commands_exit_0_1_or_3(tmp_path_factory, kind, base_coeff, tau0,
+                                       modulus_coeffs, h_s, sample):
+    """run-family and green on any numbers the config accepts return 0, 1 or
+    3 and never raise; every report they write is valid JSON, and one written
+    with exit 3 names the failure."""
+    out = tmp_path_factory.mktemp("out")
+    doc = {"schema": 1,
+           "family": {"kind": kind, "base_coeff": base_coeff, "tau0": tau0,
+                      "modulus_coeffs": modulus_coeffs, "base": {"samples": [list(sample)]}},
+           "solver": {"grid_n": 8}, "stencil": {"h_s": h_s},
+           "outputs": {"dir": str(out), "formats": ["json", "csv"]}}
+    path = out / "cfg.json"
+    path.write_text(json.dumps(doc))
+    for command, name in (("run-family", "family_report.json"), ("green", "green_report.json")):
+        code = main([command, "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_NUMERICAL)
+        if (out / name).exists():
+            report = json.loads((out / name).read_text())
+            assert ("failure" in report) == (code == EXIT_NUMERICAL)
 
 
 def test_damping_floor_one_is_undamped_newton(tmp_path):
@@ -795,7 +839,7 @@ def _csv_module_phi(path, phi):
 
 @pytest.mark.parametrize("shape", [(8, 6), (4, 4, 4, 4)])
 def test_phi_csv_bytes_match_csv_module(tmp_path, shape):
-    from cyflab.cli import write_phi_csv
+    from cyflab.reports import write_phi_csv
     rng = np.random.RandomState(1)
     phi = rng.standard_normal(shape) * 10.0 ** rng.randint(-20, 20, size=shape)
     phi.flat[0] = 0.0
@@ -822,20 +866,19 @@ def _per_row_phi(path, phi):
 @pytest.mark.parametrize("shape", [(9, 12), (4, 4, 4, 4)])
 def test_phi_csv_blocks_match_per_row_writer(tmp_path, monkeypatch, shape, block):
     """The joined blocks give the per-row writer's bytes, across block edges too."""
-    import cyflab.cli
-    monkeypatch.setattr(cyflab.cli, "PHI_CSV_BLOCK", block)
+    monkeypatch.setattr(cyflab.reports, "PHI_CSV_BLOCK", block)
     rng = np.random.RandomState(2)
     phi = rng.standard_normal(shape) * 10.0 ** rng.randint(-20, 20, size=shape)
     phi.flat[:4] = [1e-05, -3.2e-17, 0.0, -0.0]
     assert repr(float(phi.flat[0])) == "1e-05" and repr(float(phi.flat[1])) == "-3.2e-17"
-    cyflab.cli.write_phi_csv(tmp_path / "new.csv", phi)
+    cyflab.reports.write_phi_csv(tmp_path / "new.csv", phi)
     _per_row_phi(tmp_path / "ref.csv", phi)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _assert_phi_csv_is_repr(tmp, phi):
     """write_phi_csv gives the bytes of both repr-based references."""
-    cyflab.cli.write_phi_csv(tmp / "new.csv", phi)
+    cyflab.reports.write_phi_csv(tmp / "new.csv", phi)
     new = (tmp / "new.csv").read_bytes()
     for reference in (_per_row_phi, _csv_module_phi):
         reference(tmp / "ref.csv", phi)
@@ -867,7 +910,7 @@ def test_phi_csv_edge_values_are_repr(tmp_path, monkeypatch, ndim, block):
     """Subnormals, the ends of the double range, every power of two (where the
     spacing below differs from the spacing above), the neighbours of each, and
     the edges of repr's positional and exponent forms."""
-    monkeypatch.setattr(cyflab.cli, "PHI_CSV_BLOCK", block)
+    monkeypatch.setattr(cyflab.reports, "PHI_CSV_BLOCK", block)
     values = np.concatenate([PHI_CSV_EDGES, -PHI_CSV_EDGES])
     _assert_phi_csv_is_repr(tmp_path, _phi_field(values, ndim))
 
@@ -888,10 +931,10 @@ def test_phi_csv_digits_are_repr_for_any_bits(tmp_path_factory, words, seed):
                            dtype=np.float64)
     for ndim in (2, 4):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cyflab.cli, "PHI_CSV_BLOCK", 7)
+            patch.setattr(cyflab.reports, "PHI_CSV_BLOCK", 7)
             _assert_phi_csv_is_repr(tmp, _phi_field(values[:200], ndim))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cyflab.cli, "PHI_CSV_BLOCK", 2 ** 15)
+            patch.setattr(cyflab.reports, "PHI_CSV_BLOCK", 2 ** 15)
             _assert_phi_csv_is_repr(tmp, _phi_field(values, ndim))
 
 
@@ -906,14 +949,14 @@ def test_phi_csv_write_peak_memory(tmp_path):
     """
     phi = np.random.RandomState(3).standard_normal((24,) * 4)
     field_bytes = phi.nbytes
-    cyflab.cli.write_phi_csv(tmp_path / "warm.csv", phi[:1])   # the lazy tables
+    cyflab.reports.write_phi_csv(tmp_path / "warm.csv", phi[:1])   # the lazy tables
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        cyflab.cli.write_phi_csv(tmp_path / "phi.csv", phi)
+        cyflab.reports.write_phi_csv(tmp_path / "phi.csv", phi)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:

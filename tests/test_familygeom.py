@@ -21,8 +21,7 @@ from cyflab.familygeom import (
 )
 from cyflab.geometry import FiberChart, FiberGrid, fiber_integral
 from cyflab.masolver import BaseStencil, SolverConfig, fiberwise_ricci_flat
-from cyflab.models import FamilySpec, make_family
-from cyflab.cli import random_positive_form
+from cyflab.models import FamilySpec, make_family, random_positive_form
 from conftest import perturbation_chi
 
 

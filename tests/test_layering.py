@@ -1,9 +1,12 @@
 """Module layering: cyflab.green depends on the geometry layer only, so the
 curvature report in cyflab.familygeom can use it without an import cycle;
 cyflab.models does too, so the closed-form eps = 0 answer it holds shares no
-code with the solver (cyflab.masolver) or the Green kernels it checks.  No
-module reaches into another's private names, and the fiber Laplacian and
-every n = 2 Hermitian field are built in cyflab.geometry only."""
+code with the solver (cyflab.masolver) or the Green kernels it checks.  The
+command line sits on top: cyflab.config and cyflab.reports import neither
+cyflab.suites nor cyflab.cli, cyflab.suites does not import cyflab.cli, and
+no package module imports cyflab.cli.  No module reaches into another's
+private names, and the fiber Laplacian and every n = 2 Hermitian field are
+built in cyflab.geometry only."""
 
 import ast
 from pathlib import Path
@@ -35,6 +38,23 @@ def test_green_imports_only_geometry():
 def test_models_imports_only_geometry():
     models = Path(cyflab.__file__).parent / "models.py"
     assert imported_cyflab_modules(models) <= {"cyflab.geometry"}
+
+
+def test_config_and_reports_sit_below_suites_and_cli():
+    for name in ("config.py", "reports.py"):
+        found = imported_cyflab_modules(Path(cyflab.__file__).parent / name)
+        assert not found & {"cyflab.suites", "cyflab.cli"}, name
+
+
+def test_suites_do_not_import_cli():
+    suites = Path(cyflab.__file__).parent / "suites.py"
+    assert "cyflab.cli" not in imported_cyflab_modules(suites)
+
+
+def test_no_module_imports_cli():
+    found = [path.name for path in sorted(Path(cyflab.__file__).parent.glob("*.py"))
+             if "cyflab.cli" in imported_cyflab_modules(path)]
+    assert found == []
 
 
 def test_no_private_cross_module_imports():

@@ -36,12 +36,13 @@ from cyflab.masolver import (
     fiberwise_ricci_flat,
     lgmres,
     linearized_solve,
+    manufactured_problem,
     semiflat_shift,
     solve_ma,
     solve_nested,
     solve_stencil,
 )
-from cyflab.models import FamilySpec, FourierPoly, make_family
+from cyflab.models import FamilySpec, FiberMetric, FourierPoly, make_family
 from conftest import as_metric, perturbation_chi, random_chart_and_metric, random_trig_field
 
 
@@ -96,10 +97,7 @@ def test_manufactured_n1(flat_setup):
     grid, chart, g = flat_setup
     x = grid.coords[0]
     phi_star = 0.1 * np.cos(2 * np.pi * x)
-    hess = ddc_fiber(phi_star, chart)[0, 0].real
-    extra_f = np.log(1.0 + hess) - 0.5 * phi_star
-    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
-                        epsilon=0.5, extra_f=extra_f)
+    problem = manufactured_problem(FiberMetric(chart, g), phi_star, 0.5)
     sol = solve_ma(problem)
     assert np.max(np.abs(sol.phi - phi_star)) < 1e-10
     assert sol.residual_sup < 1e-11
@@ -110,9 +108,7 @@ def test_uniqueness_eps_positive(flat_setup):
     grid, chart, g = flat_setup
     x, y = grid.coords
     phi_star = 0.05 * np.cos(2 * np.pi * x)
-    extra_f = np.log(1.0 + ddc_fiber(phi_star, chart)[0, 0].real) - phi_star
-    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
-                        epsilon=1.0, extra_f=extra_f)
+    problem = manufactured_problem(FiberMetric(chart, g), phi_star, 1.0)
     a = solve_ma(problem)
     b = solve_ma(problem, initial_guess=0.02 * np.cos(2 * np.pi * y))
     assert np.max(np.abs(a.phi - b.phi)) < 1e-9
@@ -125,10 +121,7 @@ def test_manufactured_n2():
     phi_star = 0.05 * np.cos(2 * np.pi * x1) + 0.05 * np.cos(2 * np.pi * y2)
     g = np.zeros((2, 2) + grid.shape, dtype=complex)
     g[0, 0] = g[1, 1] = 1.0
-    g = as_metric(g)
-    extra_f = np.log(herm_det(g + ddc_fiber(phi_star, chart)).real)
-    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
-                        epsilon=0.0, extra_f=extra_f)
+    problem = manufactured_problem(FiberMetric(chart, as_metric(g)), phi_star, 0.0)
     sol = solve_ma(problem, normalization=REFERENCE_VOLUME)
     assert np.max(np.abs(sol.phi - phi_star)) < 1e-9
     assert sol.diagnostics["volume_residual"] < 1e-10
@@ -158,10 +151,7 @@ def test_divergence_reported(flat_setup):
     grid, chart, g = flat_setup
     x = grid.coords[0]
     phi_star = 0.1 * np.cos(2 * np.pi * x)
-    hess = ddc_fiber(phi_star, chart)[0, 0].real
-    extra_f = np.log(1.0 + hess) - 0.5 * phi_star
-    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
-                        epsilon=0.5, extra_f=extra_f)
+    problem = manufactured_problem(FiberMetric(chart, g), phi_star, 0.5)
     with pytest.raises(SolverDivergence) as err:
         solve_ma(problem, SolverConfig(max_iters=2))
     assert err.value.residual is not None
@@ -174,9 +164,7 @@ def test_linear_fallbacks_recorded():
     g = np.ones((1, 1) + grid.shape, dtype=complex)
     x = grid.coords[0]
     phi_star = 0.1 * np.cos(2 * np.pi * x)
-    extra_f = np.log(1.0 + ddc_fiber(phi_star, chart)[0, 0].real) - 0.5 * phi_star
-    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
-                        epsilon=0.5, extra_f=extra_f)
+    problem = manufactured_problem(FiberMetric(chart, g), phi_star, 0.5)
     strict = solve_ma(problem, SolverConfig(linear_rtol=1e-16, linear_maxiter=2))
     assert strict.residual_sup < 1e-11
     assert strict.diagnostics["linear_fallbacks"] >= 1
@@ -418,9 +406,7 @@ def test_damping_floor_names_its_cause():
     g = np.ones((1, 1) + grid.shape, dtype=complex)
     x = grid.coords[0]
     phi_star = 0.1 * np.cos(2 * np.pi * x)
-    extra_f = np.log(1.0 + ddc_fiber(phi_star, chart)[0, 0].real) - 0.5 * phi_star
-    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape),
-                        epsilon=0.5, extra_f=extra_f)
+    problem = manufactured_problem(FiberMetric(chart, g), phi_star, 0.5)
     # below the rounding floor of F, no step can lower sup |F|
     with pytest.raises(SolverDivergence) as err:
         solve_ma(problem, SolverConfig(tol=1e-30))
@@ -582,14 +568,11 @@ def test_elliptic_eps0_one_exact_step(seed, N, tau, warm):
         return hess_sup * f / float(np.max(np.abs(ddc_fiber(f, chart)[0, 0].real)))
 
     phi_star = potential(3, 0.5 * g_min)
-    hess = ddc_fiber(phi_star, chart)[0, 0].real
-    extra_f = np.log(g[0, 0].real + hess) - np.log(g[0, 0].real)
-    problem = MAProblem(chart=chart, gab=g, eta=np.zeros(grid.shape), epsilon=0.0,
-                        extra_f=extra_f)
+    problem = manufactured_problem(FiberMetric(chart, g), phi_star, 0.0)
     guess = potential(2, 0.25 * g_min) if warm else None
     with patch("cyflab.masolver.lgmres", side_effect=AssertionError("lgmres called")):
         sol = solve_ma(problem, initial_guess=guess)
-    weight = np.exp(extra_f) * g[0, 0].real
+    weight = np.exp(problem.extra_f) * g[0, 0].real
     expected = phi_star - np.mean(phi_star * weight) / np.mean(weight)
     assert sol.newton_iters == 1
     assert sol.diagnostics["linear_iterations"] == [0]

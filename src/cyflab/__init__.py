@@ -19,10 +19,10 @@ from .masolver import (
     MASolution,
     REFERENCE_VOLUME,
     SolverConfig,
-    compute_eta,
     epsilon_continuation,
     fiberwise_ricci_flat,
     linearized_solve,
+    ricci_flat_problem,
     semiflat_shift,
     solve_ma,
 )
@@ -45,12 +45,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseStencil", "FamilySpec", "FiberChart", "FiberGrid",
     "FourierPoly", "KE_VOLUME", "MAProblem", "MASolution", "REFERENCE_VOLUME",
-    "SolverConfig", "build_green", "compute_eta", "curvature_report",
+    "SolverConfig", "build_green", "curvature_report",
     "d_z", "d_zbar", "dbar_vertical", "ddc_fiber", "direct_image_report",
     "epsilon_continuation", "fiber_derivative", "fiber_integral",
     "fiberwise_ricci_flat", "geodesic_curvature", "horizontal_lift",
     "invert_flat_laplacian", "k_bound", "kodaira_spencer_norm",
     "laplace_beltrami", "linearized_solve", "make_family", "pde_residual",
-    "semiflat_shift", "solve_ma", "theta_E",
+    "ricci_flat_problem", "semiflat_shift", "solve_ma", "theta_E",
     "vphi_cross_check", "wp_norm",
 ]

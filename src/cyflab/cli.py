@@ -23,12 +23,11 @@ from .config import KNOWN_SUITES, ConfigError, load_config, parse_config, proven
 from .familygeom import curvature_report
 from .geometry import FiberGrid, GeometryError, herm_det
 from .masolver import (
-    MAProblem,
     NO_NORMALIZATION,
     REFERENCE_VOLUME,
     SolverDivergence,
-    eta_from_metric,
     manufactured_problem,
+    ricci_flat_problem,
     solve_nested,
 )
 from .models import Family, make_family
@@ -71,36 +70,30 @@ def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
         return metric
 
     report = {"provenance": provenance_block(cfg), "s": s, "eps": eps}
+    band = family.chi.max_frequency()
+    normalization = fiber["normalization"]
+    if manufactured is not None:
+        band = max(band, *map(abs, manufactured["mode"]))
+        normalization = REFERENCE_VOLUME if eps == 0 else NO_NORMALIZATION
+
+    def problem_at(grid_n):
+        metric = metric_at(grid_n)
+        if manufactured is None:
+            return ricci_flat_problem(metric, eps)
+        return manufactured_problem(metric, manufactured_phi(manufactured, metric.chart.grid),
+                                    eps)
+
     # every grid's problem comes from the same analytic data: solve_nested
     # starts the fine Newton from the solves of coarser grids
-    band = family.chi.max_frequency()
+    sol = solve_nested(problem_at, family.grid.N, band, cfg["solver"],
+                       normalization=normalization)
     if manufactured is not None:
-        built = {}
-
-        def problem_at(grid_n):
-            metric = metric_at(grid_n)
-            phi_star = manufactured_phi(manufactured, metric.chart.grid)
-            built[grid_n] = phi_star, manufactured_problem(metric, phi_star, eps)
-            return built[grid_n][1]
-
-        sol = solve_nested(problem_at, family.grid.N,
-                           max(band, *map(abs, manufactured["mode"])), cfg["solver"],
-                           normalization=REFERENCE_VOLUME if eps == 0 else NO_NORMALIZATION)
-        phi_star, problem = built[family.grid.N]
-        del built
+        phi_star = manufactured_phi(manufactured, sol.problem.chart.grid)
         shift = 0.0
         if eps == 0:
-            det_g = herm_det(problem.gab).real
+            det_g = herm_det(sol.problem.gab).real
             shift = float(np.mean(phi_star * det_g) / np.mean(det_g))
         report["recovery_error"] = float(np.max(np.abs(sol.phi - (phi_star - shift))))
-    else:
-        def problem_at(grid_n):
-            metric = metric_at(grid_n)
-            return MAProblem(chart=metric.chart, gab=metric.gab,
-                             eta=eta_from_metric(metric.gab, metric.chart), epsilon=eps)
-
-        sol = solve_nested(problem_at, family.grid.N, band, cfg["solver"],
-                           normalization=fiber["normalization"])
 
     report.update({
         "residual_sup": sol.residual_sup,
@@ -108,7 +101,7 @@ def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
         "normalization": sol.normalization,
         "diagnostics": sol.diagnostics,
     })
-    # the solved metric sol.h is not written: free it before the phi.csv write
+    # sol.h and sol.problem are not written: free them before the phi.csv write
     phi = sol.phi
     del sol
     if "json" in cfg["outputs"]["formats"]:

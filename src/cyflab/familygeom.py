@@ -442,10 +442,9 @@ def _vphi_rhs(family: Family, rho_eps: AssembledRho, a_p: np.ndarray,
     through its fiber derivatives.
     """
     s = rho_eps.stencil.point(*key)
-    fiber = rho_eps.fibers[key]
-    chart = fiber.chart
-    gzz = fiber.gab[0, 0]
     sol = rho_eps.solutions[key]
+    chart = sol.problem.chart
+    gzz = sol.problem.gab[0, 0]
     phi, hzz = sol.phi, sol.h[0, 0]
     tau = family.tau(s)
     taup = family.tau_prime(s)
@@ -541,11 +540,11 @@ def vbarvphi_cross_check(family: Family, s: complex, eps: float = 0.0,
 
     # periodic lift part of rho (eps = 0), assembled at each inner stencil point
     a_ps = {key: assemble_form(family.omega(stencil.point(*key)), stencil, rho0.solutions,
-                               rho0.fibers, at=key).a_periodic()
+                               at=key).a_periodic()
             for key in inner}
     vphi = {}
     for key in inner:
-        chart_k = rho_e.fibers[key].chart
+        chart_k = rho_e.solutions[key].problem.chart
         vphi[key] = stencil.ds(phis, at=key) + a_ps[key] * d_z(phis[key], chart_k)
 
     ab_p = np.conj(a_ps[(0, 0)])

@@ -99,8 +99,8 @@ def fourier_multiply(f: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return irfft(rfft(f) * mult, f.shape)
 
 
-def drop_nyquist_modes(f: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """f without its pure-Nyquist modes other than the constant, in real space.
+def drop_nyquist_modes(f: np.ndarray) -> None:
+    """Remove f's pure-Nyquist modes other than the constant, in place, in real space.
 
     A mode whose every frequency is 0 or N/2 equals (-1)^(j.r) at grid
     index j, so it is constant on each of the 2^ndim parity classes of j,
@@ -108,15 +108,12 @@ def drop_nyquist_modes(f: np.ndarray, in_place: bool = False) -> np.ndarray:
     them out subtracts the class means; adding back the grid mean keeps
     the constant mode.  This is the Fourier multiplier that is 0 on those
     modes and 1 elsewhere, without a transform.  Each class is the strided
-    view out[p_0::2, p_1::2, ...] and is shifted in place; out is f itself
-    with in_place, else a new array.
+    view f[p_0::2, p_1::2, ...] and is shifted in place.
     """
     grid_mean = np.mean(f)
-    out = f if in_place else np.array(f)
     for parity in np.ndindex((2,) * f.ndim):
-        cls = out[tuple(slice(p, None, 2) for p in parity)]
+        cls = f[tuple(slice(p, None, 2) for p in parity)]
         cls -= np.mean(cls) - grid_mean
-    return out
 
 
 def prolong(f: np.ndarray, shape: tuple) -> np.ndarray:
@@ -575,6 +572,7 @@ def herm_det(g) -> np.ndarray:
     raise _unsupported(g)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def herm_min_eig(g) -> float:
     """Minimum over grid nodes of the smallest eigenvalue of g[a,b].
 
@@ -593,6 +591,17 @@ def herm_min_eig(g) -> float:
         del off
         np.sqrt(rad, out=rad)
         half_tr -= rad
+        bad = ~np.isfinite(half_tr)
+        if bad.any():
+            # an entry past about 1e154 overflows the square: at such nodes take
+            # det / (tr/2 + rad) of the entries scaled by their largest
+            a, b, c = g.g00[bad], g.g11[bad], np.abs(g.g01[bad])
+            scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), c)
+            a, b, c = a / scale, b / scale, c / scale
+            half, rad = (a + b) / 2.0, np.hypot((a - b) / 2.0, c)
+            # each form free of cancellation on its side of tr = 0
+            low = np.where(half > 0, (a * b - c * c) / (half + rad), half - rad)
+            half_tr[bad] = scale * low
         return float(np.min(half_tr))
     if g.shape[0] == 1:
         return float(np.min(g[0, 0].real))

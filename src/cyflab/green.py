@@ -138,11 +138,11 @@ class KBound:
     resolution: int
 
 
-def build_green(h: np.ndarray, chart: FiberChart, constancy_tol: float = 1e-8) -> GreenOperator:
+def build_green(h: np.ndarray, chart: FiberChart) -> GreenOperator:
     """Green operator of -Delta_h for a constant positive fiber metric h.
 
     h may be given as an (n, n) matrix or as a full metric field, in which
-    case it must be constant on the fiber up to constancy_tol.
+    case it must be constant on the fiber up to a relative 1e-8.
     """
     n = chart.n
     if not isinstance(h, Herm2):
@@ -154,7 +154,7 @@ def build_green(h: np.ndarray, chart: FiberChart, constancy_tol: float = 1e-8) -
         dev = max(float(np.max(np.abs(h[a, b] - h_const[a, b])))
                   for a in range(n) for b in range(n))
         scale = float(np.max(np.abs(h_const)))
-        if dev > constancy_tol * scale:
+        if dev > 1e-8 * scale:
             raise NonConstantMetricError(
                 f"fiber metric is not constant (deviation {dev:.3e}); "
                 "Green kernels are supported for flat metrics only")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -113,13 +113,14 @@ class MAProblem:
     """The fiber equation for phi on the chart, with reference metric gab.
 
     gab is a (1, 1, *grid) complex stack at n = 1 and a Herm2 at n = 2.
-    extra_f is the forcing term f of the equation; None means no forcing
-    (f = 0), and no field is stored for it.
+    eta None is formed from gab (eta_from_metric) after the one check of
+    gab.  extra_f is the forcing term f of the equation; None means no
+    forcing (f = 0), and no field is stored for it.
     """
 
     chart: FiberChart
     gab: np.ndarray | Herm2
-    eta: np.ndarray
+    eta: np.ndarray | None
     epsilon: float
     extra_f: np.ndarray | None = None
 
@@ -128,39 +129,41 @@ class MAProblem:
             raise GeometryError("epsilon must be nonnegative")
         if herm_min_eig(self.gab) <= 0:
             raise DefinitenessError("MA problem needs a fiber-positive reference form")
+        if self.eta is None:
+            det = herm_det(self.gab).real
+            # int e^eta det(g) = int det(g) forces the additive constant
+            c = np.log(np.mean(det))
+            eta = np.log(det)
+            del det
+            np.negative(eta, out=eta)
+            eta += c
+            self.eta = eta
 
 
 @dataclass
 class MASolution:
-    """A converged solve: phi, and h = g + dd^c phi, the fiber metric of the
-    last Newton iterate (the normalization shift of phi leaves it unchanged),
-    stored as the problem's gab is."""
+    """A converged solve of problem (held, not copied): phi, and h = g + dd^c phi,
+    the fiber metric of the last Newton iterate (the normalization shift of
+    phi leaves it unchanged), stored as problem.gab is."""
 
     phi: np.ndarray
     h: np.ndarray | Herm2
     residual_sup: float
     newton_iters: int
     normalization: str
+    problem: MAProblem
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def compute_eta(family: Family, s: complex) -> np.ndarray:
-    """The unique eta with dd^c eta = -dd^c log det(g_ab) and e^eta-volume match."""
-    fiber = family.fiber_metric(s)
-    return eta_from_metric(fiber.gab, fiber.chart)
-
-
 def eta_from_metric(gab, chart: FiberChart) -> np.ndarray:
-    if herm_min_eig(gab) <= 0:
-        raise DefinitenessError("eta needs a positive-definite fiber metric")
-    det = herm_det(gab).real
-    # int e^eta det(g) = int det(g) forces the additive constant
-    c = np.log(np.mean(det))
-    eta = np.log(det)
-    del det
-    np.negative(eta, out=eta)
-    eta += c
-    return eta
+    """The eta with dd^c eta = -dd^c log det(g_ab) and int e^eta det g = int det g."""
+    return MAProblem(chart=chart, gab=gab, eta=None, epsilon=0.0).eta
+
+
+def ricci_flat_problem(metric: FiberMetric, eps: float) -> MAProblem:
+    """The fiber problem on metric for the Ricci-flat (eps = 0) or
+    eps-regularized potential: eta from metric.gab, no forcing."""
+    return MAProblem(chart=metric.chart, gab=metric.gab, eta=None, epsilon=eps)
 
 
 def manufactured_problem(metric: FiberMetric, phi_star: np.ndarray, eps: float) -> MAProblem:
@@ -342,7 +345,7 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
     # noise and is filtered out to keep the system consistent.
     if pin:
         _project_rhs(rhs, h)
-        drop_nyquist_modes(rhs, in_place=True)
+        drop_nyquist_modes(rhs)
     # the symbol first: its mean of h takes complex copies, freed before
     # the weights are built
     inv_denom = _preconditioner_symbol(h, chart, eps)
@@ -369,7 +372,7 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
             out = np.zeros(grid.shape)
         add_weighted_ddc(out, fh, chart, weights)
         if pin:
-            drop_nyquist_modes(out, in_place=True)
+            drop_nyquist_modes(out)
             # M keeps the constant mode, so mean(M vec) = mean(vec)
             out += fh.flat[0].real / grid.num_nodes
         return out.ravel()
@@ -585,7 +588,7 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         **trace,
     }
     return MASolution(phi=phi, h=h, residual_sup=res, newton_iters=iters,
-                      normalization=normalization, diagnostics=diagnostics)
+                      normalization=normalization, problem=problem, diagnostics=diagnostics)
 
 
 def solve_nested(problem_at: Callable, grid_n: int, max_frequency: int,
@@ -619,7 +622,7 @@ def solve_nested(problem_at: Callable, grid_n: int, max_frequency: int,
         except (SolverDivergence, GeometryError):
             pass
     # outside the except block, whose traceback holds the failed levels' fields
-    return _with_level(problem, solve_ma(problem, config, normalization), [], None)
+    return _with_level(solve_ma(problem, config, normalization), [], None)
 
 
 def _coarse_grid(problem: MAProblem, max_frequency: int) -> int | None:
@@ -635,7 +638,7 @@ def _solve_levels(problem_at, problem, max_frequency, config, normalization) -> 
     phi = 0 if it has none; a failure on any level propagates."""
     coarse_n = _coarse_grid(problem, max_frequency)
     if coarse_n is None:
-        return _with_level(problem, solve_ma(problem, config, normalization), [], None)
+        return _with_level(solve_ma(problem, config, normalization), [], None)
     # a constant shift of the guess moves no dd^c: the coarse level skips
     # the normalization
     coarse = _solve_levels(problem_at, problem_at(coarse_n), max_frequency, config,
@@ -646,13 +649,13 @@ def _solve_levels(problem_at, problem, max_frequency, config, normalization) -> 
     sol = solve_ma(problem, config, normalization,
                    initial_guess=prolong(coarse_phi, problem.chart.grid.shape))
     start = sol.diagnostics["residual_history"][0] if sol.newton_iters else sol.residual_sup
-    return _with_level(problem, sol, levels, start)
+    return _with_level(sol, levels, start)
 
 
-def _with_level(problem, sol, levels, start) -> MASolution:
+def _with_level(sol, levels, start) -> MASolution:
     """sol with diagnostics["levels"]: the levels below and the record of its own."""
     trace = sol.diagnostics
-    trace["levels"] = levels + [{"grid_n": problem.chart.grid.N,
+    trace["levels"] = levels + [{"grid_n": sol.problem.chart.grid.N,
                                  "newton_iters": sol.newton_iters,
                                  "matvecs": sum(trace["linear_iterations"]),
                                  "start_residual": start}]
@@ -761,9 +764,9 @@ class BaseStencil:
 class AssembledRho:
     """Fiberwise Ricci-flat (or eps-regularized) form assembled on a stencil.
 
-    omega is the model form at the center; fibers holds the fiber metric
-    (Family.fiber_metric) that each stencil point was solved from, and
-    solutions the solve there, whose h is rho's fiber block at that point.
+    omega is the model form at the center; solutions holds the solve at
+    each stencil point, whose problem has that point's chart and fiber
+    metric (Family.fiber_metric) and whose h is rho's fiber block there.
     """
 
     family: Family
@@ -773,7 +776,6 @@ class AssembledRho:
     form: FamilyForm
     omega: FamilyForm
     solutions: dict
-    fibers: dict
 
     @property
     def phi(self) -> np.ndarray:
@@ -785,30 +787,27 @@ class AssembledRho:
 
 def solve_stencil(family: Family, stencil: BaseStencil, eps: float = 0.0,
                   config: SolverConfig | None = None,
-                  normalization: str = KE_VOLUME) -> tuple[dict, dict]:
+                  normalization: str = KE_VOLUME) -> dict:
     """MA solves on every stencil point, each from its fiber metric.
 
-    Returns the solutions and the fiber metrics by stencil key.  For eps > 0
-    the outer points are warm-started from the center; at eps = 0 every
-    point starts from phi = 0 (an elliptic fiber then needs one exact Newton
-    step).
+    Returns the solutions by stencil key.  For eps > 0 the outer points are
+    warm-started from the center; at eps = 0 every point starts from phi = 0
+    (an elliptic fiber then needs one exact Newton step).
     """
     config = config or SolverConfig()
     offsets = sorted(stencil.offsets(), key=lambda ij: (max(abs(ij[0]), abs(ij[1])), ij))
-    solutions, fibers = {}, {}
+    solutions = {}
     warm = None
     for key in offsets:
-        fiber = family.fiber_metric(stencil.point(*key))
-        eta = eta_from_metric(fiber.gab, fiber.chart)
-        problem = MAProblem(chart=fiber.chart, gab=fiber.gab, eta=eta, epsilon=eps)
+        problem = ricci_flat_problem(family.fiber_metric(stencil.point(*key)), eps)
         sol = solve_ma(problem, config, normalization=normalization, initial_guess=warm)
-        solutions[key], fibers[key] = sol, fiber
+        solutions[key] = sol
         if key == (0, 0) and eps > 0:
             warm = sol.phi
-    return solutions, fibers
+    return solutions
 
 
-def assemble_form(om: FamilyForm, stencil: BaseStencil, solutions: dict, fibers: dict,
+def assemble_form(om: FamilyForm, stencil: BaseStencil, solutions: dict,
                   at=(0, 0)) -> FamilyForm:
     """rho = om + dd^c phi at the stencil key at, for the model form om there.
 
@@ -816,9 +815,9 @@ def assemble_form(om: FamilyForm, stencil: BaseStencil, solutions: dict, fibers:
     om's y-structure plus_ddc the central differences of phi at fixed grid
     point, which read dzbar phi on the five-point cross around at only.
     """
-    chart = fibers[at].chart
+    chart = solutions[at].problem.chart
     phis = {k: solutions[k].phi for k in stencil.cross(at)}
-    dzb = {k: d_zbar(phis[k], fibers[k].chart) for k in phis}
+    dzb = {k: d_zbar(phis[k], solutions[k].problem.chart) for k in phis}
     taup = om.ystruct.taup
     # q1 reads (d_sbar phi)_z only where tau' != 0 (YStructure.plus_ddc)
     dsbar_z = d_z(stencil.dsbar(phis, at), chart) if taup != 0 else None
@@ -839,12 +838,12 @@ def fiberwise_ricci_flat(family: Family, stencil: BaseStencil, eps: float = 0.0,
     """
     if family.n != 1:
         raise GeometryError("the family pipeline assembles n = 1 fibrations only")
-    solutions, fibers = solve_stencil(family, stencil, eps, config, normalization)
+    solutions = solve_stencil(family, stencil, eps, config, normalization)
     om0 = family.omega(stencil.center)
     return AssembledRho(family=family, stencil=stencil, eps=eps,
                         normalization=normalization,
-                        form=assemble_form(om0, stencil, solutions, fibers), omega=om0,
-                        solutions=solutions, fibers=fibers)
+                        form=assemble_form(om0, stencil, solutions), omega=om0,
+                        solutions=solutions)
 
 
 def semiflat_shift(rho: AssembledRho) -> dict:
@@ -858,12 +857,12 @@ def semiflat_shift(rho: AssembledRho) -> dict:
         raise GeometryError("semiflat shift expects a KE-volume normalized solve")
     A, psi, psi_residuals = {}, {}, {}
     for key, sol in rho.solutions.items():
-        fiber = rho.fibers[key]
-        vol = fiber_integral(np.ones(fiber.chart.grid.shape), fiber.chart, metric=fiber.gab)
-        a_val = fiber_integral(sol.phi, fiber.chart, metric=fiber.gab) / vol
+        chart, gab = sol.problem.chart, sol.problem.gab
+        vol = fiber_integral(np.ones(chart.grid.shape), chart, metric=gab)
+        a_val = fiber_integral(sol.phi, chart, metric=gab) / vol
         A[key] = a_val
         psi[key] = sol.phi - a_val
-        psi_residuals[key] = abs(fiber_integral(psi[key], fiber.chart, metric=fiber.gab)) / vol
+        psi_residuals[key] = abs(fiber_integral(psi[key], chart, metric=gab)) / vol
     ddc_a = rho.stencil.dsdsbar({k: complex(v) for k, v in A.items()})
     return {"A": A, "psi": psi, "psi_integral_residual": psi_residuals,
             "ddc_A": complex(ddc_a)}
@@ -916,16 +915,14 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
     if list(schedule) != sorted(schedule, reverse=True) or len(set(schedule)) != len(schedule):
         raise GeometryError("epsilon schedule must be strictly decreasing")
 
-    fiber = family.fiber_metric(s)
-    chart = fiber.chart
-    eta = eta_from_metric(fiber.gab, chart)
-    det_g = herm_det(fiber.gab).real
-    weight = np.exp(eta) * det_g
+    base = ricci_flat_problem(family.fiber_metric(s), 0.0)
+    chart = base.chart
+    weight = np.exp(base.eta) * herm_det(base.gab).real
 
     solutions, table = [], []
     warm = None
     for eps in schedule:
-        problem = MAProblem(chart=chart, gab=fiber.gab, eta=eta, epsilon=eps)
+        problem = base if eps == 0 else replace(base, epsilon=eps)
         try:
             sol = solve_ma(problem, config, normalization=KE_VOLUME, initial_guess=warm)
         except SolverDivergence as exc:
@@ -949,8 +946,7 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
     if schedule[-1] == 0.0:
         phi0 = solutions[-1].phi
     else:
-        problem0 = MAProblem(chart=chart, gab=fiber.gab, eta=eta, epsilon=0.0)
-        phi0 = solve_ma(problem0, config, normalization=KE_VOLUME, initial_guess=warm).phi
+        phi0 = solve_ma(base, config, normalization=KE_VOLUME, initial_guess=warm).phi
     for row, sol in zip(table, solutions):
         row["sup_diff_to_limit"] = float(np.max(np.abs(sol.phi - phi0)))
 

@@ -664,9 +664,9 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, edit):
                                  "base": {"samples": [[0.0, 1.2]]},
                                  "chi": [[1, 0, 4000, 0, 0.01, 0.0],
                                          [-1, 0, 0, 4000, 0.01, 0.0]]}}),
-    (["run-family"], {"family": {"kind": "universal_elliptic", "base_coeff": 1e200,
+    (["run-family"], {"family": {"kind": "universal_elliptic", "base_coeff": 1e308,
                                  "base": {"samples": [[0.0, 1.0]]}}}),
-    (["green"], {"family": {"kind": "universal_elliptic", "base_coeff": 1e200,
+    (["green"], {"family": {"kind": "universal_elliptic", "base_coeff": 1e308,
                             "base": {"samples": [[0.0, 1.0]]}}}),
 ], ids=["tau0-below-axis", "manufactured-not-positive-eps-0",
         "manufactured-not-positive-eps-positive", "chi-power-overflow",
@@ -684,6 +684,23 @@ def test_numerical_failure_exits_3(tmp_path, capsys, command, edit):
     assert main(command + ["--config", str(path)]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure")
     assert not (tmp_path / "out" / "fiber_solution.json").exists()
+
+
+@pytest.mark.parametrize("command, report, flag", [
+    ("run-family", "family_report.json", "positive"), ("green", "green_report.json", "pass")])
+def test_large_base_term_reports_a_positive_form(tmp_path, command, report, flag):
+    """A base term of 1e200 puts g_ss near 1e200 beside g_zz near 1: the
+    combined form's least eigenvalue is still taken finite, and the row is
+    written with it."""
+    path, doc = base_config(tmp_path)
+    doc["family"] = {"kind": "universal_elliptic", "base_coeff": 1e200,
+                     "base": {"samples": [[0.0, 1.0]]}}
+    doc["solver"]["grid_n"] = 16
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == EXIT_OK
+    (row,) = json.loads((tmp_path / "out" / report).read_text())["rows"]
+    assert np.isfinite(row["combined_min_eig"]) and row["combined_min_eig"] > 0
+    assert row[flag] is True
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -311,7 +311,9 @@ def test_nyquist_filter_matches_fourier_multiplier(seed, case):
     chart, h_mean = random_chart_and_metric(rng, n, N)
     keep = (~_flat_kernel_without_constant(chart, h_mean)).astype(float)
     f = rng.standard_normal(chart.grid.shape) * rng.uniform(0.1, 10.0)
-    assert np.max(np.abs(drop_nyquist_modes(f) - fourier_multiply(f, keep))) \
+    out = f.copy()
+    drop_nyquist_modes(out)
+    assert np.max(np.abs(out - fourier_multiply(f, keep))) \
         <= 1e-14 * np.max(np.abs(f))
 
 
@@ -332,7 +334,8 @@ def test_nyquist_filter_matches_reshape_formula(seed, case):
     shape = (N,) * (2 * n)
     f = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
     before = f.copy()
-    out = drop_nyquist_modes(f)
+    out = f.copy()
+    drop_nyquist_modes(out)
     assert np.array_equal(f, before)  # the classes are shifted in a copy
     scale = np.max(np.abs(f))
     assert np.max(np.abs(out - _class_means_by_reshape(f))) <= 1e-15 * scale
@@ -412,6 +415,26 @@ def test_prolong_drops_the_coarse_nyquist_planes():
     coarse = FiberGrid(1, 8)
     f = np.cos(np.pi * coarse.N * coarse.coords[0]) + 0.5
     assert np.max(np.abs(prolong(f, FiberGrid(1, 16).shape) - 0.5)) < 1e-15
+
+
+def test_min_eig_of_entries_past_the_square_range():
+    """herm_min_eig stays finite where ((g00 - g11)/2)^2 overflows: at such
+    nodes it is taken from the scaled entries, and elsewhere as before."""
+    shape = FiberGrid(2, 8).shape
+    with warnings.catch_warnings():
+        # the overflow it steps around is not reported either
+        warnings.simplefilter("error")
+        assert abs(herm_min_eig(Herm2(np.full(shape, 1e200), np.ones(shape),
+                                      np.full(shape, 0.5 + 0j))) - 1) <= 1e-12
+    # one overflowing node among ordinary ones: the least value is the
+    # overflowing node's, then an ordinary node's, once that is smaller
+    g00 = np.full(shape, 3.0)
+    g00.flat[5] = 1e300
+    g11 = np.full(shape, 2.0)
+    g11.flat[5] = 1e-3
+    assert abs(herm_min_eig(Herm2(g00, g11, np.zeros(shape, dtype=complex))) - 1e-3) <= 1e-18
+    g11.flat[5] = 2.5
+    assert herm_min_eig(Herm2(g00, g11, np.zeros(shape, dtype=complex))) == 2.0
 
 
 @settings(max_examples=25, deadline=None)

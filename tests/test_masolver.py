@@ -1,13 +1,16 @@
 import dataclasses
+import sys
 import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import cyflab.geometry
 import cyflab.masolver
 from cyflab.geometry import (
+    DefinitenessError,
     FiberChart,
     FiberGrid,
     GeometryError,
@@ -25,18 +28,19 @@ from cyflab.masolver import (
     BaseStencil,
     KE_VOLUME,
     MAProblem,
+    NO_NORMALIZATION,
     REFERENCE_VOLUME,
     SolverConfig,
     SolverDivergence,
     _laplacian_of_potential,
     _linear_solve,
-    compute_eta,
     epsilon_continuation,
     eta_from_metric,
     fiberwise_ricci_flat,
     lgmres,
     linearized_solve,
     manufactured_problem,
+    ricci_flat_problem,
     semiflat_shift,
     solve_ma,
     solve_nested,
@@ -479,7 +483,7 @@ def test_gmres_solves_n2(seed, eps):
     back = laplace_beltrami(h, u, chart).real - eps * u
     if eps == 0:
         # at eps = 0 the solve drops the pure-Nyquist aliasing of Delta_h u
-        back = drop_nyquist_modes(back)
+        drop_nyquist_modes(back)
     # worst measured over 1200 random cases: 5.4e-11
     assert np.max(np.abs(back - rhs)) < 5e-10 * max(1.0, float(np.max(np.abs(rhs))))
     assert fallbacks == 0 and iterations > 0
@@ -595,7 +599,7 @@ def _record_guesses(monkeypatch):
 
 def test_stencil_eps0_points_solve_independently(monkeypatch, perturbed_family):
     calls = _record_guesses(monkeypatch)
-    solutions, _ = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.0)
+    solutions = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.0)
     assert len(calls) == 9
     assert all(guess is None for guess, _ in calls)
     assert sum(sol.newton_iters for sol in solutions.values()) == 9
@@ -603,7 +607,7 @@ def test_stencil_eps0_points_solve_independently(monkeypatch, perturbed_family):
 
 def test_stencil_eps_positive_warm_starts_from_center(monkeypatch, perturbed_family):
     calls = _record_guesses(monkeypatch)
-    solutions, _ = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.5)
+    solutions = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.5)
     center_phi = solutions[(0, 0)].phi
     guesses = [guess for guess, sol in calls if sol is not solutions[(0, 0)]]
     assert len(guesses) == 8
@@ -773,7 +777,7 @@ def test_fiberwise_ricci_flat_perturbed(perturbed_family):
     assert sol.diagnostics["volume_residual"] < 1e-10
     # KE normalization holds on every stencil fiber
     for key in rho.solutions:
-        om = rho.fibers[key]
+        om = rho.solutions[key].problem
         det_rho = herm_det(om.gab + ddc_fiber(rho.solutions[key].phi, om.chart)).real
         val = np.mean(rho.solutions[key].phi * det_rho) / np.mean(det_rho)
         assert abs(val) < 1e-12
@@ -786,7 +790,7 @@ def test_mixed_component_hermiticity(perturbed_family):
     stencil = BaseStencil(center=0.2 + 1.0j, h_s=1e-3)
     rho = fiberwise_ricci_flat(perturbed_family, stencil)
     phis = rho.phi_stack()
-    dzb = {k: d_zbar(phis[k], rho.fibers[k].chart) for k in phis}
+    dzb = {k: d_zbar(phis[k], rho.solutions[k].problem.chart) for k in phis}
     chart = rho.form.chart
     tau = perturbed_family.tau(stencil.center)
     taup = perturbed_family.tau_prime(stencil.center)
@@ -805,7 +809,7 @@ def test_semiflat_shift_matches_reference(product_family):
     stencil = BaseStencil(center=0.2 + 0.3j, h_s=1e-3)
     rho = fiberwise_ricci_flat(product_family, stencil, normalization=KE_VOLUME)
     shift = semiflat_shift(rho)
-    sols_ref, _ = solve_stencil(product_family, stencil, 0.0, None, REFERENCE_VOLUME)
+    sols_ref = solve_stencil(product_family, stencil, 0.0, None, REFERENCE_VOLUME)
     for key in sols_ref:
         assert np.max(np.abs(shift["psi"][key] - sols_ref[key].phi)) < 1e-10
         assert shift["psi_integral_residual"][key] < 1e-10
@@ -819,10 +823,132 @@ def test_semiflat_requires_ke(product_family):
         semiflat_shift(rho)
 
 
-def test_compute_eta_family(perturbed_family):
-    eta = compute_eta(perturbed_family, 1j)
+def test_ricci_flat_problem_eta_family(perturbed_family):
+    eta = ricci_flat_problem(perturbed_family.fiber_metric(1j), 0.0).eta
     form = perturbed_family.omega(1j)
     lhs = fiber_integral(np.exp(eta), form.chart, metric=form.gab)
     rhs = fiber_integral(np.ones(perturbed_family.grid.shape), form.chart,
                          metric=form.gab)
     assert abs(lhs / rhs - 1) < 1e-12
+
+
+def _record_positivity_checks(monkeypatch):
+    """Every module binding of geometry.herm_min_eig, wrapped to record what it checks."""
+    real = cyflab.geometry.herm_min_eig
+    checked = []
+
+    def recording(g):
+        checked.append(g)
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cyflab") and getattr(module, "herm_min_eig", None) is real:
+            monkeypatch.setattr(module, "herm_min_eig", recording)
+    return checked
+
+
+def test_one_positivity_check_per_ricci_flat_problem(monkeypatch, perturbed_family):
+    """A Ricci-flat problem checks its fiber metric once, and eta is formed
+    from it after that check: on each stencil point, and on each problem of
+    an eps continuation, which all share one metric."""
+    checked = _record_positivity_checks(monkeypatch)
+    solutions = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.5)
+    for sol in solutions.values():
+        assert sum(g is sol.problem.gab for g in checked) == 1
+    checked.clear()
+    path = epsilon_continuation(perturbed_family, 1j, [1.0, 0.1])
+    # two problems of the schedule and the closing eps = 0 one
+    assert sum(g is path.solutions[0].problem.gab for g in checked) == 3
+
+
+def _builder_family(kind, s, **spec):
+    return make_family(FamilySpec(kind=kind, grid_n=16, base_samples=(s,), **spec)), s
+
+
+# (family, base point) of each n = 1 kind and of the n = 2 product, on 16 grids
+BUILDER_FAMILIES = {
+    "product": _builder_family("product", 0.2 + 0.3j, tau0=0.3 + 1.1j, chi=perturbation_chi()),
+    "universal_elliptic": _builder_family("universal_elliptic", 0.2 + 1.0j,
+                                          chi=perturbation_chi()),
+    "modulus_map": _builder_family("modulus_map", 0.3 + 0.2j, modulus_coeffs=(1j, 0.5),
+                                   chi=perturbation_chi()),
+    "product-n2": _builder_family(
+        "product", 0.2 + 0.3j, n=2,
+        omega_matrix=np.array([[1.1j, 0.1 + 0.05j], [0.1 + 0.05j, 0.2 + 0.9j]]),
+        chi=FourierPoly(2, {(1, 0, 0, 0, 0, 0): 0.01, (-1, 0, 0, 0, 0, 0): 0.01,
+                            (0, 0, 1, 1, 0, 0): 0.004j, (0, 0, -1, -1, 0, 0): -0.004j})),
+}
+
+def _positivity_limit(metric, psi) -> float:
+    """sup t with g + t dd^c psi positive-definite: the least positive root
+    over nodes of det(g + t dd^c psi) = c + b t + a t^2 (a = 0 at n = 1)."""
+    c = herm_det(metric.gab).real
+    plus = herm_det(metric.gab + ddc_fiber(psi, metric.chart)).real
+    minus = herm_det(metric.gab + ddc_fiber(-psi, metric.chart)).real
+    b = (plus - minus) / 2
+    a = (plus + minus) / 2 - c
+    disc = b * b - 4 * a * c
+    denom = -b + np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore"):
+        roots = np.where((disc >= 0) & (denom > 0), 2 * c / denom, np.inf)
+    return float(np.min(roots))
+
+
+_MODE = st.tuples(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                  st.floats(0.1, 1.0), st.floats(0.0, 2 * np.pi))
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(sorted(BUILDER_FAMILIES)), modes=st.lists(_MODE, min_size=1,
+                                                                      max_size=3),
+       fraction=st.floats(0.0, 0.9, exclude_min=True), eps=st.sampled_from([0.0, 0.01, 1.0]))
+def test_problem_builders_on_random_potentials(kind, modes, fraction, eps):
+    """A manufactured phi* of up to three modes, at a fraction of at most 0.9
+    of its positivity limit, is recovered by solve_ma and by solve_nested, or
+    the solve raises SolverDivergence or DefinitenessError.  A returned solve
+    meets its tol and counts as fallbacks exactly the steps whose linear
+    residual missed their rtol.  ricci_flat_problem forms eta_from_metric's eta."""
+    family, s = BUILDER_FAMILIES[kind]
+    n = family.n
+    # one mode per frequency up to sign, so that no two cancel
+    waves = {}
+    for k, amplitude, phase in modes:
+        k = tuple(k[:2 * n])
+        sign = next((1 if v > 0 else -1 for v in k if v), 0)
+        if sign:
+            waves[tuple(sign * v for v in k)] = amplitude, sign * phase
+    assume(waves)
+
+    def shape_on(grid):
+        return sum(a * np.cos(2 * np.pi * sum(kk * grid.coords[ax] for ax, kk in enumerate(k))
+                              + phase) for k, (a, phase) in waves.items())
+
+    metric = family.fiber_metric(s)
+    assert np.array_equal(ricci_flat_problem(metric, eps).eta,
+                          eta_from_metric(metric.gab, metric.chart))
+    scale = fraction * _positivity_limit(metric, shape_on(metric.chart.grid))
+    phi_star = scale * shape_on(metric.chart.grid)
+
+    def problem_at(grid_n):
+        fine = family.on_grid(grid_n).fiber_metric(s)
+        return manufactured_problem(fine, scale * shape_on(fine.chart.grid), eps)
+
+    band = max(family.chi.max_frequency(), *(max(map(abs, k)) for k in waves))
+    normalization = REFERENCE_VOLUME if eps == 0 else NO_NORMALIZATION
+    expected = phi_star
+    if eps == 0:
+        det_g = herm_det(metric.gab).real
+        expected = phi_star - np.mean(phi_star * det_g) / np.mean(det_g)
+    config = SolverConfig()
+    for solve in (lambda: solve_ma(problem_at(16), config, normalization),
+                  lambda: solve_nested(problem_at, 16, band, config, normalization)):
+        try:
+            sol = solve()
+        except (SolverDivergence, DefinitenessError):
+            continue
+        assert sol.residual_sup <= config.tol
+        assert np.max(np.abs(sol.phi - expected)) <= 1e-9
+        trace = sol.diagnostics
+        missed = sum(res is not None and res > rtol
+                     for res, rtol in zip(trace["linear_residual"], trace["linear_rtol"]))
+        assert trace["linear_fallbacks"] == missed

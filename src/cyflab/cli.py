@@ -21,7 +21,7 @@ import numpy as np
 from .config import KNOWN_SUITES, ConfigError, load_config, parse_config, provenance_block, \
     read_config
 from .familygeom import curvature_report
-from .geometry import FiberGrid, GeometryError, herm_det
+from .geometry import FiberGrid, GeometryError
 from .masolver import (
     NO_NORMALIZATION,
     REFERENCE_VOLUME,
@@ -91,7 +91,7 @@ def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
         phi_star = manufactured_phi(manufactured, sol.problem.chart.grid)
         shift = 0.0
         if eps == 0:
-            det_g = herm_det(sol.problem.gab).real
+            det_g = sol.problem.det_g
             shift = float(np.mean(phi_star * det_g) / np.mean(det_g))
         report["recovery_error"] = float(np.max(np.abs(sol.phi - (phi_star - shift))))
 

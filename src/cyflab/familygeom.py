@@ -59,7 +59,7 @@ def horizontal_lift(form: FamilyForm) -> np.ndarray:
     The lift of d/ds is v = d/ds + a^alpha d/dz^alpha; it is the unique
     lift orthogonal to the fiber tangent space.
     """
-    if form.fiber_min_eig() <= 0:
+    if not form.fiber_min_eig() > 0:
         raise DefinitenessError("horizontal lift needs a fiber-positive form")
     gup = herm_inverse(form.gab)
     n = form.n

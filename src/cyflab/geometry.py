@@ -39,6 +39,7 @@ build a Herm2 from its parts.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -312,13 +313,21 @@ class FiberChart:
         if grid.n == 1:
             if tau is None:
                 raise GeometryError("n=1 chart needs a modulus tau")
-            om = np.array([[complex(tau)]])
-        else:
-            om = np.asarray(omega_matrix, dtype=complex)
-            if om.shape != (grid.n, grid.n) or not np.allclose(om, om.T):
-                raise GeometryError("period matrix must be symmetric n x n")
+            tau = complex(tau)
+            # a 1 x 1 Im(period matrix) is its own eigenvalue; "not > 0" also
+            # rejects NaN
+            if not tau.imag > 0:
+                raise DefinitenessError("Im(period matrix) must be positive-definite")
+            if not cmath.isfinite(tau):
+                raise GeometryError(f"period matrix must be finite, got tau = {tau}")
+            return FiberChart(1, np.array([[tau]]), grid)
+        om = np.asarray(omega_matrix, dtype=complex)
+        if om.shape != (grid.n, grid.n) or not np.allclose(om, om.T):
+            raise GeometryError("period matrix must be symmetric n x n")
+        if not np.all(np.isfinite(om)):
+            raise GeometryError("period matrix must be finite")
         im = om.imag
-        if np.min(np.linalg.eigvalsh((im + im.T) / 2)) <= 0:
+        if not np.min(np.linalg.eigvalsh((im + im.T) / 2)) > 0:
             raise DefinitenessError("Im(period matrix) must be positive-definite")
         return FiberChart(grid.n, om, grid)
 
@@ -336,6 +345,12 @@ class FiberChart:
     @cached_property
     def dz_coeffs(self) -> np.ndarray:
         """C[a, m] with d/dz^a = sum_m C[a, m] d/dxi_m (axes x1,y1,...)."""
+        if self.n == 1:
+            # the formulas below for a 1 x 1 Omega, in Python complex
+            # arithmetic; they give the same bits
+            tau = self.tau
+            inv = 1 / (tau - tau.conjugate())
+            return np.array([[-tau.conjugate() * inv, inv]])
         om = self.omega_matrix
         inv = np.linalg.inv(om - om.conj())
         cx = -om.conj() @ inv      # coefficient of d/dx_b in d/dz^a is cx[b, a]
@@ -347,21 +362,39 @@ class FiberChart:
                 C[a, 2 * b + 1] = cy[b, a]
         return C
 
+    @cached_property
+    def derivative_rows(self) -> dict:
+        """{('z', a): C[a], ('zbar', a): conj C[a]}, each a tuple of Python complex numbers."""
+        rows = {}
+        for a, row in enumerate(self.dz_coeffs.tolist()):
+            rows["z", a] = tuple(row)
+            rows["zbar", a] = tuple(c.conjugate() for c in row)
+        return rows
+
     def _z_mult(self, half: bool, a: int) -> np.ndarray:
         """M_a(k) = 2 pi i sum_m C[a, m] k_m on the full grid or the half spectrum.
 
         The sum runs over per-axis frequency vectors that broadcast to the
         grid, so no full-grid frequency mesh is built.
         """
-        C = self.dz_coeffs
         ks = self.grid.deriv_freq_axes
         if half:
             ks = ks[:-1] + (ks[-1][..., : self.grid.N // 2 + 1],)
         m = np.zeros((1,) * (2 * self.n), dtype=complex)
-        for axis in range(2 * self.n):
-            m = m + C[a, axis] * ks[axis]
+        for c, k in zip(self.derivative_rows["z", a], ks):
+            m = m + c * k
         # 2 pi i * m, scalar first, written over the last sum
         return np.multiply(2j * np.pi, m, out=m)
+
+    @cached_property
+    def _mode_norm_half(self) -> np.ndarray:
+        """|M_0(k)|^2 on the half spectrum (n = 1), as numpy rounds M_0 conj(M_0).
+
+        Its negation is M_0 (-conj M_0) bit for bit: both complex products
+        round the real part of the same exact sum, up to its sign.
+        """
+        m = self._z_mult(True, 0)
+        return np.multiply(m, np.conj(m), out=m).real.copy()
 
     @cached_property
     def z_mult(self) -> list:
@@ -379,9 +412,12 @@ class FiberChart:
         For a real field both parts give real inverse transforms: the real
         and imaginary parts of f_{alpha beta-bar}.  The diagonal multipliers
         are real, so their imaginary part is None.  The tables are built on
-        the half spectrum with ddc_mult's elementwise operations, so they
-        equal the slices [..., :N/2 + 1] of its full tables bit for bit.
+        the half spectrum with ddc_mult's elementwise operations (at n = 1,
+        the negated mode norm), so they equal the slices [..., :N/2 + 1] of
+        its full tables bit for bit.
         """
+        if self.n == 1:
+            return {(0, 0): (np.negative(self._mode_norm_half), None)}
         # One z table is built at a time, and -conj z_b once.  The products
         # keep _ddc_product's operand order and are written over an operand
         # that is not read again: z_a after its last product, -conj z_b
@@ -413,15 +449,15 @@ class FiberChart:
         are its kernel: the constant mode and the pure-Nyquist modes that
         the spectral derivative annihilates.
         """
-        lam = flat_symbol(self)
-        with np.errstate(divide="ignore"):
-            return np.where(lam > 0, -1.0 / lam, 0.0)
+        # at n = 1, flat_symbol(self) is the mode norm, bit for bit
+        lam = self._mode_norm_half if self.n == 1 else flat_symbol(self)
+        return np.divide(-1.0, lam, out=np.zeros(lam.shape), where=lam > 0)
 
     def check_field(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f)
         if f.shape != self.grid.shape:
             raise InvalidFieldError(f"field shape {f.shape} != grid {self.grid.shape}")
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise InvalidFieldError("field contains non-finite values")
         return f
 
@@ -433,13 +469,10 @@ def linear_coeff_derivative(chart: FiberChart, linear: tuple, index: tuple) -> c
     monomials x, y, Re z) are not periodic, so their derivatives are taken
     through the chart coefficients rather than the Fourier transform.
     """
-    kind, a = index
-    row = chart.dz_coeffs[a]
-    if kind == "zbar":
-        row = np.conj(row)
-    elif kind != "z":
+    row = chart.derivative_rows.get(index)
+    if row is None:
         raise GeometryError(f"unknown derivative index {index!r}")
-    return complex(sum(row[m] * linear[m] for m in range(2 * chart.n)))
+    return complex(sum(c * v for c, v in zip(row, linear)))
 
 
 def fiber_derivative(f: np.ndarray, chart: FiberChart, index: tuple) -> np.ndarray:
@@ -555,20 +588,28 @@ def herm_inverse(g) -> np.ndarray:
     raise _unsupported(g)
 
 
-def herm_det(g) -> np.ndarray:
-    """Pointwise det g, complex.
+def herm_det(g, real: bool = False) -> np.ndarray:
+    """Pointwise det g, complex; with real, Re det g as a new real field.
 
     At n = 2 this is g00 g11 - g01 conj(g01), with the complex product and
     the difference taken in one buffer; numpy's complex product leaves an
-    imaginary rounding residue, which the determinant keeps.
+    imaginary rounding residue, which the determinant keeps.  The real
+    determinant subtracts the real part of the same product from g00 g11,
+    forming the product one slab of the first axis at a time, so it holds
+    one real field where the complex one takes two and a real temporary.
     """
     if isinstance(g, Herm2):
+        if real:
+            det = g.g00 * g.g11
+            for det_slab, g01 in zip(det, g.g01):
+                det_slab -= (g01 * np.conj(g01)).real
+            return det
         det = np.conj(g.g01)
         np.multiply(g.g01, det, out=det)
         np.subtract(g.g00 * g.g11, det, out=det)
         return det
     if g.shape[0] == 1:
-        return g[0, 0]
+        return g[0, 0].real.copy() if real else g[0, 0]
     raise _unsupported(g)
 
 
@@ -577,11 +618,10 @@ def herm_min_eig(g) -> float:
     """Minimum over grid nodes of the smallest eigenvalue of g[a,b].
 
     At n = 2 this is min (g00 + g11)/2 - sqrt(((g00 - g11)/2)^2 + |g01|^2),
-    evaluated in that order of operations in three fields, updated in place.
+    evaluated in that order of operations, updated in place, in at most two
+    fields at once: the radical is formed before the half trace.
     """
     if isinstance(g, Herm2):
-        half_tr = g.g00 + g.g11
-        half_tr /= 2.0
         rad = g.g00 - g.g11
         rad /= 2.0
         rad **= 2
@@ -590,7 +630,10 @@ def herm_min_eig(g) -> float:
         rad += off
         del off
         np.sqrt(rad, out=rad)
+        half_tr = g.g00 + g.g11
+        half_tr /= 2.0
         half_tr -= rad
+        del rad
         bad = ~np.isfinite(half_tr)
         if bad.any():
             # an entry past about 1e154 overflows the square: at such nodes take
@@ -668,7 +711,7 @@ def add_weighted_ddc(out: np.ndarray, fh: np.ndarray, chart: FiberChart, weights
 
 def laplace_beltrami(g: np.ndarray, f: np.ndarray, chart: FiberChart) -> np.ndarray:
     """Delta_g f = g^{beta-bar alpha} f_{alpha beta-bar}; a complex f is Re f + i Im f."""
-    if herm_min_eig(g) <= 0:
+    if not herm_min_eig(g) > 0:
         raise DefinitenessError("laplace_beltrami needs a positive-definite metric")
     f = chart.check_field(f)
     if np.iscomplexobj(f):

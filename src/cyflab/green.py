@@ -158,7 +158,7 @@ def build_green(h: np.ndarray, chart: FiberChart) -> GreenOperator:
             raise NonConstantMetricError(
                 f"fiber metric is not constant (deviation {dev:.3e}); "
                 "Green kernels are supported for flat metrics only")
-    if np.min(np.linalg.eigvalsh((h_const + h_const.conj().T) / 2)).real <= 0:
+    if not np.min(np.linalg.eigvalsh((h_const + h_const.conj().T) / 2)).real > 0:
         raise GeometryError("Green kernel needs a positive-definite metric")
     volume = float(np.linalg.det(h_const).real) * chart.measure
     return GreenOperator(chart=chart, h_const=h_const, volume=volume)

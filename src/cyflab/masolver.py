@@ -116,6 +116,9 @@ class MAProblem:
     eta None is formed from gab (eta_from_metric) after the one check of
     gab.  extra_f is the forcing term f of the equation; None means no
     forcing (f = 0), and no field is stored for it.
+
+    det g (det_g, real), its mean vol_g and log det g (logdet_g) are formed
+    once, after the check, for eta and for every solve of the problem.
     """
 
     chart: FiberChart
@@ -123,20 +126,23 @@ class MAProblem:
     eta: np.ndarray | None
     epsilon: float
     extra_f: np.ndarray | None = None
+    det_g: np.ndarray = dc_field(init=False, repr=False)
+    vol_g: float = dc_field(init=False, repr=False)
+    logdet_g: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise GeometryError("epsilon must be nonnegative")
-        if herm_min_eig(self.gab) <= 0:
+        # "not > 0" also rejects a metric with a NaN node
+        if not herm_min_eig(self.gab) > 0:
             raise DefinitenessError("MA problem needs a fiber-positive reference form")
+        self.det_g = herm_det(self.gab, real=True)
+        self.vol_g = float(np.mean(self.det_g))
+        self.logdet_g = np.log(self.det_g)
         if self.eta is None:
-            det = herm_det(self.gab).real
             # int e^eta det(g) = int det(g) forces the additive constant
-            c = np.log(np.mean(det))
-            eta = np.log(det)
-            del det
-            np.negative(eta, out=eta)
-            eta += c
+            eta = np.negative(self.logdet_g)
+            eta += np.log(self.vol_g)
             self.eta = eta
 
 
@@ -170,19 +176,24 @@ def manufactured_problem(metric: FiberMetric, phi_star: np.ndarray, eps: float) 
     """The fiber problem on metric whose solution is phi_star: eta = 0 and the
     forcing f = log det(g + dd^c phi*) - log det g - eps phi*."""
     h_star = metric.gab + ddc_fiber(phi_star, metric.chart)
-    if herm_min_eig(h_star) <= 0:
+    if not herm_min_eig(h_star) > 0:
         raise DefinitenessError("manufactured phi* breaks fiber positivity")
     extra_f = np.log(herm_det(h_star).real) - np.log(herm_det(metric.gab).real) - eps * phi_star
     return MAProblem(chart=metric.chart, gab=metric.gab, eta=np.zeros(phi_star.shape),
                      epsilon=eps, extra_f=extra_f)
 
 
-def _project_rhs(rhs, h):
+def _project_rhs(rhs, det_h):
     """Shift rhs in place by its det(h)-weighted mean, onto the range of Delta_h at eps = 0."""
-    det = herm_det(h).real
-    shift = np.mean(rhs * det) / np.mean(det)
-    del det
-    rhs -= shift
+    rhs -= np.mean(rhs * det_h) / np.mean(det_h)
+
+
+def _sup_abs(F) -> float:
+    """max |F|, with no field-sized temporary; NaN if F holds one.
+
+    The + 0.0 turns the -0.0 of an F of negative zeros into the 0.0 of abs.
+    """
+    return float(max(F.max(), -F.min())) + 0.0
 
 
 def _accept_unconverged(rel, solver):
@@ -284,7 +295,7 @@ def lgmres(A, b, *, rtol, atol, maxiter, callback=None):
     return x, 0 if rnorm <= tol else maxiter
 
 
-def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
+def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None, det_h=None):
     """Solve Delta_h u - eps u = rhs; returns (u, fallbacks, iterations, residual).
 
     For Hermitian h the operator maps real fields to real fields, so a real
@@ -300,27 +311,31 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None):
     was accepted below 1e-8; iterations counts the GMRES matvecs or CG
     iterations; residual is the true relative residual the solve ended at
     (the larger of the two for a complex right-hand side).  The exact step
-    returns 0 iterations and residual None.
+    returns 0 iterations and residual None.  det_h, the real field det h,
+    is formed here if not given.
     """
     rtol = config.linear_rtol if rtol is None else rtol
+    if det_h is None:
+        det_h = herm_det(h, real=True)
     if np.iscomplexobj(rhs):
-        re, fb_re, it_re, res_re = _linear_solve(h, chart, eps, rhs.real, config, rtol)
-        im, fb_im, it_im, res_im = _linear_solve(h, chart, eps, rhs.imag, config, rtol)
+        re, fb_re, it_re, res_re = _linear_solve(h, chart, eps, rhs.real, config, rtol, det_h)
+        im, fb_im, it_im, res_im = _linear_solve(h, chart, eps, rhs.imag, config, rtol, det_h)
         residual = None if res_re is None else max(res_re, res_im)
         return re + 1j * im, fb_re + fb_im, it_re + it_im, residual
     if eps == 0:
         # the eps = 0 setup projects its right-hand side in place: give it a copy
         rhs = np.array(rhs, dtype=float)
-    return _prepare_linear_solve(h, chart, eps, rhs, config, rtol)()
+    return _prepare_linear_solve(h, det_h, chart, eps, rhs, config, rtol)()
 
 
-def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Callable:
+def _prepare_linear_solve(h, det_h, chart, eps, rhs, config: SolverConfig, rtol) -> Callable:
     """Set up _linear_solve's real system; returns the solve, a function of no arguments.
 
-    The solve returns (u, fallbacks, iterations, residual) as _linear_solve
-    does.  At n = 1 the step is solved here.  rhs is a real field the
-    caller gives up: at eps = 0 it is projected (and at n >= 2 filtered) in
-    place, before the Hessian weights are built.  At n >= 2 it is what
+    det_h is the real field det h.  The solve returns (u, fallbacks,
+    iterations, residual) as _linear_solve does.  At n = 1 the step is
+    solved here.  rhs is a real field the caller gives up: at eps = 0 it
+    is projected (and at n >= 2 filtered) in place, before the Hessian
+    weights are built.  At n >= 2 it is what
     GMRES reads; the solve holds it, the weights of h and the
     preconditioner symbol, but not h, so a caller that drops h and rhs
     before calling it keeps neither through the Krylov solve.
@@ -329,22 +344,21 @@ def _prepare_linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol) -> Cal
     n = chart.n
     pin = eps == 0
     if n == 1 and not pin:
-        out = _elliptic_cg(herm_det(h).real, chart, eps, rhs, rtol,
-                           RESTART * config.linear_maxiter)
+        out = _elliptic_cg(det_h, chart, eps, rhs, rtol, RESTART * config.linear_maxiter)
         return lambda: out
     if pin and n == 1:
         # det(h) h^{-1} = 1, so det(h) Delta_h u = u_{z z-bar}: the step
         # is one division by the flat symbol, whose zeroed kernel modes
         # drop the constant and the pure-Nyquist content of det(h) rhs
-        _project_rhs(rhs, h)
-        u = fourier_multiply(herm_det(h).real * rhs, chart.flat_inverse_mult)
+        _project_rhs(rhs, det_h)
+        u = fourier_multiply(det_h * rhs, chart.flat_inverse_mult)
         out = u - np.mean(u), 0, 0, None
         return lambda: out
     # Pure-Nyquist modes are annihilated by the spectral derivative, hence
     # sit in the kernel of Delta_h at eps = 0; their rhs content is aliasing
     # noise and is filtered out to keep the system consistent.
     if pin:
-        _project_rhs(rhs, h)
+        _project_rhs(rhs, det_h)
         drop_nyquist_modes(rhs)
     # the symbol first: its mean of h takes complex copies, freed before
     # the weights are built
@@ -452,9 +466,13 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
              normalization: str = KE_VOLUME, initial_guess=None) -> MASolution:
     """Damped Newton solve of the fiber Monge-Ampere equation.
 
-    Each field is dropped after its last read: during a Krylov solve the
-    loop holds phi, log det g and the solve's own data, not the previous
-    iterate h, its residual F or the last step u.
+    Each field is formed once: det g, its mean and log det g by the
+    problem; at eps = 0 the weight e^(eta+f) det g once, for the
+    solvability check and the KE normalization; and det h once per
+    iterate, for its residual, the next step's projection and the closing
+    diagnostics.  Each field is dropped after its last read: during a
+    Krylov solve the loop holds phi, the weight and the solve's own data,
+    not the previous iterate h, its det h, its residual F or the last step u.
     """
     config = config or SolverConfig()
     chart = problem.chart
@@ -465,19 +483,22 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     eps = problem.epsilon
     # a non-finite eta + f would pass every test below as NaN
     chart.check_field(target)
-    # det g is the reference volume density and e^(eta+f) det g the
-    # Ricci-flat one; at eps = 0 their integrals must agree for solvability
-    det_g = herm_det(g).real
-    vol_g = float(np.mean(det_g))
+    vol_g, logdet_g = problem.vol_g, problem.logdet_g
     if eps == 0:
-        compat = abs(float(np.mean(np.exp(target) * det_g)) - vol_g) / vol_g
+        # det g is the reference volume density and e^(eta+f) det g the
+        # Ricci-flat one; their integrals must agree for solvability
+        weight = np.exp(target)
+        weight *= problem.det_g
+        weight_mean = np.mean(weight)
+        compat = abs(float(weight_mean) - vol_g) / vol_g
         if not compat <= 1e-10:
             raise NormalizationError(
                 "eps = 0 problem violates the solvability normalization "
                 f"(residual {compat:.3e})")
-    logdet_g = np.log(det_g)
-    # the normalization shift recomputes det g rather than hold it through the loop
-    del det_g
+        if normalization == REFERENCE_VOLUME:
+            weight, weight_mean = problem.det_g, vol_g
+        elif normalization != KE_VOLUME:
+            del weight
 
     # at n = 1, eps = 0 the equation h_{z z-bar} = g e^target is linear in
     # phi_{z z-bar}: the step u with u_{z z-bar} = h (e^{-F} - 1) lands on it
@@ -487,27 +508,34 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     forcing = chart.n > 1
 
     def residual_field(p):
+        """(F, h, det h, least eigenvalue of h) at phi = p; F, h and det h are
+        None if h is not positive-definite."""
         h = ddc_fiber(p, chart)
         h += g
         me = herm_min_eig(h)
-        if me <= 0:
-            return None, None, me
-        F = np.log(herm_det(h).real) - logdet_g - eps * p - target
-        return F, h, me
+        if not me > 0:
+            return None, None, None, me
+        det_h = herm_det(h, real=True)
+        F = np.log(det_h)
+        F -= logdet_g
+        if eps:
+            F -= eps * p
+        F -= target
+        return F, h, det_h, me
 
     if initial_guess is None:
         # phi = 0: h = g, whose positivity MAProblem has checked; its least
         # eigenvalue is taken only if no Newton step replaces h
         phi = np.zeros(chart.grid.shape)
-        F, h, me = -target, g, None
+        F, h, det_h, me = -target, g, problem.det_g, None
     else:
         phi = initial_guess.real.copy()
         # a caller that passes its guess without keeping it frees it here
         del initial_guess
-        F, h, me = residual_field(phi)
+        F, h, det_h, me = residual_field(phi)
         if F is None:
             raise DefinitenessError("initial guess loses fiber positivity")
-    res = float(np.max(np.abs(F)))
+    res = _sup_abs(F)
     iters = 0
     fallbacks = 0
     trace = {"residual_history": [], "step_lengths": [], "linear_iterations": [],
@@ -517,18 +545,20 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         # the right-hand side -F is formed in F's buffer
         rhs = np.expm1(-F) if exact else np.negative(F, out=F)
         del F
-        solve = _prepare_linear_solve(h, chart, eps, rhs, config, rtol)
-        # the solve holds neither h nor the rhs given, and the line search
-        # builds its own F and h: free them before the Krylov solve
-        del rhs, h
+        solve = _prepare_linear_solve(h, det_h, chart, eps, rhs, config, rtol)
+        # the solve holds neither h, det h nor the rhs given, and the line
+        # search builds its own: free them before the Krylov solve
+        del rhs, h, det_h
         u, fb, lin_iters, lin_res = solve()
         del solve
         fallbacks += fb
         t = 1.0
         while True:
-            F, h, me = residual_field(phi + t * u)
+            # the accepted trial point is the next phi
+            trial = phi + t * u
+            F, h, det_h, me = residual_field(trial)
             if F is not None:
-                res_new = float(np.max(np.abs(F)))
+                res_new = _sup_abs(F)
                 if res_new < res * (1.0 - 0.25 * t) or res_new < config.tol:
                     break
             t *= 0.5
@@ -543,8 +573,8 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         trace["linear_iterations"].append(lin_iters)
         trace["linear_rtol"].append(rtol)
         trace["linear_residual"].append(lin_res)
-        phi = phi + t * u
-        del u
+        phi = trial
+        del u, trial
         res = res_new
         iters += 1
 
@@ -552,33 +582,33 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
         raise SolverDivergence(
             f"Newton did not converge in {config.max_iters} iterations "
             f"(residual {res:.3e})", residual=res)
-    del F, logdet_g
+    del F
 
     if eps == 0 and normalization != NO_NORMALIZATION:
-        if normalization == REFERENCE_VOLUME:
-            weight = herm_det(g).real
-        elif normalization == KE_VOLUME:
-            # e^(eta+f) omega^n is the solved Ricci-flat volume rho^n
-            weight = np.exp(target) * herm_det(g).real
-        else:
+        if normalization not in (REFERENCE_VOLUME, KE_VOLUME):
             raise GeometryError(f"unknown normalization {normalization!r}")
-        phi = phi - float(np.mean(phi * weight) / np.mean(weight))
+        # KE: e^(eta+f) omega^n is the solved Ricci-flat volume rho^n
+        phi = phi - float(np.mean(phi * weight) / weight_mean)
         del weight
     elif eps > 0:
         normalization = NO_NORMALIZATION
 
-    # the shift leaves dd^c phi, hence the last h, unchanged; det h is a
-    # copy, since a .real view would keep the complex determinant alive
+    # the shift leaves dd^c phi, hence the last h and its det h, unchanged;
+    # det h is read, and dropped, before Delta_g phi is formed
+    mean_det_h = np.mean(det_h)
+    volume_residual = abs(float(mean_det_h) - vol_g) / vol_g
+    det_h_constancy = float(np.max(np.abs(det_h - mean_det_h)) / mean_det_h)
+    del det_h
     lap = _laplacian_of_potential(g, h)
-    det_h = herm_det(h).real.copy()
     diagnostics = {
-        "sup_phi": float(np.max(np.abs(phi))),
-        "sup_lap_phi": float(np.max(np.abs(lap))),
-        # trace-form positivity monitor: 0 <= n + Delta_omega phi
-        "trace_min": float(np.min(chart.n + lap)),
+        "sup_phi": _sup_abs(phi),
+        "sup_lap_phi": _sup_abs(lap),
+        # trace-form positivity monitor: 0 <= n + Delta_omega phi; as rounding
+        # is monotone, the min of n + lap is n + its min
+        "trace_min": float(chart.n + np.min(lap)),
         "fiber_min_eig": herm_min_eig(h) if me is None else me,
-        "volume_residual": abs(float(np.mean(det_h)) - vol_g) / vol_g,
-        "det_h_constancy": float(np.max(np.abs(det_h - np.mean(det_h))) / np.mean(det_h)),
+        "volume_residual": volume_residual,
+        "det_h_constancy": det_h_constancy,
         # Newton steps whose Krylov solve missed rtol and was accepted on
         # its true residual
         "linear_fallbacks": fallbacks,
@@ -666,22 +696,26 @@ def _laplacian_of_potential(g, h) -> np.ndarray:
     """Delta_g phi = g^{b a} phi_ab for the phi with phi_ab = (h - g)_ab.
 
     At n = 2 the sum is taken from the real Hessian weights of g, one pair
-    of weights at a time, with no inverse of g.  At n = 1 it stays complex:
-    g_00 may carry an imaginary rounding residue, which 1/g_00 folds in.
+    of weights at a time, with no inverse of g, and one slab of the first
+    axis at a time, so the weights and the parts take a slab each.  At
+    n = 1 it stays complex: g_00 may carry an imaginary rounding residue,
+    which 1/g_00 folds in.
     """
     if not isinstance(g, Herm2):
         return (herm_inverse(g)[0, 0] * (h[0, 0] - g[0, 0])).real
     lap = np.zeros(np.shape(g.g00))
-    part = np.empty_like(lap)
-    for (a, b), w_re, w_im in hessian_weights(g):
-        np.subtract(h[a, b].real, g[a, b].real, out=part)
-        part *= w_re
-        lap += part
-        if w_im is not None:
-            np.subtract(h[a, b].imag, g[a, b].imag, out=part)
-            part *= w_im
-            lap += part
-        del w_re, w_im
+    for i, lap_slab in enumerate(lap):
+        g_slab = Herm2(g.g00[i], g.g11[i], g.g01[i])
+        h_slab = Herm2(h.g00[i], h.g11[i], h.g01[i])
+        part = np.empty_like(lap_slab)
+        for (a, b), w_re, w_im in hessian_weights(g_slab):
+            np.subtract(h_slab[a, b].real, g_slab[a, b].real, out=part)
+            part *= w_re
+            lap_slab += part
+            if w_im is not None:
+                np.subtract(h_slab[a, b].imag, g_slab[a, b].imag, out=part)
+                part *= w_im
+                lap_slab += part
     return lap
 
 
@@ -695,7 +729,7 @@ def linearized_solve(h: np.ndarray, chart: FiberChart, epsilon: float, R: np.nda
     increased by the Krylov solves of this call accepted on the fallback.
     """
     config = config or SolverConfig()
-    if herm_min_eig(h) <= 0:
+    if not herm_min_eig(h) > 0:
         raise DefinitenessError("linearized solve needs positive-definite h")
     det = herm_det(h)
     if epsilon == 0:
@@ -703,7 +737,8 @@ def linearized_solve(h: np.ndarray, chart: FiberChart, epsilon: float, R: np.nda
         if compat > solvability_tol:
             raise NormalizationError(
                 f"eps = 0 linearized problem violates solvability ({compat:.3e})")
-    u, fallbacks, _, _ = _linear_solve(h, chart, epsilon, -np.asarray(R), config)
+    u, fallbacks, _, _ = _linear_solve(h, chart, epsilon, -np.asarray(R), config,
+                                       det_h=det.real)
     if diagnostics is not None:
         diagnostics["linear_fallbacks"] = diagnostics.get("linear_fallbacks", 0) + fallbacks
     if epsilon == 0:
@@ -917,7 +952,7 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
 
     base = ricci_flat_problem(family.fiber_metric(s), 0.0)
     chart = base.chart
-    weight = np.exp(base.eta) * herm_det(base.gab).real
+    weight = np.exp(base.eta) * base.det_g
 
     solutions, table = [], []
     warm = None

@@ -275,11 +275,12 @@ class Family:
 
     def validate_at(self, s: complex) -> "FiberMetric":
         """The fiber metric at s, checked positive-definite; DefinitenessError if not."""
-        if self.n == 1 and self.tau(s).imag <= 0:
+        # "not > 0" also rejects NaN
+        if self.n == 1 and not self.tau(s).imag > 0:
             raise DefinitenessError(f"Im tau(s) <= 0 at s = {s}")
         fiber = self.fiber_metric(s)
         me = herm_min_eig(fiber.gab)
-        if me <= 0:
+        if not me > 0:
             raise DefinitenessError(
                 f"model form loses fiber definiteness at s = {s} (min eig {me:.3e})")
         return fiber
@@ -379,7 +380,7 @@ class Family:
         Nothing here goes through omega(s): it checks the solve and assembly.
         """
         s = complex(s)
-        if self.n == 1 and self.tau(s).imag <= 0:
+        if self.n == 1 and not self.tau(s).imag > 0:
             raise DefinitenessError(f"Im tau(s) <= 0 at s = {s}")
         osc = FourierPoly(self.n, {key: c for key, c in self.chi.terms.items()
                                    if any(key[:-2])})

@@ -548,10 +548,12 @@ def test_solve_fiber_n2_peak_memory(tmp_path):
     """The whole fiber-n2 command, reports included, holds at most 19 real
     24^4 fields of traced allocations over what it starts with.
 
-    Measured: 17.35 fields, reached while the 24^4 residual of the prolonged
-    guess is formed (g, h, eta, log det g, phi and the dd^c tables are alive);
-    the bound leaves 1.65 fields of margin.  A complex (2, 2) stack for g and
-    h took 29.2 fields.
+    Measured in a fresh process: 17.48 fields, reached while dd^c of the
+    prolonged guess forms the metric of its 24^4 residual (g, eta, det g,
+    log det g, the Ricci-flat density, phi and the dd^c tables are alive);
+    the bound leaves 1.52 fields of margin.  16.36 before the problem held
+    det g and the solve the density; a complex (2, 2) stack for g and h
+    took 29.2 fields.
     """
     path = n2_solve_fiber_config(tmp_path)
     field_bytes = 8 * 24 ** 4
@@ -961,7 +963,7 @@ def test_phi_csv_write_peak_memory(tmp_path):
     formatted at a time.
 
     Measured: 0.99 fields at 2^13 rows a block (1.95 at 2^14, 3.84 at 2^15).
-    The fiber-n2 command peaks at 17.35 fields elsewhere, so the write is
+    The fiber-n2 command peaks at 17.48 fields elsewhere, so the write is
     never its peak.
     """
     phi = np.random.RandomState(3).standard_normal((24,) * 4)

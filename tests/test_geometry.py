@@ -53,6 +53,62 @@ def test_chart_needs_upper_half_plane(grid64):
         FiberChart.make(grid64, tau=1.0 - 0.2j)
 
 
+@pytest.mark.parametrize("tau", [complex(float("nan"), 1.0), complex(1.0, float("nan")),
+                                 complex(float("inf"), 1.0), complex(0.0, float("inf")),
+                                 complex(float("nan"), float("nan"))])
+def test_chart_needs_a_finite_modulus(grid64, tau):
+    """A NaN or infinite tau is rejected, not turned into NaN chart coefficients;
+    a NaN Im tau fails the positivity test itself."""
+    error = DefinitenessError if np.isnan(tau.imag) else GeometryError
+    with pytest.raises(error):
+        FiberChart.make(grid64, tau=tau)
+
+
+def test_n2_chart_needs_a_finite_period_matrix():
+    om = np.array([[complex(0.0, float("inf")), 0.1], [0.1, 1j]])
+    with pytest.raises(GeometryError, match="finite"):
+        FiberChart.make(FiberGrid(2, 8), omega_matrix=om)
+
+
+def _n1_tables_by_complex_products(tau, N):
+    """The n = 1 chart tables as complex products build them: C from the 1 x 1
+    inverse, M = 2 pi i sum_m C_m k_m, the dd^c table M (-conj M), the flat
+    symbol summed with the identity's weight, and its inverse."""
+    om = np.array([[tau]])
+    inv = np.linalg.inv(om - om.conj())
+    C = ((-om.conj() @ inv)[0, 0], inv[0, 0])
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k[N // 2] = 0.0
+    kx, ky = np.meshgrid(k, k[: N // 2 + 1], indexing="ij", sparse=True)
+    m = np.zeros((1, 1), dtype=complex)
+    for c, kk in zip(C, (kx, ky)):
+        m = m + c * kk
+    z = 2j * np.pi * m
+    ddc = np.multiply(z, -np.conj(z)).real.copy()
+    lam = np.zeros(ddc.shape)
+    lam -= 1.0 * ddc
+    lam[lam < 0] = 0.0
+    with np.errstate(divide="ignore"):
+        flat_inverse = np.where(lam > 0, -1.0 / lam, 0.0)
+    return np.array([C]), ddc, lam, flat_inverse
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=st.floats(-10, 10).filter(lambda x: x != 0), im=st.floats(1e-2, 1e2),
+       N=st.sampled_from([8, 16, 64]))
+def test_n1_chart_tables_keep_the_complex_product_bits(re, im, N):
+    """The n = 1 tables built from the closed-form C and the mode norm equal
+    the complex-product construction bit for bit, signed zeros included."""
+    chart = FiberChart.make(FiberGrid(1, N), tau=complex(re, im))
+    C, ddc, lam, flat_inverse = _n1_tables_by_complex_products(chart.tau, N)
+    table, im_table = chart.ddc_mult_half[0, 0]
+    assert im_table is None
+    for built, reference in ((chart.dz_coeffs, C), (table, ddc), (flat_symbol(chart), lam),
+                             (chart.flat_inverse_mult, flat_inverse)):
+        assert built.shape == reference.shape
+        assert built.tobytes() == reference.tobytes()
+
+
 def test_spectral_round_trip(grid64):
     rng = np.random.RandomState(0)
     f = rng.standard_normal(grid64.shape) + 1j * rng.standard_normal(grid64.shape)
@@ -451,6 +507,9 @@ def test_n2_det_and_min_eig_keep_their_bits(seed, N):
     g[0, 1] = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     g[1, 0] = np.conj(g[0, 1])
     assert np.array_equal(herm_det(as_metric(g)), g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+    # the real determinant is the real part of the complex one, bit for bit
+    assert herm_det(as_metric(g), real=True).tobytes() == \
+        herm_det(as_metric(g)).real.copy().tobytes()
     half_tr = (g[0, 0].real + g[1, 1].real) / 2.0
     rad = np.sqrt(((g[0, 0].real - g[1, 1].real) / 2.0) ** 2 + np.abs(g[0, 1]) ** 2)
     assert herm_min_eig(as_metric(g)) == float(np.min(half_tr - rad))

@@ -266,8 +266,8 @@ def test_forcing_terms_n2():
 
     prepare = cyflab.masolver._prepare_linear_solve
 
-    def at_linear_rtol(h, chart, eps, rhs, config, rtol):
-        return prepare(h, chart, eps, rhs, config, config.linear_rtol)
+    def at_linear_rtol(h, det_h, chart, eps, rhs, config, rtol):
+        return prepare(h, det_h, chart, eps, rhs, config, config.linear_rtol)
 
     with patch("cyflab.masolver._prepare_linear_solve", at_linear_rtol):
         strict = solve_ma(problem, config)
@@ -832,26 +832,68 @@ def test_ricci_flat_problem_eta_family(perturbed_family):
     assert abs(lhs / rhs - 1) < 1e-12
 
 
-def _record_positivity_checks(monkeypatch):
-    """Every module binding of geometry.herm_min_eig, wrapped to record what it checks."""
-    real = cyflab.geometry.herm_min_eig
-    checked = []
+def _record_calls(monkeypatch, function):
+    """Every module binding of geometry.<function>, wrapped to record its first argument."""
+    real = getattr(cyflab.geometry, function)
+    seen = []
 
-    def recording(g):
-        checked.append(g)
-        return real(g)
+    def recording(g, *args, **kwargs):
+        seen.append(g)
+        return real(g, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("cyflab") and getattr(module, "herm_min_eig", None) is real:
-            monkeypatch.setattr(module, "herm_min_eig", recording)
-    return checked
+        if name.startswith("cyflab") and getattr(module, function, None) is real:
+            monkeypatch.setattr(module, function, recording)
+    return seen
+
+
+def test_one_step_solve_forms_each_determinant_once(monkeypatch, perturbed_family):
+    """A one-step n = 1, eps = 0 Ricci-flat solve, its problem built in it,
+    forms det g once (the problem's, which the step reads) and det h of the
+    step's residual once (which the closing diagnostics read)."""
+    metric = perturbed_family.fiber_metric(1j)
+    dets = _record_calls(monkeypatch, "herm_det")
+    sol = solve_ma(ricci_flat_problem(metric, 0.0))
+    assert sol.newton_iters == 1
+    assert len(dets) == 2
+    assert dets[0] is metric.gab and dets[1] is sol.h
+
+
+def test_problem_rejects_a_metric_with_a_nan_node(flat_setup):
+    _, chart, g = flat_setup
+    bad = g.copy()
+    bad[0, 0, 1, 2] = np.nan
+    with pytest.raises(DefinitenessError, match="fiber-positive reference form"):
+        MAProblem(chart=chart, gab=bad, eta=None, epsilon=0.0)
+
+
+def test_nan_metric_iterate_counts_as_lost_positivity(monkeypatch, flat_setup):
+    """A Newton iterate whose metric has a NaN node fails the positivity
+    test: from an initial guess with DefinitenessError, in the line search
+    as a positivity loss."""
+    _, chart, g = flat_setup
+    real_ddc = cyflab.masolver.ddc_fiber
+
+    def nan_ddc(f, c):
+        out = real_ddc(f, c)
+        out[0, 0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(cyflab.masolver, "ddc_fiber", nan_ddc)
+    eta = 0.1 * np.cos(2 * np.pi * chart.grid.coords[0])
+    problem = MAProblem(chart=chart, gab=g, eta=eta - np.log(np.mean(np.exp(eta))),
+                        epsilon=0.0)
+    with pytest.raises(DefinitenessError, match="initial guess"):
+        solve_ma(problem, initial_guess=np.zeros(chart.grid.shape))
+    with pytest.raises(SolverDivergence, match="positivity loss"):
+        solve_ma(problem)
 
 
 def test_one_positivity_check_per_ricci_flat_problem(monkeypatch, perturbed_family):
     """A Ricci-flat problem checks its fiber metric once, and eta is formed
     from it after that check: on each stencil point, and on each problem of
     an eps continuation, which all share one metric."""
-    checked = _record_positivity_checks(monkeypatch)
+    checked = _record_calls(monkeypatch, "herm_min_eig")
     solutions = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.5)
     for sol in solutions.values():
         assert sum(g is sol.problem.gab for g in checked) == 1

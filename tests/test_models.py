@@ -18,6 +18,7 @@ from cyflab.geometry import (
 from cyflab.masolver import BaseStencil
 from cyflab.models import (
     FamilySpec,
+    FiberMetric,
     FourierPoly,
     make_family,
 )
@@ -74,6 +75,24 @@ def test_family_spec_validation():
     with pytest.raises(DefinitenessError):
         make_family(FamilySpec(kind="universal_elliptic",
                                chi=perturbation_chi(0.5), base_samples=(1j,)))
+
+
+def test_family_validation_rejects_nan(monkeypatch):
+    """A NaN Im tau(s) or a NaN node of the fiber metric fails validation with
+    the messages of the nonpositive cases, instead of passing "<= 0"."""
+    nan = float("nan")
+    with pytest.raises(DefinitenessError, match="Im tau"):
+        make_family(FamilySpec(kind="modulus_map", modulus_coeffs=(1j, nan), grid_n=16,
+                               base_samples=(0.1 + 1j,)))
+    fam = make_family(FamilySpec(kind="universal_elliptic", grid_n=16, base_samples=(1j,)))
+    with pytest.raises(DefinitenessError, match="Im tau"):
+        fam.ricci_flat_closed_form(complex(0.0, nan))
+    fiber = fam.fiber_metric(1j)
+    gab = fiber.gab.copy()
+    gab[0, 0, 3, 5] = nan
+    monkeypatch.setattr(fam, "fiber_metric", lambda s: FiberMetric(chart=fiber.chart, gab=gab))
+    with pytest.raises(DefinitenessError, match="loses fiber definiteness"):
+        fam.validate_at(1j)
 
 
 def test_elliptic_oracle_values(elliptic_family):

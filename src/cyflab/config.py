@@ -130,7 +130,8 @@ CONFIG_SCHEMA = {
         "continuation": Key(_section, {}),
         "outputs": Key(_section, {}),
         "fiber": Key(_section, {}),
-        "suites": Key(_list(_str), list(KNOWN_SUITES), *_one_of(KNOWN_SUITES, each=True)),
+        "suites": Key(_list(_str), list(KNOWN_SUITES), lambda v: v and set(v) <= set(KNOWN_SUITES),
+                      "non-empty, " + _one_of(KNOWN_SUITES, each=True)[1]),
         "seed": Key(_int, 0, *_range(0, 2 ** 32 - 1)),
         "threads": Key(_int, 1, *_range(1)),
     },
@@ -214,8 +215,10 @@ def parse_config(doc) -> dict:
                 f"chi terms must be [k_1..k_{2 * n}, p, q, re, im], got {list(key)}")
         chi_terms[key] = chi_terms.get(key, 0.0) + coeff
     matrix = fam["period_matrix"]
-    if (n == 2 or matrix is not None) and [len(row) for row in matrix or []] != [n] * n:
-        raise ConfigError(f"family.period_matrix must be an {n} x {n} matrix")
+    shape = None if matrix is None else [len(row) for row in matrix]
+    if shape != ([2, 2] if n == 2 else None):
+        raise ConfigError("family.period_matrix must be a 2 x 2 matrix at n = 2 and absent at "
+                          "n = 1, whose modulus comes from tau0 or modulus_coeffs")
     schedule = conf["continuation"]["eps_schedule"]
     if any(a <= b for a, b in zip(schedule, schedule[1:])) or schedule[-1] < 0:
         raise ConfigError("continuation.eps_schedule must decrease strictly to a value >= 0")

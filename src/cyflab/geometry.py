@@ -753,27 +753,22 @@ def invert_flat_laplacian(f: np.ndarray, chart: FiberChart) -> np.ndarray:
 
 def fiber_integral(density: np.ndarray, chart: FiberChart,
                    metric: np.ndarray | None = None,
-                   volume_density: np.ndarray | None = None,
                    imag_tol: float = 1e-12) -> float:
     """Quadrature of density against a fiber volume, (i/2)^n convention.
 
-    With a metric g the volume form is det(g) * det(Im Omega) dx dy; with an
-    explicit volume_density w the measure is w * det(Im Omega) dx dy; with
-    neither it is the flat coordinate volume det(Im Omega) dx dy.
+    With a metric g the volume form is det(g) * det(Im Omega) dx dy; without
+    one it is the flat coordinate volume det(Im Omega) dx dy.
     """
-    val = fiber_integral_complex(density, chart, metric, volume_density)
+    val = fiber_integral_complex(density, chart, metric)
     scale = max(1.0, abs(val))
     if abs(val.imag) > imag_tol * scale:
         raise InvalidFieldError(f"fiber integral has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
 
-def fiber_integral_complex(density, chart: FiberChart, metric=None, volume_density=None):
-    density = chart.check_field(np.asarray(density, dtype=complex))
-    w = density
+def fiber_integral_complex(density, chart: FiberChart, metric=None):
+    w = chart.check_field(np.asarray(density, dtype=complex))
     if metric is not None:
         w = w * herm_det(metric)
-    if volume_density is not None:
-        w = w * volume_density
     return complex(np.mean(w)) * chart.measure
 

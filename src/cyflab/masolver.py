@@ -174,13 +174,13 @@ def ricci_flat_problem(metric: FiberMetric, eps: float) -> MAProblem:
 
 def manufactured_problem(metric: FiberMetric, phi_star: np.ndarray, eps: float) -> MAProblem:
     """The fiber problem on metric whose solution is phi_star: eta = 0 and the
-    forcing f = log det(g + dd^c phi*) - log det g - eps phi*."""
+    forcing f = log det(g + dd^c phi*) - log det g - eps phi*, log det g the problem's."""
     h_star = metric.gab + ddc_fiber(phi_star, metric.chart)
     if not herm_min_eig(h_star) > 0:
         raise DefinitenessError("manufactured phi* breaks fiber positivity")
-    extra_f = np.log(herm_det(h_star).real) - np.log(herm_det(metric.gab).real) - eps * phi_star
-    return MAProblem(chart=metric.chart, gab=metric.gab, eta=np.zeros(phi_star.shape),
-                     epsilon=eps, extra_f=extra_f)
+    problem = MAProblem(metric.chart, metric.gab, eta=np.zeros(phi_star.shape), epsilon=eps)
+    problem.extra_f = np.log(herm_det(h_star).real) - problem.logdet_g - eps * phi_star
+    return problem
 
 
 def _project_rhs(rhs, det_h):

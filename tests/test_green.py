@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyflab.geometry import FiberChart, FiberGrid, GeometryError, fourier_multiply
+from cyflab.geometry import (FiberChart, FiberGrid, GeometryError, flat_symbol,
+                             fourier_multiply)
 from cyflab.green import (
     NonConstantMetricError,
     build_green,
@@ -200,6 +201,39 @@ def test_kernel_modes_match_matrix_product(seed, case):
     ref = sum((4 * np.pi ** 2) * (hup[b, a] * (ks @ C[a]) * np.conj(ks @ C[b])).real
               for a in range(n) for b in range(n))
     assert np.all(np.abs(lam - ref) <= 1e-14 * np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (1, 64), (2, 8)]))
+def test_kernel_modes_read_the_shared_symbol(seed, case):
+    """The kernel's eigenvalues are flat_symbol's half-spectrum entries, bit
+    for bit: lambda(k), or lambda(-k) where the last frequency is negative."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    chart, h = random_chart_and_metric(rng, n, N)
+    ks, lam = build_green(h, chart).kernel_modes()
+    assert len(ks) == (N - 1) ** (2 * n) - 1
+    assert np.all(np.abs(ks) <= N // 2 - 1) and np.all(np.any(ks != 0, axis=1))
+    stored = np.where(ks[:, -1:] < 0, -ks, ks)
+    assert np.array_equal(lam, flat_symbol(chart, h)[tuple((stored % N).T)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (1, 32), (2, 8)]))
+def test_kernel_synthesis_matches_direct(seed, case):
+    """kernel(R) at R = N, 2N and an odd R >= N equals the direct series
+    kernel_at on its grid points (a random sample of them)."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    chart, h = random_chart_and_metric(rng, n, N)
+    green = build_green(h, chart)
+    for R in (N, 2 * N, N + 1 + 2 * rng.randint(0, N // 2)):
+        kern = green.kernel(R)
+        assert kern.shape == (R,) * (2 * n)
+        idx = rng.randint(0, R, size=(200, 2 * n))
+        direct = green.kernel_at(idx / R)
+        scale = np.max(np.abs(kern))
+        assert np.max(np.abs(kern[tuple(idx.T)] - direct)) < 1e-13 * scale
 
 
 def test_oracle_matrix_positive():

@@ -859,6 +859,28 @@ def test_one_step_solve_forms_each_determinant_once(monkeypatch, perturbed_famil
     assert dets[0] is metric.gab and dets[1] is sol.h
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_manufactured_problem_forms_each_determinant_once(monkeypatch, n):
+    """A manufactured problem forms det g once, the problem's, whose log det g
+    the forcing reads, and det h* for the forcing; a phi* whose h* is not
+    positive is still rejected."""
+    rng = np.random.RandomState(40 + n)
+    chart, h = random_chart_and_metric(rng, n, 16 if n == 1 else 8)
+    g = as_metric(np.broadcast_to(h.reshape(h.shape + (1,) * (2 * n)),
+                                  h.shape + chart.grid.shape).copy())
+    phi_star = 0.002 * random_trig_field(rng, chart.grid, kmax=2).real
+    dets = _record_calls(monkeypatch, "herm_det")
+    problem = manufactured_problem(FiberMetric(chart, g), phi_star, 0.3)
+    assert len(dets) == 2
+    assert dets[0] is g
+    h_star = dets[1]
+    ref = np.log(cyflab.geometry.herm_det(h_star).real) \
+        - np.log(cyflab.geometry.herm_det(g).real) - 0.3 * phi_star
+    assert np.array_equal(problem.extra_f, ref)
+    with pytest.raises(DefinitenessError, match=r"manufactured phi\* breaks fiber positivity"):
+        manufactured_problem(FiberMetric(chart, g), 1e3 * phi_star, 0.3)
+
+
 def test_problem_rejects_a_metric_with_a_nan_node(flat_setup):
     _, chart, g = flat_setup
     bad = g.copy()

@@ -78,10 +78,10 @@ def _chi_term(value, where: str) -> tuple:
 # A rule is a pair (check, wording): the range check of a read value and the
 # range in words, for errors and the README.
 def _one_of(choices, each=False):
-    """The value (with each, every entry) is among choices."""
+    """The value (with each, every entry of a non-empty list) is among choices."""
     allowed = set(choices)
-    return ((lambda v: set(v) <= allowed) if each else (lambda v: v in allowed),
-            ("each " if each else "") + "one of " + ", ".join(map(str, choices)))
+    return ((lambda v: bool(v) and set(v) <= allowed) if each else (lambda v: v in allowed),
+            ("non-empty, each " if each else "") + "one of " + ", ".join(map(str, choices)))
 
 
 def _range(lo, hi=None, open_lo=False):
@@ -130,8 +130,7 @@ CONFIG_SCHEMA = {
         "continuation": Key(_section, {}),
         "outputs": Key(_section, {}),
         "fiber": Key(_section, {}),
-        "suites": Key(_list(_str), list(KNOWN_SUITES), lambda v: v and set(v) <= set(KNOWN_SUITES),
-                      "non-empty, " + _one_of(KNOWN_SUITES, each=True)[1]),
+        "suites": Key(_list(_str), list(KNOWN_SUITES), *_one_of(KNOWN_SUITES, each=True)),
         "seed": Key(_int, 0, *_range(0, 2 ** 32 - 1)),
         "threads": Key(_int, 1, *_range(1)),
     },

@@ -5,27 +5,24 @@ The fiber equation in coordinates is
     log det(g_ab + phi_ab) - log det(g_ab) = eps * phi + eta + extra_f,
 
 solved by damped Newton iteration; each linear step inverts Delta_h - eps
-(h the current fiber metric) in one of three ways:
+(h the current fiber metric) in one of two ways:
 
 * elliptic fibers (n = 1) at eps = 0: det(h) Delta_h is the flat d d-bar,
   and the step is one exact spectral division.  There the equation
   h_{z z-bar} = g e^(eta + extra_f) is linear in phi_{z z-bar}, and the
   step targets it rather than its linearization, so one step solves it;
-* elliptic fibers at eps > 0: det(h) (Delta_h - eps) is the flat d d-bar
-  minus eps det(h), symmetric and negative definite, and the step is a
-  preconditioned conjugate gradient solve (Hestenes & Stiefel 1952) with
-  the spectral preconditioner 1/(lambda + eps mean det h);
-* n >= 2: restarted GMRES (Saad & Schultz 1986) right-preconditioned by
-  the constant-coefficient spectral inverse M, stopped at the inexact-Newton
-  forcing term max(linear_rtol, min(1e-2, 0.1 sup|F|)) (Eisenstat & Walker
-  1996) and judged on its true residual.  The Krylov space is that of A M,
-  and M is applied once per solve, to the final combination (Saad,
-  Iterative Methods for Sparse Linear Systems, 2nd ed., 9.3.2): a matvec
-  multiplies the half spectrum of its input by M and feeds it to the dd^c
-  tables, one forward and n^2 inverse real transforms.
+* every other step (n = 1 at eps > 0, and n = 2): restarted GMRES (Saad &
+  Schultz 1986) right-preconditioned by the constant-coefficient spectral
+  inverse M, stopped at the inexact-Newton forcing term
+  max(linear_rtol, min(1e-2, 0.1 sup|F|)) (Eisenstat & Walker 1996) and
+  judged on its true residual.  The Krylov space is that of A M, and M is
+  applied once per solve, to the final combination (Saad, Iterative
+  Methods for Sparse Linear Systems, 2nd ed., 9.3.2): a matvec multiplies
+  the half spectrum of its input by M and feeds it to the dd^c tables,
+  one forward and n^2 inverse real transforms.
 
-The Krylov solves reduce with elementwise sums and update with ufuncs, so
-they make no BLAS call on field-sized vectors.
+The Krylov solve reduces with elementwise sums and updates with ufuncs, so
+it makes no BLAS call on field-sized vectors.
 
 For eps = 0 the constant kernel is removed by projecting the right-hand
 side and pinning the grid mean, and the requested normalization is
@@ -86,12 +83,9 @@ class SolverConfig:
     tol: sup |F| at which Newton stops.
     max_iters: Newton steps allowed before SolverDivergence.
     damping_floor: smallest step fraction t of the backtracking line search.
-    linear_rtol: relative residual of a final linear solve (linearized_solve)
-        and of every n = 1, eps > 0 Newton step; the lower bound of the
-        n >= 2 forcing terms.
-    linear_maxiter: GMRES restart cycles of RESTART = 30 iterations each
-        (n >= 2); the conjugate gradient solve at n = 1, eps > 0 is capped at
-        RESTART * linear_maxiter iterations, the same number of matvecs.
+    linear_rtol: relative residual of a final linear solve (linearized_solve);
+        the lower bound of the Newton steps' forcing terms.
+    linear_maxiter: GMRES restart cycles of RESTART = 30 iterations each.
     """
 
     tol: float = 1e-11
@@ -222,8 +216,7 @@ def _dot(x, y) -> float:
     return float(np.sum(x * y))
 
 
-# Krylov iterations per GMRES restart cycle; the conjugate gradient cap is
-# counted in the same cycles
+# Krylov iterations per GMRES restart cycle
 RESTART = 30
 
 
@@ -302,14 +295,13 @@ def _linear_solve(h, chart, eps, rhs, config: SolverConfig, rtol=None, det_h=Non
     right-hand side is solved in real arithmetic and a complex one as two
     real systems.  For eps = 0 the right-hand side is projected onto the
     solvable range (zero det(h)-weighted mean) and the unique grid-mean-zero
-    solution is returned; at n = 1 that solve is exact and Krylov-free.  At
-    n = 1, eps > 0 the solve is conjugate gradients (_elliptic_cg), and at
-    n >= 2 it is GMRES (lgmres) on A M, M the spectral inverse of the mean
-    metric's operator, with u = M y from its solution y.  rtol (default
-    config.linear_rtol) is the relative residual the Krylov solve stops at.
+    solution is returned; at n = 1 that solve is exact and Krylov-free.
+    Every other solve is GMRES (lgmres) on A M, M the spectral inverse of
+    the mean metric's operator, with u = M y from its solution y.  rtol
+    (default config.linear_rtol) is the relative residual GMRES stops at.
     fallbacks counts the Krylov solves whose true residual missed rtol but
-    was accepted below 1e-8; iterations counts the GMRES matvecs or CG
-    iterations; residual is the true relative residual the solve ended at
+    was accepted below 1e-8; iterations counts the GMRES matvecs;
+    residual is the true relative residual the solve ended at
     (the larger of the two for a complex right-hand side).  The exact step
     returns 0 iterations and residual None.  det_h, the real field det h,
     is formed here if not given.
@@ -332,21 +324,17 @@ def _prepare_linear_solve(h, det_h, chart, eps, rhs, config: SolverConfig, rtol)
     """Set up _linear_solve's real system; returns the solve, a function of no arguments.
 
     det_h is the real field det h.  The solve returns (u, fallbacks,
-    iterations, residual) as _linear_solve does.  At n = 1 the step is
-    solved here.  rhs is a real field the caller gives up: at eps = 0 it
-    is projected (and at n >= 2 filtered) in place, before the Hessian
-    weights are built.  At n >= 2 it is what
-    GMRES reads; the solve holds it, the weights of h and the
-    preconditioner symbol, but not h, so a caller that drops h and rhs
-    before calling it keeps neither through the Krylov solve.
+    iterations, residual) as _linear_solve does.  The exact step (n = 1,
+    eps = 0) is solved here.  rhs is a real field the caller gives up: at
+    eps = 0 it is projected (and at n = 2 filtered) in place, before the
+    Hessian weights are built.  Otherwise it is what GMRES reads; the solve
+    holds it, the weights of h and the preconditioner symbol, but not h, so
+    a caller that drops h and rhs before calling it keeps neither through
+    the Krylov solve.
     """
     grid = chart.grid
-    n = chart.n
     pin = eps == 0
-    if n == 1 and not pin:
-        out = _elliptic_cg(det_h, chart, eps, rhs, rtol, RESTART * config.linear_maxiter)
-        return lambda: out
-    if pin and n == 1:
+    if pin and chart.n == 1:
         # det(h) h^{-1} = 1, so det(h) Delta_h u = u_{z z-bar}: the step
         # is one division by the flat symbol, whose zeroed kernel modes
         # drop the constant and the pure-Nyquist content of det(h) rhs
@@ -407,7 +395,7 @@ def _prepare_linear_solve(h, det_h, chart, eps, rhs, config: SolverConfig, rtol)
 
 
 def _preconditioner_symbol(h, chart, eps) -> np.ndarray:
-    """The symbol -1/(lambda + eps) of M on the half spectrum (n >= 2).
+    """The symbol -1/(lambda + eps) of M on the half spectrum.
 
     lambda is flat_symbol at the mean of h.  At eps = 0, M keeps the
     constant mode and zeroes the rest of lambda's kernel (the pure-Nyquist
@@ -421,45 +409,6 @@ def _preconditioner_symbol(h, chart, eps) -> np.ndarray:
         lam += eps
         np.divide(-1.0, lam, out=lam)
     return lam
-
-
-def _elliptic_cg(det, chart, eps, rhs, rtol, maxiter):
-    """Conjugate gradients for Delta_h u - eps u = rhs on an elliptic fiber, eps > 0.
-
-    At n = 1, det(h) Delta_h u = u_{z z-bar}, so multiplying by -det(h)
-    gives A u = -u_{z z-bar} + eps det(h) u = -det(h) rhs, with A symmetric
-    positive definite in the flat l2 product.  The preconditioner is the
-    Fourier multiplier 1/(lambda + eps mean det h), lambda the flat symbol.
-    Reductions are elementwise sums, so no BLAS call is made.  Returns
-    (u, fallbacks, iterations, residual) as _linear_solve does, judged on
-    the true relative residual of A u = b.
-    """
-    lam = flat_symbol(chart)
-    inv_denom = 1.0 / (lam + eps * np.mean(det))
-
-    def apply(u):
-        return fourier_multiply(u, lam) + eps * det * u
-
-    b = -det * rhs
-    bnorm = np.sqrt(np.sum(b * b))
-    u = np.zeros_like(b)
-    r = b.copy()
-    z = fourier_multiply(r, inv_denom)
-    p = z
-    rz = np.sum(r * z)
-    iterations = 0
-    while iterations < maxiter and np.sqrt(np.sum(r * r)) > rtol * bnorm:
-        Ap = apply(p)
-        alpha = rz / np.sum(p * Ap)
-        u += alpha * p
-        r -= alpha * Ap
-        z = fourier_multiply(r, inv_denom)
-        rz, rz_old = np.sum(r * z), rz
-        p = z + (rz / rz_old) * p
-        iterations += 1
-    rel = np.sqrt(np.sum((apply(u) - b) ** 2)) / bnorm if bnorm > 0 else 0.0
-    fallbacks = 0 if rel <= rtol else _accept_unconverged(rel, f"cg, {iterations} iterations")
-    return u, fallbacks, iterations, rel
 
 
 def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
@@ -503,9 +452,6 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     # at n = 1, eps = 0 the equation h_{z z-bar} = g e^target is linear in
     # phi_{z z-bar}: the step u with u_{z z-bar} = h (e^{-F} - 1) lands on it
     exact = chart.n == 1 and eps == 0
-    # inexact Newton forcing terms on the GMRES steps (n >= 2); at n = 1
-    # conjugate gradients reach linear_rtol in a few iterations anyway
-    forcing = chart.n > 1
 
     def residual_field(p):
         """(F, h, det h, least eigenvalue of h) at phi = p; F, h and det h are
@@ -541,7 +487,9 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     trace = {"residual_history": [], "step_lengths": [], "linear_iterations": [],
              "linear_rtol": [], "linear_residual": []}
     while res > config.tol and iters < config.max_iters:
-        rtol = max(config.linear_rtol, min(1e-2, 0.1 * res)) if forcing else config.linear_rtol
+        # inexact Newton forcing terms on the GMRES steps; the exact step
+        # records linear_rtol, which it does not read
+        rtol = config.linear_rtol if exact else max(config.linear_rtol, min(1e-2, 0.1 * res))
         # the right-hand side -F is formed in F's buffer
         rhs = np.expm1(-F) if exact else np.negative(F, out=F)
         del F

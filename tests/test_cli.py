@@ -634,6 +634,7 @@ RECT = [-0.1, 0.1, 0.9, 1.1]
     (["verify", "--suite", "elliptic"], {"stencil.h_s": 1e-300}),
     (["verify", "--suite", "epsilon"], {"continuation": {"eps_schedule": [0.1, 0.0]}}),
     (["verify"], {"suites": []}),
+    (["run-family"], {"outputs.formats": []}),
     (["run-family"], {"family": {"kind": "product", "period_matrix": [[[0.3, 2.5]]]}}),
 ], ids=["manufactured-no-amplitude", "mode-3-entries", "grid-n-string",
         "empty-eps-schedule", "threads-0",
@@ -643,7 +644,7 @@ RECT = [-0.1, 0.1, 0.9, 1.1]
         "chi-frequency-float", "richardson-string", "damping-floor-2", "dir-5",
         "normalization-bad", "chi-coefficient-overflow", "grid-n2-past-node-bound",
         "grid-n-odd", "mode-past-nyquist", "h-s-tiny", "eps-schedule-one-positive",
-        "suites-empty", "period-matrix-at-n1"])
+        "suites-empty", "formats-empty", "period-matrix-at-n1"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, edit):
     path, doc = base_config(tmp_path)
     doc["solver"]["grid_n"] = 16

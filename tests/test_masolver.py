@@ -162,14 +162,19 @@ def test_divergence_reported(flat_setup):
 
 
 def test_linear_fallbacks_recorded():
-    """Krylov solves that miss rtol but pass the true-residual check are counted."""
+    """Krylov solves that miss rtol but pass the true-residual check are counted.
+
+    On this varying metric one GMRES cycle ends the last step at a relative
+    residual of about 4e-10, above its forcing term and below 1e-8.
+    """
     grid = FiberGrid(1, 16)
     chart = FiberChart.make(grid, tau=1j)
-    g = np.ones((1, 1) + grid.shape, dtype=complex)
-    x = grid.coords[0]
-    phi_star = 0.1 * np.cos(2 * np.pi * x)
+    x, y = grid.coords
+    g = (1 + 0.85 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)).astype(complex)
+    g = g[np.newaxis, np.newaxis]
+    phi_star = 0.002 * np.cos(2 * np.pi * x) + 0.0005 * np.sin(2 * np.pi * (x + 3 * y))
     problem = manufactured_problem(FiberMetric(chart, g), phi_star, 0.5)
-    strict = solve_ma(problem, SolverConfig(linear_rtol=1e-16, linear_maxiter=2))
+    strict = solve_ma(problem, SolverConfig(linear_rtol=1e-16, linear_maxiter=1))
     assert strict.residual_sup < 1e-11
     assert strict.diagnostics["linear_fallbacks"] >= 1
     assert solve_ma(problem).diagnostics["linear_fallbacks"] == 0
@@ -199,8 +204,8 @@ def test_exact_n1_step(seed, N, tau):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), N=st.sampled_from([16, 32]),
        tau=st.sampled_from([1j, 0.3 + 1.1j]), eps=st.floats(0.01, 1.0))
-def test_elliptic_cg_solves_eps_positive(seed, N, tau, eps):
-    """At n = 1, eps > 0 the conjugate gradient step solves Delta_h u - eps u = rhs."""
+def test_elliptic_solves_eps_positive(seed, N, tau, eps):
+    """At n = 1, eps > 0 the GMRES step solves Delta_h u - eps u = rhs."""
     grid = FiberGrid(1, N)
     chart = FiberChart.make(grid, tau=tau)
     rng = np.random.RandomState(seed)
@@ -208,35 +213,48 @@ def test_elliptic_cg_solves_eps_positive(seed, N, tau, eps):
     bump = 0.5 * bump / max(1.0, float(np.max(np.abs(bump))))
     h = (1.0 + rng.uniform() + bump).astype(complex)[np.newaxis, np.newaxis]
     rhs = random_trig_field(rng, grid, kmax=3).real
-    with patch("cyflab.masolver.lgmres", side_effect=AssertionError("lgmres called")):
-        u, _, iterations, residual = _linear_solve(h, chart, eps, rhs, SolverConfig())
+    u, _, iterations, residual = _linear_solve(h, chart, eps, rhs, SolverConfig())
     back = laplace_beltrami(h, u, chart).real - eps * u
-    # worst measured over 400 random cases: 2.0e-11
+    # worst measured over 400 random cases: 5.0e-11
     assert np.max(np.abs(back - rhs)) < 2e-10 * max(1.0, float(np.max(np.abs(rhs))))
     assert 0 < iterations <= 30 * SolverConfig().linear_maxiter
     assert residual <= 1e-8
 
 
-def test_elliptic_eps_positive_solves_are_lgmres_free(monkeypatch, perturbed_family):
-    """Newton, linearized and continuation solves at n = 1, eps > 0 use CG only."""
-    def no_lgmres(*args, **kwargs):
-        raise AssertionError("lgmres called on an n = 1 solve")
+def test_elliptic_eps_positive_solves_run_lgmres(monkeypatch, perturbed_family):
+    """Newton, linearized and continuation solves at n = 1, eps > 0 run lgmres,
+    and each Newton step stops at its forcing term."""
+    calls = []
+    lgmres = cyflab.masolver.lgmres
 
-    monkeypatch.setattr("cyflab.masolver.lgmres", no_lgmres)
+    def counted(*args, **kwargs):
+        calls.append(kwargs["rtol"])
+        return lgmres(*args, **kwargs)
+
+    monkeypatch.setattr("cyflab.masolver.lgmres", counted)
     form = perturbed_family.omega(1j)
     eta = eta_from_metric(form.gab, form.chart)
+    config = SolverConfig()
     sol = solve_ma(MAProblem(chart=form.chart, gab=form.gab, eta=eta, epsilon=0.1))
-    assert sol.residual_sup <= SolverConfig().tol
-    assert all(its > 0 for its in sol.diagnostics["linear_iterations"])
-    assert sol.diagnostics["linear_rtol"] == [SolverConfig().linear_rtol] * sol.newton_iters
+    assert sol.residual_sup <= config.tol
+    diag = sol.diagnostics
+    assert all(its > 0 for its in diag["linear_iterations"])
+    assert diag["linear_rtol"] == [max(config.linear_rtol, min(1e-2, 0.1 * res))
+                                   for res in diag["residual_history"]]
+    assert calls == diag["linear_rtol"]
     h = form.gab + ddc_fiber(sol.phi, form.chart)
     x, y = form.chart.grid.coords
     R = np.cos(2 * np.pi * x) + 1j * np.sin(2 * np.pi * (x + 2 * y))
+    calls.clear()
     u = linearized_solve(h, form.chart, 0.1, R)
     back = -laplace_beltrami(h, u, form.chart) + 0.1 * u
     assert np.max(np.abs(back - R)) < 1e-9
+    # the complex right-hand side is two real solves, at linear_rtol
+    assert calls == [config.linear_rtol] * 2
+    calls.clear()
     path = epsilon_continuation(perturbed_family, 1j, [1.0, 0.1, 0.01, 0.0])
     assert path.order > 0.95
+    assert len(calls) == sum(sol.newton_iters for sol in path.solutions[:-1])
 
 
 def acceptance4_problem(N):
@@ -258,28 +276,35 @@ def acceptance4_problem(N):
     return MAProblem(chart=chart, gab=g2, eta=eta_from_metric(g2, chart), epsilon=0.0), chi
 
 
-def test_forcing_terms_n2():
-    """Forcing terms keep the n = 2 Newton path and its answer, with fewer matvecs."""
-    problem, chi = acceptance4_problem(16)
+def test_forcing_terms(perturbed_family):
+    """Forcing terms keep the Newton path and its answer, with fewer matvecs:
+    at n = 2, eps = 0 and at n = 1, eps > 0."""
+    n2, chi = acceptance4_problem(16)
+    form = perturbed_family.omega(1j)
+    n1 = MAProblem(chart=form.chart, gab=form.gab, eta=eta_from_metric(form.gab, form.chart),
+                   epsilon=0.1)
     config = SolverConfig()
-    forced = solve_ma(problem, config)
-
     prepare = cyflab.masolver._prepare_linear_solve
 
     def at_linear_rtol(h, det_h, chart, eps, rhs, config, rtol):
         return prepare(h, det_h, chart, eps, rhs, config, config.linear_rtol)
 
-    with patch("cyflab.masolver._prepare_linear_solve", at_linear_rtol):
-        strict = solve_ma(problem, config)
-
-    assert np.max(np.abs(forced.phi + chi - np.mean(chi))) < 1e-12
-    assert forced.newton_iters == strict.newton_iters
-    diag = forced.diagnostics
-    assert sum(diag["linear_iterations"]) < sum(strict.diagnostics["linear_iterations"])
-    assert diag["linear_rtol"] == [max(config.linear_rtol, min(1e-2, 0.1 * res))
-                                   for res in diag["residual_history"]]
-    assert diag["residual_history"][0] == pytest.approx(float(np.max(np.abs(problem.eta))))
-    assert all(0 < t <= 1 for t in diag["step_lengths"])
+    solved = []
+    for problem in (n2, n1):
+        forced = solve_ma(problem, config)
+        with patch("cyflab.masolver._prepare_linear_solve", at_linear_rtol):
+            strict = solve_ma(problem, config)
+        assert forced.newton_iters == strict.newton_iters
+        diag = forced.diagnostics
+        assert sum(diag["linear_iterations"]) < sum(strict.diagnostics["linear_iterations"])
+        assert diag["linear_rtol"] == [max(config.linear_rtol, min(1e-2, 0.1 * res))
+                                       for res in diag["residual_history"]]
+        assert diag["residual_history"][0] == pytest.approx(float(np.max(np.abs(problem.eta))))
+        assert all(0 < t <= 1 for t in diag["step_lengths"])
+        solved.append((forced, strict))
+    (forced_n2, _), (forced_n1, strict_n1) = solved
+    assert np.max(np.abs(forced_n2.phi + chi - np.mean(chi))) < 1e-12
+    assert np.max(np.abs(forced_n1.phi - strict_n1.phi)) < 1e-12
 
 
 def test_n2_solve_peak_memory():
@@ -704,14 +729,17 @@ def test_continuation_schedule_validation(elliptic_family):
 
 
 def test_continuation_table_counts_fallbacks():
-    """Each continuation row reports the Krylov fallbacks of its solve."""
+    """Each continuation row reports the Krylov fallbacks of its solve.
+
+    No Ricci-flat grid-16 solve was seen to miss its forcing term, so the
+    rows may all read 0; test_linear_fallbacks_recorded counts a miss.
+    """
     spec = FamilySpec(kind="universal_elliptic", chi=perturbation_chi(), grid_n=16,
                       base_samples=(1j,))
     strict = SolverConfig(linear_rtol=1e-16, linear_maxiter=2)
     path = epsilon_continuation(make_family(spec), 1j, [1.0, 0.5, 0.0], strict)
     counts = [row["linear_fallbacks"] for row in path.table]
     assert counts == [sol.diagnostics["linear_fallbacks"] for sol in path.solutions]
-    assert counts[0] >= 1 and counts[1] >= 1
     assert counts[2] == 0       # the eps = 0 end takes the exact step
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import InitVar, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -109,7 +109,10 @@ class MAProblem:
     gab is a (1, 1, *grid) complex stack at n = 1 and a Herm2 at n = 2.
     eta None is formed from gab (eta_from_metric) after the one check of
     gab.  extra_f is the forcing term f of the equation; None means no
-    forcing (f = 0), and no field is stored for it.
+    forcing (f = 0), and no field is stored for it.  gab_min_eig, given,
+    is gab's least eigenvalue as the caller computed it, and the check reads
+    it in place of its own herm_min_eig pass; it is not stored, so a
+    dataclasses.replace copy checks its gab again.
 
     det g (det_g, real), its mean vol_g and log det g (logdet_g) are formed
     once, after the check, for eta and for every solve of the problem.
@@ -120,15 +123,18 @@ class MAProblem:
     eta: np.ndarray | None
     epsilon: float
     extra_f: np.ndarray | None = None
+    gab_min_eig: InitVar[float | None] = None
     det_g: np.ndarray = dc_field(init=False, repr=False)
     vol_g: float = dc_field(init=False, repr=False)
     logdet_g: np.ndarray = dc_field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, gab_min_eig):
         if self.epsilon < 0:
             raise GeometryError("epsilon must be nonnegative")
+        if gab_min_eig is None:
+            gab_min_eig = herm_min_eig(self.gab)
         # "not > 0" also rejects a metric with a NaN node
-        if not herm_min_eig(self.gab) > 0:
+        if not gab_min_eig > 0:
             raise DefinitenessError("MA problem needs a fiber-positive reference form")
         self.det_g = herm_det(self.gab, real=True)
         self.vol_g = float(np.mean(self.det_g))
@@ -163,7 +169,8 @@ def eta_from_metric(gab, chart: FiberChart) -> np.ndarray:
 def ricci_flat_problem(metric: FiberMetric, eps: float) -> MAProblem:
     """The fiber problem on metric for the Ricci-flat (eps = 0) or
     eps-regularized potential: eta from metric.gab, no forcing."""
-    return MAProblem(chart=metric.chart, gab=metric.gab, eta=None, epsilon=eps)
+    return MAProblem(chart=metric.chart, gab=metric.gab, eta=None, epsilon=eps,
+                     gab_min_eig=metric.min_eig)
 
 
 def manufactured_problem(metric: FiberMetric, phi_star: np.ndarray, eps: float) -> MAProblem:
@@ -172,7 +179,8 @@ def manufactured_problem(metric: FiberMetric, phi_star: np.ndarray, eps: float) 
     h_star = metric.gab + ddc_fiber(phi_star, metric.chart)
     if not herm_min_eig(h_star) > 0:
         raise DefinitenessError("manufactured phi* breaks fiber positivity")
-    problem = MAProblem(metric.chart, metric.gab, eta=np.zeros(phi_star.shape), epsilon=eps)
+    problem = MAProblem(metric.chart, metric.gab, eta=np.zeros(phi_star.shape), epsilon=eps,
+                        gab_min_eig=metric.min_eig)
     problem.extra_f = np.log(herm_det(h_star).real) - problem.logdet_g - eps * phi_star
     return problem
 
@@ -576,9 +584,10 @@ def solve_nested(problem_at: Callable, grid_n: int, max_frequency: int,
 
     problem_at(N) builds the problem from the same analytic data on an N
     grid, and max_frequency bounds the |k_m| of every mode in that data.  A
-    coarser level at N/2 exists when N/2 is even and at least 8 (the
-    FiberGrid floor), when max_frequency lies below its Nyquist frequency
-    N/4, and when the step is not the exact one of n = 1, eps = 0.  The
+    coarser level at M = max(8, 2 floor(N/4)), the even grid nearest N/2
+    from below or the FiberGrid floor 8, exists when M < N, when
+    max_frequency lies below its Nyquist frequency M/2, and when the step
+    is not the exact one of n = 1, eps = 0 (so 24 solves at 8 and 12).  The
     coarsest level is solved from phi = 0, and each finer one from the
     phi of the level below, prolonged to its grid (grid sequencing: by mesh
     independence, Newton from a coarse-grid start needs few fine steps).
@@ -605,9 +614,10 @@ def solve_nested(problem_at: Callable, grid_n: int, max_frequency: int,
 
 def _coarse_grid(problem: MAProblem, max_frequency: int) -> int | None:
     """The grid of the level below problem's in solve_nested, None if it has none."""
-    coarse_n = problem.chart.grid.N // 2
+    N = problem.chart.grid.N
+    coarse_n = max(8, 2 * (N // 4))
     nested = (not (problem.chart.n == 1 and problem.epsilon == 0)
-              and coarse_n % 2 == 0 and coarse_n >= 8 and max_frequency < coarse_n // 2)
+              and coarse_n < N and max_frequency < coarse_n // 2)
     return coarse_n if nested else None
 
 

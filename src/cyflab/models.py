@@ -283,7 +283,7 @@ class Family:
         if not me > 0:
             raise DefinitenessError(
                 f"model form loses fiber definiteness at s = {s} (min eig {me:.3e})")
-        return fiber
+        return replace(fiber, min_eig=me)
 
     # -- the Kahler form and its exact derivatives --------------------------
 
@@ -452,10 +452,15 @@ class RicciFlatClosedForm:
 
 @dataclass(frozen=True)
 class FiberMetric:
-    """Family.fiber_metric at one base point: the fiber chart and g_{alpha beta-bar}."""
+    """Family.fiber_metric at one base point: the fiber chart and g_{alpha beta-bar}.
+
+    min_eig is gab's least eigenvalue when Family.validate_at checked it,
+    None otherwise; a problem built on the metric then skips its own pass.
+    """
 
     chart: FiberChart
     gab: np.ndarray | Herm2       # (1, 1, *grid) complex stack at n = 1, Herm2 at n = 2
+    min_eig: float | None = None
 
 
 @dataclass

@@ -112,6 +112,12 @@ def _ascii_quads():
 
 
 @cache
+def _trailing_zeros4():
+    """The number of trailing zero digits of 0..9999 written with four digits."""
+    return np.array([4 - len(f"{i:04d}".rstrip("0")) for i in range(10000)])
+
+
+@cache
 def _value_layouts():
     """The kept value columns of each layout: positional text by (decpt, number
     of significant digits), the exponent form by (three exponent digits or two,
@@ -218,23 +224,39 @@ def _shortest_digits(bits):
     return d, k
 
 
-def _ascii_digits(x, width):
-    """The decimal digits of the integers x, `width` ASCII bytes a row."""
-    groups = -(-width // 4)
+def _digit_groups(x, groups):
+    """The integers x as `groups` base-10^4 digits a row, the most significant first."""
     parts = np.empty((x.size, groups), np.int64)
     for j in range(groups - 1, 0, -1):
         high = x // 10000
         parts[:, j] = x - high * 10000
         x = high
     parts[:, 0] = x
-    return _ascii_quads().take(parts).view(np.uint8)[:, 4 * groups - width:]
+    return parts
 
 
-def _phi_rows(x, indices, rows, keep):
+def _ascii_digits(x, width):
+    """The decimal digits of the integers x, `width` ASCII bytes a row."""
+    groups = -(-width // 4)
+    return _ascii_quads().take(_digit_groups(x, groups)).view(np.uint8)[:, 4 * groups - width:]
+
+
+def _decimal_lengths(x):
+    """The number of decimal digits of each nonnegative integer of x, 0 included."""
+    return np.searchsorted(_POW10, x, side="right").clip(1)
+
+
+def _phi_rows(x, indices, rows, keep, index_lengths):
     """The bytes of the CSV rows of the values x: the index columns, given as
     (array, digits) pairs, then repr of the value, comma separated and CRLF
     ended.  rows and keep are (len(x), row width) buffers whose constant
-    columns are already set."""
+    columns are already set.
+
+    Columns that no row of this block reads are left as an earlier block
+    left them.  index_lengths holds, per index column, the digit count that
+    every row of keep already keeps there (None if the rows differ); it is
+    updated when a column's mask is rebuilt.
+    """
     bits = x.view(np.uint64)
     finite = bits & _F64_EXP != _F64_EXP
     regular = finite & (bits << 1 != 0)
@@ -242,23 +264,43 @@ def _phi_rows(x, indices, rows, keep):
     d, k = _shortest_digits(np.where(regular, bits & _M63, 1 << 62))
     digits = np.searchsorted(_POW10, d, side="right")
     decpt = np.where(regular, digits + k, 1)
-    D = _ascii_digits(np.where(regular, d * _POW10[17 - digits], 0), 17)
-    sig = np.where(regular, 17 - np.argmax(D[:, ::-1] != ord("0"), axis=1), 1)
+    # the 17 digits as five groups of four, the first holding D0 alone
+    parts = _digit_groups(np.where(regular, d * _POW10[17 - digits], 0), 5)
+    D = _ascii_quads().take(parts).view(np.uint8)[:, 3:]
+    # trailing zeros, from the last group up; D0 of a regular value is not 0
+    tz4 = _trailing_zeros4()
+    zeros = tz4.take(parts[:, 4])
+    for j in (3, 2, 1):
+        # the rows whose groups after j are all zero
+        more = np.flatnonzero(zeros == 16 - 4 * j)
+        if not more.size:
+            break
+        zeros[more] += tz4.take(parts[more, j])
+    sig = np.where(regular, 17 - zeros, 1)
     col = 0
-    for index, width in indices:
+    for m, (index, width) in enumerate(indices):
         rows[:, col:col + width] = _ascii_digits(index, width)
-        length = np.searchsorted(_POW10, index, side="right").clip(1)
-        keep[:, col:col + width] = np.arange(width) >= width - length[:, None]
+        low, high = _decimal_lengths(np.array([index.min(), index.max()]))
+        uniform = int(low) if low == high else None
+        if uniform is None or uniform != index_lengths[m]:
+            length = _decimal_lengths(index)
+            keep[:, col:col + width] = np.arange(width) >= width - length[:, None]
+            index_lengths[m] = uniform
         col += width + 1
     value, kept = rows[:, col:], keep[:, col:]
-    value[:, _V_INT + 1:_V_INT + 17] = D[:, :16]
+    exponent = (decpt < _POSITIONAL[0]) | (decpt > _POSITIONAL[-1])
+    has_exponent = exponent.any()
+    # positional text with decpt > 0 (0.0 and -0.0 too) reads D[:decpt] of
+    # the first copy, the exponent form its D0
+    if has_exponent or (decpt > 0).any():
+        value[:, _V_INT + 1:_V_INT + 17] = D[:, :16]
     value[:, _V_FRAC + 3:_V_FRAC + 20] = D
     e = decpt - 1
-    value[:, _V_ESIGN] = np.where(e < 0, ord("-"), ord("+"))
-    value[:, _V_EXP:_V_EXP + 3] = _ascii_digits(np.abs(e), 3)
-    layout = np.where((decpt >= _POSITIONAL[0]) & (decpt <= _POSITIONAL[-1]),
-                      (decpt - _POSITIONAL[0]) * 17 + sig - 1,
-                      _EXPONENT_LAYOUT + (np.abs(e) >= 100) * 17 + sig - 1)
+    if has_exponent:
+        value[:, _V_ESIGN] = np.where(e < 0, ord("-"), ord("+"))
+        value[:, _V_EXP:_V_EXP + 3] = _ascii_digits(np.abs(e), 3)
+    layout = np.where(exponent, _EXPONENT_LAYOUT + (np.abs(e) >= 100) * 17 + sig - 1,
+                      (decpt - _POSITIONAL[0]) * 17 + sig - 1)
     special = np.flatnonzero(~finite)
     if special.size:
         value[special, _V_EXP:_V_EXP + 3] = np.where(
@@ -290,6 +332,8 @@ def write_phi_csv(path: Path, phi: np.ndarray):
     value[:, _V_FRAC:_V_FRAC + 3] = ord("0")
     value[:, _V_E] = ord("e")
     value[:, _V_CRLF:] = np.frombuffer(b"\r\n", np.uint8)
+    # the digit count each index column's keep mask holds in every row
+    index_lengths = [None] * len(widths)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(b"i,j,phi\r\n" if phi.ndim == 2 else b"flat_index,phi\r\n")
@@ -301,7 +345,9 @@ def write_phi_csv(path: Path, phi: np.ndarray):
                 index = [i, index - i * phi.shape[1]]
             else:
                 index = [index]
-            fh.write(_phi_rows(x, list(zip(index, widths)), rows[:x.size], keep[:x.size]))
+            # only the last block is shorter: index_lengths stays true for the rows it sets
+            fh.write(_phi_rows(x, list(zip(index, widths)), rows[:x.size], keep[:x.size],
+                               index_lengths))
 
 
 def write_heatmap_svg(path: Path, samples: list, values: list, cell: int = 40):

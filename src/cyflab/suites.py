@@ -167,9 +167,10 @@ def suite_positivity(cfg: dict) -> dict:
 def suite_convergence(cfg: dict) -> dict:
     # manufactured-solution error must drop spectrally when N doubles; the
     # target and its forcing are analytic (full spectrum), so the discrete
-    # error is pure truncation
+    # error is pure truncation.  At N = 24 it is 3e-11, still truncation; at
+    # N = 32 it sits at the rounding floor, and a ratio to it reads noise
     errors = {}
-    for N in (16, 32):
+    for N in (12, 24):
         grid = FiberGrid(1, N)
         chart = FiberChart.make(grid, tau=1j)
         x = grid.coords[0]
@@ -183,7 +184,7 @@ def suite_convergence(cfg: dict) -> dict:
                             epsilon=0.5, extra_f=extra_f)
         sol = masolver.solve_ma(problem, cfg["solver"])
         errors[N] = float(np.max(np.abs(sol.phi - phi_star)))
-    factor = errors[16] / max(errors[32], 1e-16)
+    factor = errors[12] / max(errors[24], 1e-16)
 
     family = _perturbed_family(cfg, (0.2 + 1.0j,))
     sups = {}

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cyflab.cli
+import cyflab.familygeom
+import cyflab.geometry
 import cyflab.masolver
 import cyflab.models
 import cyflab.reports
@@ -134,8 +136,8 @@ def read_phi(out):
 
 
 def test_solve_fiber_n2_starts_from_the_coarse_grid(tmp_path):
-    """The fiber-n2 solve runs its Newton steps on the 12^4 grid; the 24^4
-    grid accepts the prolonged answer with no step."""
+    """The fiber-n2 solve runs its Newton steps on the 8^4 grid; the 12^4
+    and 24^4 grids accept the prolonged answer with no step."""
     path, doc = base_config(tmp_path, family=N2_FAMILY, fiber={"eps": 0.0})
     doc["solver"] = {"grid_n": 24, "tol": 1e-11}
     doc["outputs"]["formats"] = ["json"]
@@ -143,11 +145,12 @@ def test_solve_fiber_n2_starts_from_the_coarse_grid(tmp_path):
     assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
     rep = json.loads((tmp_path / "out" / "fiber_solution.json").read_text())
     levels = rep["diagnostics"]["levels"]
-    assert [lv["grid_n"] for lv in levels] == [12, 24]
+    assert [lv["grid_n"] for lv in levels] == [8, 12, 24]
     assert levels[0]["newton_iters"] == 4 and levels[0]["matvecs"] > 0
     assert levels[0]["start_residual"] is None
-    assert rep["newton_iters"] == levels[1]["newton_iters"] == 0
-    assert levels[1]["start_residual"] == rep["residual_sup"] <= 1e-11
+    assert levels[1]["newton_iters"] == 0 and levels[1]["start_residual"] <= 1e-11
+    assert rep["newton_iters"] == levels[2]["newton_iters"] == 0
+    assert levels[2]["start_residual"] == rep["residual_sup"] <= 1e-11
 
 
 def manufactured_n1(tmp_path):
@@ -506,7 +509,8 @@ def n2_solve_fiber_config(tmp_path, grid_n=24):
 
 def test_solve_fiber_builds_the_fine_metric_once(tmp_path, monkeypatch):
     """The metric that validates the base sample s is the fine problem's:
-    Family.fiber_metric runs once on the 24^4 grid and once on 12^4."""
+    Family.fiber_metric runs once on the 24^4 grid and once on each of
+    12^4 and 8^4."""
     built = []
     fiber_metric = cyflab.models.Family.fiber_metric
 
@@ -516,7 +520,25 @@ def test_solve_fiber_builds_the_fine_metric_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cyflab.models.Family, "fiber_metric", counting)
     assert main(["solve-fiber", "--config", str(n2_solve_fiber_config(tmp_path))]) == EXIT_OK
-    assert built == [24, 12]
+    assert built == [24, 12, 8]
+
+
+def test_solve_fiber_checks_the_fine_metric_once(tmp_path, monkeypatch):
+    """The fiber-n2 command takes two least-eigenvalue passes over 24^4
+    fields: g, when Family.validate_at checks the base sample s, and h at
+    the prolonged guess.  The fine problem reads validate_at's value (a
+    second pass over g made three)."""
+    passes = []
+    herm_min_eig = cyflab.geometry.herm_min_eig
+
+    def counting(g):
+        passes.append(g.shape[-1])
+        return herm_min_eig(g)
+
+    for module in (cyflab.geometry, cyflab.models, cyflab.masolver, cyflab.familygeom):
+        monkeypatch.setattr(module, "herm_min_eig", counting)
+    assert main(["solve-fiber", "--config", str(n2_solve_fiber_config(tmp_path))]) == EXIT_OK
+    assert passes[0] == 24 and passes.count(24) == 2
 
 
 @pytest.mark.parametrize("family, fiber, message", [
@@ -959,6 +981,40 @@ def test_phi_csv_digits_are_repr_for_any_bits(tmp_path_factory, words, seed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cyflab.reports, "PHI_CSV_BLOCK", 2 ** 15)
             _assert_phi_csv_is_repr(tmp, _phi_field(values, ndim))
+
+
+def test_phi_csv_full_size_blocks_match_per_row_writer(tmp_path):
+    """A 24^4 field, written in its 41 blocks of PHI_CSV_BLOCK rows, gives
+    the per-row writer's bytes.  The flat index takes every width from 1 to
+    6 digits.  Exponent-form values (|v| < 1e-4) and values with |v| >= 1
+    sit in some blocks only, and a NaN, an inf and a -0.0 in blocks that
+    hold neither (one at a block's first row), so each block that leaves
+    the exponent or integer-digit columns as the block before left them
+    follows one that filled them."""
+    rng = np.random.default_rng(32)
+    phi = rng.uniform(1e-4, 1.0, 24 ** 4) * rng.choice([-1.0, 1.0], 24 ** 4)
+    block = cyflab.reports.PHI_CSV_BLOCK
+
+    def rows_in(b, count):
+        """count distinct rows of block b, its first row left out."""
+        size = min(block, phi.size - b * block)
+        return b * block + 1 + rng.choice(size - 1, count, replace=False)
+
+    phi[rows_in(3, 5)] = rng.uniform(1e-9, 1e-4, 5)
+    phi[rows_in(7, 5)] = rng.uniform(1.0, 1e6, 5)
+    phi[rows_in(8, 5)] = -rng.uniform(1e-20, 1e-5, 5)
+    phi[rows_in(9, 1)] = -0.0
+    phi[10 * block] = -0.0
+    phi[rows_in(15, 1)] = np.nan
+    phi[rows_in(16, 1)] = np.inf
+    phi[rows_in(30, 2)] = [1e300, -2.5e-200]
+    phi[rows_in(31, 3)] = [12.5, 1e16, 0.0]
+    phi[rows_in(40, 2)] = [3.0, 7e-5]
+    assert phi.size == 40.5 * block
+    phi = phi.reshape((24,) * 4)
+    cyflab.reports.write_phi_csv(tmp_path / "new.csv", phi)
+    _per_row_phi(tmp_path / "ref.csv", phi)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_phi_csv_write_peak_memory(tmp_path):

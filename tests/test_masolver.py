@@ -257,11 +257,17 @@ def test_elliptic_eps_positive_solves_run_lgmres(monkeypatch, perturbed_family):
     assert len(calls) == sum(sol.newton_iters for sol in path.solutions[:-1])
 
 
-def acceptance4_problem(N):
+# the README's richer n = 2 potential: acceptance 4's chi plus two conjugate pairs
+RICHER_MODES = {(2, 1, 0, 0, 0, 0): 0.004, (-2, -1, 0, 0, 0, 0): 0.004,
+                (0, 0, 3, -1, 0, 0): 0.002, (0, 0, -3, 1, 0, 0): 0.002}
+
+
+def acceptance4_problem(N, extra_modes=None, eps=0.0):
     """The Ricci-flat problem of acceptance 4 on an N^4 grid, and its potential chi.
 
     chi gives the flat metric <g> as the Ricci-flat one, so
-    phi = -(chi - mean chi) exactly.
+    phi = -(chi - mean chi) exactly.  extra_modes adds terms to chi, and eps
+    regularizes the problem.
     """
     grid = FiberGrid(2, N)
     chart = FiberChart.make(grid, omega_matrix=1j * np.eye(2))
@@ -270,10 +276,10 @@ def acceptance4_problem(N):
     g = as_metric(g)
     chi = FourierPoly(2, {
         (1, 0, 0, 0, 0, 0): 0.01, (-1, 0, 0, 0, 0, 0): 0.01,
-        (0, 0, 0, 1, 0, 0): 0.008, (0, 0, 0, -1, 0, 0): 0.008,
+        (0, 0, 0, 1, 0, 0): 0.008, (0, 0, 0, -1, 0, 0): 0.008, **(extra_modes or {}),
     }).eval(grid, 0.0).real
     g2 = g + ddc_fiber(chi, chart)
-    return MAProblem(chart=chart, gab=g2, eta=eta_from_metric(g2, chart), epsilon=0.0), chi
+    return MAProblem(chart=chart, gab=g2, eta=eta_from_metric(g2, chart), epsilon=eps), chi
 
 
 def test_forcing_terms(perturbed_family):
@@ -359,12 +365,15 @@ def test_n2_solve_holds_only_what_the_next_step_reads():
     ("n1-eps", 64, 1, [8, 16, 32, 64]),
     ("n1-eps", 32, 4, [16, 32]),
     ("n1", 64, 1, [64]),
+    ("n2", 24, 1, [8, 12, 24]),
+    ("n2", 20, 1, [8, 10, 20]),
 ])
-def test_nested_levels_follow_the_halving_rule(case, grid_n, band, levels, perturbed_family):
-    """A level at N/2 exists when N/2 is even and >= 8 and the input band lies
-    below its Nyquist frequency N/4; the exact n = 1, eps = 0 step has none.
-    Each level records its own Newton steps and matvecs, and the answer is
-    the direct solve's within rounding."""
+def test_nested_levels_follow_the_even_floor_rule(case, grid_n, band, levels,
+                                                  perturbed_family):
+    """The level below N is at M = max(8, 2 floor(N/4)) when M < N and the
+    input band lies below its Nyquist frequency M/2; the exact n = 1,
+    eps = 0 step has none.  Each level records its own Newton steps and
+    matvecs, and the answer is the direct solve's within rounding."""
     built = []
 
     def problem_at(N):
@@ -391,6 +400,23 @@ def test_nested_levels_follow_the_halving_rule(case, grid_n, band, levels, pertu
     direct = solve_ma(problem_at(grid_n))
     assert sol.residual_sup <= SolverConfig().tol
     assert np.max(np.abs(sol.phi - direct.phi)) < 1e-13
+
+
+def test_nested_solve_of_an_answer_that_is_not_band_limited():
+    """The richer potential at eps = 1 on 24^4: the answer has modes above
+    every coarse grid's Nyquist frequency, so the 24^4 level takes a step
+    from the 12^4 answer (at most one), and phi is the direct solve's
+    within 1e-11."""
+    def problem_at(N):
+        return acceptance4_problem(N, RICHER_MODES, eps=1.0)[0]
+
+    sol = solve_nested(problem_at, 24, 3)
+    records = sol.diagnostics["levels"]
+    assert [r["grid_n"] for r in records] == [8, 12, 24]
+    assert records[-1]["newton_iters"] == sol.newton_iters <= 1
+    assert sol.residual_sup <= SolverConfig().tol
+    direct = solve_ma(problem_at(24))
+    assert np.max(np.abs(sol.phi - direct.phi)) < 1e-11
 
 
 def unforced_problem(case, family):

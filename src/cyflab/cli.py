@@ -21,7 +21,7 @@ import numpy as np
 from .config import KNOWN_SUITES, ConfigError, load_config, parse_config, provenance_block, \
     read_config
 from .familygeom import curvature_report
-from .geometry import FiberGrid, GeometryError
+from .geometry import FiberGrid, GeometryError, herm_det
 from .masolver import (
     NO_NORMALIZATION,
     REFERENCE_VOLUME,
@@ -39,6 +39,10 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# the outputs.formats each command writes a report in
+WRITTEN_FORMATS = {"solve-fiber": ("json", "csv"), "run-family": ("json", "csv", "svg"),
+                   "verify": ("json",), "green": ("json",)}
 
 
 def manufactured_phi(manufactured: dict, grid: FiberGrid) -> np.ndarray:
@@ -91,7 +95,7 @@ def cmd_solve_fiber(cfg: dict, out_dir: Path) -> int:
         phi_star = manufactured_phi(manufactured, sol.problem.chart.grid)
         shift = 0.0
         if eps == 0:
-            det_g = sol.problem.det_g
+            det_g = herm_det(sol.problem.gab, real=True)
             shift = float(np.mean(phi_star * det_g) / np.mean(det_g))
         report["recovery_error"] = float(np.max(np.abs(sol.phi - (phi_star - shift))))
 
@@ -251,6 +255,11 @@ def main(argv=None) -> int:
         if args.command in ("run-family", "green") and cfg["spec"].n != 1:
             raise ConfigError(f"{args.command} needs family.n = 1: the family pipeline "
                               "assembles n = 1 fibrations only")
+        written = WRITTEN_FORMATS[args.command]
+        if not set(written) & set(cfg["outputs"]["formats"]):
+            raise ConfigError(f"{args.command} writes {' or '.join(written)}, and "
+                              f"outputs.formats {cfg['outputs']['formats']} names none of "
+                              "them: the run would write no report")
         out_dir = Path(args.out or cfg["outputs"]["dir"])
         if args.command == "solve-fiber":
             return cmd_solve_fiber(cfg, out_dir)

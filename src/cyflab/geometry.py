@@ -76,18 +76,20 @@ def rfft(f: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(f, out=np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), complex))
 
 
-def irfft(fh: np.ndarray, shape: tuple, overwrite: bool = False) -> np.ndarray:
+def irfft(fh: np.ndarray, shape: tuple, overwrite: bool = False,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Real field of the given grid shape from a Hermitian half spectrum.
 
     These are numpy's irfftn passes (complex along each axis but the last,
     in order, then real along the last), with the complex passes done in
     place in one buffer: fh itself with overwrite, which a caller that
-    passes a spectrum it does not read again can ask for.
+    passes a spectrum it does not read again can ask for.  out, if given,
+    is the real array (a strided view will do) that the last pass writes.
     """
     work = np.fft.ifft(fh, axis=0, out=fh if overwrite else None)
     for axis in range(1, len(shape) - 1):
         np.fft.ifft(work, axis=axis, out=work)
-    return np.fft.irfft(work, n=shape[-1], axis=-1)
+    return np.fft.irfft(work, n=shape[-1], axis=-1, out=out)
 
 
 def fourier_multiply(f: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -508,9 +510,10 @@ def ddc_fiber(f: np.ndarray, chart: FiberChart):
     These are the fiber components of dd^c f.  For real f the matrix is
     Hermitian and is built from the half spectrum: the diagonal and the
     real and imaginary parts of each upper entry are real inverse
-    transforms.  At n = 1 it is returned as a (1, 1, *grid) complex stack,
-    at n = 2 as a Herm2 holding those parts.  A complex f gives the
-    (n, n, *grid) complex stack of its f_{alpha beta-bar}.
+    transforms (ddc_real_fields), each written straight into its part of
+    the returned matrix.  At n = 1 it is returned as a (1, 1, *grid)
+    complex stack, at n = 2 as a Herm2 holding those parts.  A complex f
+    gives the (n, n, *grid) complex stack of its f_{alpha beta-bar}.
     """
     f = chart.check_field(f)
     n = chart.n
@@ -521,36 +524,37 @@ def ddc_fiber(f: np.ndarray, chart: FiberChart):
             for b in range(n):
                 out[a, b] = ifft(fh * chart.ddc_mult(a, b))
         return out
-    parts = {}
-    for a, b, re, im in ddc_real_fields(rfft(f), chart):
-        if im is None:
-            parts[a, b] = re
-        else:
-            parts[a, b] = np.empty(f.shape, dtype=complex)
-            parts[a, b].real = re
-            parts[a, b].imag = im
-        del re, im
+    # a chart's first dd^c builds its tables: before h exists
+    chart.ddc_mult_half
     if n == 2:
-        return Herm2(parts[0, 0], parts[1, 1], parts[0, 1])
-    out = np.empty((1, 1) + f.shape, dtype=complex)
-    out[0, 0] = parts[0, 0]
-    return out
+        h = Herm2(np.empty(f.shape), np.empty(f.shape), np.empty(f.shape, dtype=complex))
+        parts = {(0, 0): (h.g00, None), (1, 1): (h.g11, None),
+                 (0, 1): (h.g01.real, h.g01.imag)}
+    else:
+        h = np.zeros((1, 1) + f.shape, dtype=complex)
+        parts = {(0, 0): (h[0, 0].real, None)}
+    for _ in ddc_real_fields(rfft(f), chart, out=parts):
+        pass
+    return h
 
 
-def ddc_real_fields(fh: np.ndarray, chart: FiberChart):
+def ddc_real_fields(fh: np.ndarray, chart: FiberChart, out: dict | None = None):
     """Yield (a, b, Re f_ab, Im f_ab), a <= b, from the half spectrum fh of a real f.
 
     Each part is one real inverse transform of fh times a ddc_mult_half
-    table; Im f_aa is None, as the diagonal is real.  This is the one
-    implementation of dd^c on real fields: ddc_fiber packs its output into
-    the Hermitian matrix, and add_weighted_ddc weights and sums the parts
-    one pair at a time.
+    table; Im f_aa is None, as the diagonal is real.  out, if given, maps
+    (a, b) to the (re, im) arrays (views will do) that those transforms
+    write.  This is the one implementation of dd^c on real fields:
+    ddc_fiber writes the parts straight into the Hermitian matrix it
+    returns, and add_weighted_ddc weights and sums them one pair at a time.
     """
     shape = chart.grid.shape
     for (a, b), (re_mult, im_mult) in chart.ddc_mult_half.items():
+        re_out, im_out = (None, None) if out is None else out[a, b]
         # the parts are not kept here once yielded
-        yield (a, b, irfft(fh * re_mult, shape, overwrite=True),
-               None if im_mult is None else irfft(fh * im_mult, shape, overwrite=True))
+        yield (a, b, irfft(fh * re_mult, shape, overwrite=True, out=re_out),
+               None if im_mult is None else
+               irfft(fh * im_mult, shape, overwrite=True, out=im_out))
 
 
 def herm_check(g) -> float:

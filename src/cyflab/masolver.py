@@ -4,8 +4,14 @@ The fiber equation in coordinates is
 
     log det(g_ab + phi_ab) - log det(g_ab) = eps * phi + eta + extra_f,
 
-solved by damped Newton iteration; each linear step inverts Delta_h - eps
-(h the current fiber metric) in one of two ways:
+that is F = log det h - log(e^(eta + f) det g) - eps phi = 0 with
+h = g + dd^c phi and e^(eta + f) det g the target volume density.  For the
+Ricci-flat (or eps-regularized) problem, f = 0 and eta = -log det g +
+log vol g (vol g the fiber mean of det g, so that the target density has
+the volume of det g), and that density is the number vol g: F =
+log det h - log vol g - eps phi, with no field for eta, det g or
+log det g.  The problem is solved by damped Newton iteration; each linear
+step inverts Delta_h - eps (h the current fiber metric) in one of two ways:
 
 * elliptic fibers (n = 1) at eps = 0: det(h) Delta_h is the flat d d-bar,
   and the step is one exact spectral division.  There the equation
@@ -43,6 +49,7 @@ from .geometry import (
     FiberChart,
     GeometryError,
     Herm2,
+    InvalidFieldError,
     NormalizationError,
     add_weighted_ddc,
     d_z,
@@ -102,31 +109,75 @@ class SolverConfig:
             raise GeometryError("linear_maxiter must be at least 1")
 
 
+class _MetricEta(np.ndarray):
+    """The eta = -log det g + log vol g that a problem with no eta given forms
+    from its gab (origin) when eta is read.
+
+    Given back to MAProblem with that same gab, as dataclasses.replace gives
+    it, it is not stored: the new problem forms it on read too.
+    """
+
+    origin = None
+
+
+class _Eta:
+    """MAProblem.eta: the eta given, or, if none was, the _MetricEta formed
+    from gab on each read (eta_from_metric); the problem stores only what
+    was given, under the same name."""
+
+    def __get__(self, problem, owner=None):
+        if problem is None:
+            # what @dataclass reads for a default: eta has none
+            raise AttributeError("eta")
+        eta = vars(problem)["eta"]
+        if eta is not None:
+            return eta
+        det_g = herm_det(problem.gab, real=True)
+        # int e^eta det(g) = int det(g) forces the additive constant
+        eta = np.log(det_g)
+        np.negative(eta, out=eta)
+        eta += np.log(np.mean(det_g))
+        eta = eta.view(_MetricEta)
+        eta.origin = problem.gab
+        return eta
+
+    def __set__(self, problem, eta):
+        if isinstance(eta, _MetricEta) and eta.origin is problem.gab:
+            eta = None
+        vars(problem)["eta"] = eta
+
+
 @dataclass
 class MAProblem:
-    """The fiber equation for phi on the chart, with reference metric gab.
+    """The fiber equation (g + dd^c phi)^n = e^(eps phi + eta + f) g^n for phi
+    on the chart, with reference metric gab: F = 0 for
+
+        F = log det h - log(e^(eta + f) det g) - eps phi,   h = g + dd^c phi,
+
+    e^(eta + f) det g the target volume density.
 
     gab is a (1, 1, *grid) complex stack at n = 1 and a Herm2 at n = 2.
-    eta None is formed from gab (eta_from_metric) after the one check of
-    gab.  extra_f is the forcing term f of the equation; None means no
-    forcing (f = 0), and no field is stored for it.  gab_min_eig, given,
-    is gab's least eigenvalue as the caller computed it, and the check reads
-    it in place of its own herm_min_eig pass; it is not stored, so a
+    eta None gives the Ricci-flat (or eps-regularized) problem: eta is then
+    -log det g + log vol g, vol g the fiber mean of det g, so with no f
+    the target density is the number vol g, and the solve reads that number.
+    Such a problem stores no eta; reading problem.eta forms it
+    (eta_from_metric), and dataclasses.replace keeps the problem Ricci-flat.
+    extra_f is the forcing term f of the equation; None means no forcing
+    (f = 0), and no field is stored for it.  gab_min_eig, given, is gab's
+    least eigenvalue as the caller computed it, and the check reads it in
+    place of its own herm_min_eig pass; it is not stored, so a
     dataclasses.replace copy checks its gab again.
 
-    det g (det_g, real), its mean vol_g and log det g (logdet_g) are formed
-    once, after the check, for eta and for every solve of the problem.
+    The problem holds only these inputs: a solve forms det g where it reads it.
     """
 
     chart: FiberChart
     gab: np.ndarray | Herm2
-    eta: np.ndarray | None
+    # a descriptor, not a default: eta is required, and None is Ricci-flat
+    eta: np.ndarray | None = _Eta()
     epsilon: float
     extra_f: np.ndarray | None = None
     gab_min_eig: InitVar[float | None] = None
-    det_g: np.ndarray = dc_field(init=False, repr=False)
-    vol_g: float = dc_field(init=False, repr=False)
-    logdet_g: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self, gab_min_eig):
         if self.epsilon < 0:
@@ -136,14 +187,11 @@ class MAProblem:
         # "not > 0" also rejects a metric with a NaN node
         if not gab_min_eig > 0:
             raise DefinitenessError("MA problem needs a fiber-positive reference form")
-        self.det_g = herm_det(self.gab, real=True)
-        self.vol_g = float(np.mean(self.det_g))
-        self.logdet_g = np.log(self.det_g)
-        if self.eta is None:
-            # int e^eta det(g) = int det(g) forces the additive constant
-            eta = np.negative(self.logdet_g)
-            eta += np.log(self.vol_g)
-            self.eta = eta
+
+    @property
+    def ricci_flat(self) -> bool:
+        """No eta and no f given: the target density is the number vol g."""
+        return vars(self)["eta"] is None and self.extra_f is None
 
 
 @dataclass
@@ -162,26 +210,33 @@ class MASolution:
 
 
 def eta_from_metric(gab, chart: FiberChart) -> np.ndarray:
-    """The eta with dd^c eta = -dd^c log det(g_ab) and int e^eta det g = int det g."""
-    return MAProblem(chart=chart, gab=gab, eta=None, epsilon=0.0).eta
+    """The eta with dd^c eta = -dd^c log det(g_ab) and int e^eta det g = int det g.
+
+    A plain array: given to MAProblem, it is an explicit eta.
+    """
+    return MAProblem(chart=chart, gab=gab, eta=None, epsilon=0.0).eta.view(np.ndarray)
 
 
 def ricci_flat_problem(metric: FiberMetric, eps: float) -> MAProblem:
     """The fiber problem on metric for the Ricci-flat (eps = 0) or
-    eps-regularized potential: eta from metric.gab, no forcing."""
+    eps-regularized potential: no eta or forcing given, so the target
+    density is the number vol g."""
     return MAProblem(chart=metric.chart, gab=metric.gab, eta=None, epsilon=eps,
                      gab_min_eig=metric.min_eig)
 
 
 def manufactured_problem(metric: FiberMetric, phi_star: np.ndarray, eps: float) -> MAProblem:
     """The fiber problem on metric whose solution is phi_star: eta = 0 and the
-    forcing f = log det(g + dd^c phi*) - log det g - eps phi*, log det g the problem's."""
+    forcing f = log det(g + dd^c phi*) - log det g - eps phi*."""
     h_star = metric.gab + ddc_fiber(phi_star, metric.chart)
     if not herm_min_eig(h_star) > 0:
         raise DefinitenessError("manufactured phi* breaks fiber positivity")
     problem = MAProblem(metric.chart, metric.gab, eta=np.zeros(phi_star.shape), epsilon=eps,
                         gab_min_eig=metric.min_eig)
-    problem.extra_f = np.log(herm_det(h_star).real) - problem.logdet_g - eps * phi_star
+    extra_f = np.log(herm_det(metric.gab, real=True))
+    np.subtract(np.log(herm_det(h_star).real), extra_f, out=extra_f)
+    extra_f -= eps * phi_star
+    problem.extra_f = extra_f
     return problem
 
 
@@ -423,39 +478,57 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
              normalization: str = KE_VOLUME, initial_guess=None) -> MASolution:
     """Damped Newton solve of the fiber Monge-Ampere equation.
 
-    Each field is formed once: det g, its mean and log det g by the
-    problem; at eps = 0 the weight e^(eta+f) det g once, for the
-    solvability check and the KE normalization; and det h once per
-    iterate, for its residual, the next step's projection and the closing
-    diagnostics.  Each field is dropped after its last read: during a
-    Krylov solve the loop holds phi, the weight and the solve's own data,
-    not the previous iterate h, its det h, its residual F or the last step u.
+    Each field is formed once.  det g is formed for its mean vol g and,
+    from phi = 0, serves as the first iterate's det h.  A Ricci-flat
+    problem reads its target density as the number vol g, needs no
+    solvability check and takes the plain mean of phi as its KE shift.  A
+    problem with eta or f given also forms log det g, the target eta + f
+    and, at eps = 0, the density e^(eta+f) det g, for the solvability
+    check and the KE normalization.  Each iterate forms det h once, for
+    its residual, the next step's projection and the closing diagnostics.
+    Each field is dropped after its last read: during a Krylov solve the
+    loop holds phi, the target's fields and the solve's own data, not the
+    previous iterate h, its det h, its residual F or the last step u.
     """
     config = config or SolverConfig()
     chart = problem.chart
     g = problem.gab
-    target = problem.eta.real
-    if problem.extra_f is not None:
-        target = target + problem.extra_f.real
     eps = problem.epsilon
-    # a non-finite eta + f would pass every test below as NaN
-    chart.check_field(target)
-    vol_g, logdet_g = problem.vol_g, problem.logdet_g
+    ricci_flat = problem.ricci_flat
+    if not ricci_flat:
+        target = problem.eta.real
+        if problem.extra_f is not None:
+            target = target + problem.extra_f.real
+        # a non-finite eta + f would pass every test below as NaN
+        chart.check_field(target)
+    det_g = herm_det(g, real=True)
+    vol_g = float(np.mean(det_g))
+    # F = log det h - log_density - eps phi (- eta - f): a Ricci-flat
+    # problem's target density e^eta det g is the number vol g
+    if ricci_flat:
+        if not 0 < vol_g < math.inf:
+            raise InvalidFieldError(f"reference volume vol g = {vol_g} is not positive and "
+                                    "finite")
+        log_density = math.log(vol_g)
+    else:
+        log_density = np.log(det_g)
+    weight = None
     if eps == 0:
-        # det g is the reference volume density and e^(eta+f) det g the
-        # Ricci-flat one; their integrals must agree for solvability
-        weight = np.exp(target)
-        weight *= problem.det_g
-        weight_mean = np.mean(weight)
-        compat = abs(float(weight_mean) - vol_g) / vol_g
-        if not compat <= 1e-10:
-            raise NormalizationError(
-                "eps = 0 problem violates the solvability normalization "
-                f"(residual {compat:.3e})")
+        if not ricci_flat:
+            # det g is the reference volume density and e^(eta+f) det g the
+            # Ricci-flat one; their integrals must agree for solvability
+            weight = np.exp(target)
+            weight *= det_g
+            weight_mean = np.mean(weight)
+            compat = abs(float(weight_mean) - vol_g) / vol_g
+            if not compat <= 1e-10:
+                raise NormalizationError(
+                    "eps = 0 problem violates the solvability normalization "
+                    f"(residual {compat:.3e})")
         if normalization == REFERENCE_VOLUME:
-            weight, weight_mean = problem.det_g, vol_g
+            weight, weight_mean = det_g, vol_g
         elif normalization != KE_VOLUME:
-            del weight
+            weight = None
 
     # at n = 1, eps = 0 the equation h_{z z-bar} = g e^target is linear in
     # phi_{z z-bar}: the step u with u_{z z-bar} = h (e^{-F} - 1) lands on it
@@ -471,18 +544,28 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
             return None, None, None, me
         det_h = herm_det(h, real=True)
         F = np.log(det_h)
-        F -= logdet_g
+        F -= log_density
         if eps:
             F -= eps * p
-        F -= target
+        if not ricci_flat:
+            F -= target
         return F, h, det_h, me
 
     if initial_guess is None:
         # phi = 0: h = g, whose positivity MAProblem has checked; its least
         # eigenvalue is taken only if no Newton step replaces h
         phi = np.zeros(chart.grid.shape)
-        F, h, det_h, me = -target, g, problem.det_g, None
+        # det g is the first det h
+        h, det_h, me = g, det_g, None
+        del det_g
+        if ricci_flat:
+            F = np.log(det_h)
+            F -= log_density
+        else:
+            F = -target
     else:
+        # det g is not read again (but as the reference-volume weight)
+        del det_g
         phi = initial_guess.real.copy()
         # a caller that passes its guess without keeping it frees it here
         del initial_guess
@@ -543,8 +626,12 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     if eps == 0 and normalization != NO_NORMALIZATION:
         if normalization not in (REFERENCE_VOLUME, KE_VOLUME):
             raise GeometryError(f"unknown normalization {normalization!r}")
-        # KE: e^(eta+f) omega^n is the solved Ricci-flat volume rho^n
-        phi = phi - float(np.mean(phi * weight) / weight_mean)
+        # KE: e^(eta+f) omega^n is the solved Ricci-flat volume rho^n, a
+        # constant multiple of the coordinate volume for a Ricci-flat problem
+        if weight is None:
+            phi = phi - float(np.mean(phi))
+        else:
+            phi = phi - float(np.mean(phi * weight) / weight_mean)
         del weight
     elif eps > 0:
         normalization = NO_NORMALIZATION
@@ -553,7 +640,9 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     # det h is read, and dropped, before Delta_g phi is formed
     mean_det_h = np.mean(det_h)
     volume_residual = abs(float(mean_det_h) - vol_g) / vol_g
-    det_h_constancy = float(np.max(np.abs(det_h - mean_det_h)) / mean_det_h)
+    # max |det h - mean| with no field-sized temporary, as _sup_abs takes it
+    det_h_constancy = float(max(det_h.max() - mean_det_h, mean_det_h - det_h.min())
+                            / mean_det_h)
     del det_h
     lap = _laplacian_of_potential(g, h)
     diagnostics = {
@@ -879,12 +968,13 @@ class EpsilonPath:
     sup_lap_max: float
 
 
-def ke_identity_residual(phi: np.ndarray, eps: float, weight: np.ndarray) -> float:
+def ke_identity_residual(phi: np.ndarray, eps: float, weight: np.ndarray | float) -> float:
     """Residual of the fiber equation at eps > 0, integrated over the fiber.
 
     Integrating (omega + dd^c phi)^n = e^(eps phi + eta) omega^n gives
     int (e^(eps phi) - 1) e^eta omega^n = 0, as dd^c phi is exact and
-    int e^eta omega^n = int omega^n.  With weight the density e^eta det g,
+    int e^eta omega^n = int omega^n.  With weight the density e^eta det g (a
+    field, or the number vol g of a Ricci-flat problem),
     returns |eps int phi e^eta omega^n + int (e^(eps phi) - 1 - eps phi) e^eta omega^n|
     divided by int e^eta omega^n.
     """
@@ -910,7 +1000,8 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
 
     base = ricci_flat_problem(family.fiber_metric(s), 0.0)
     chart = base.chart
-    weight = np.exp(base.eta) * base.det_g
+    # the Ricci-flat density e^eta det g is the number vol g
+    weight = float(np.mean(herm_det(base.gab, real=True)))
 
     solutions, table = [], []
     warm = None

@@ -566,31 +566,63 @@ def test_solve_fiber_rejects_an_indefinite_model_metric(tmp_path, capsys, family
         f"numerical failure: model form loses fiber definiteness {message}\n"
 
 
-def test_solve_fiber_n2_peak_memory(tmp_path):
-    """The whole fiber-n2 command, reports included, holds at most 19 real
-    24^4 fields of traced allocations over what it starts with.
-
-    Measured in a fresh process: 17.48 fields, reached while dd^c of the
-    prolonged guess forms the metric of its 24^4 residual (g, eta, det g,
-    log det g, the Ricci-flat density, phi and the dd^c tables are alive);
-    the bound leaves 1.52 fields of margin.  16.36 before the problem held
-    det g and the solve the density; a complex (2, 2) stack for g and h
-    took 29.2 fields.
-    """
-    path = n2_solve_fiber_config(tmp_path)
-    field_bytes = 8 * 24 ** 4
+def _traced_peak(run) -> tuple:
+    """(run(), the bytes of traced allocations it held at once over what it
+    started with)."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assert main(["solve-fiber", "--config", str(path)]) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1] - before
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 19 * field_bytes, f"peak {peak / field_bytes:.2f} real fields"
+
+
+def test_solve_fiber_n2_peak_memory(tmp_path):
+    """The whole fiber-n2 command, reports included, holds at most 15 real
+    24^4 fields of traced allocations over what it starts with.
+
+    Measured in a fresh process: 13.52 fields, reached while dd^c of the
+    prolonged guess forms the metric of its 24^4 residual (g, phi, the
+    dd^c tables, h, the half spectrum of phi and its product with one
+    table are alive); the bound leaves 1.48 fields of margin.  The
+    problem holds no field but g, the solve reads the Ricci-flat target
+    density as a number, and dd^c writes its parts straight into h.
+    """
+    path = n2_solve_fiber_config(tmp_path)
+    code, peak = _traced_peak(lambda: main(["solve-fiber", "--config", str(path)]))
+    assert code == EXIT_OK
+    assert peak <= 15 * 8 * 24 ** 4, f"peak {peak / (8 * 24 ** 4):.2f} real fields"
+
+
+def test_solve_fiber_n2_newton_step_peak_memory(tmp_path):
+    """The richer n = 2 potential at eps = 1, whose 24^4 level takes a Newton
+    step, holds at most 25.5 real 24^4 fields over what the command starts
+    with.
+
+    Measured in a fresh process: 23.96 fields, reached in a GMRES matvec of
+    the 24^4 step: g, phi, the right-hand side, the four Hessian weight
+    fields, the preconditioner symbol, the Krylov basis and the matvec's
+    half spectrum, output and transform buffers are alive; the bound leaves
+    1.54 fields of margin.
+    """
+    path, doc = base_config(tmp_path, family={
+        **N2_FAMILY, "chi": N2_FAMILY["chi"] + [
+            [2, 1, 0, 0, 0, 0, 0.004, 0.0], [-2, -1, 0, 0, 0, 0, 0.004, 0.0],
+            [0, 0, 3, -1, 0, 0, 0.002, 0.0], [0, 0, -3, 1, 0, 0, 0.002, 0.0]]},
+        fiber={"eps": 1.0})
+    doc["solver"] = {"grid_n": 24, "tol": 1e-11}
+    path.write_text(json.dumps(doc))
+    code, peak = _traced_peak(lambda: main(["solve-fiber", "--config", str(path)]))
+    assert code == EXIT_OK
+    levels = json.loads((tmp_path / "out" / "fiber_solution.json").read_text())[
+        "diagnostics"]["levels"]
+    assert [(r["grid_n"], r["newton_iters"]) for r in levels] == [(8, 5), (12, 2), (24, 1)]
+    assert peak <= 25.5 * 8 * 24 ** 4, f"peak {peak / (8 * 24 ** 4):.2f} real fields"
 
 
 def test_richardson_theta(tmp_path):
@@ -658,6 +690,11 @@ RECT = [-0.1, 0.1, 0.9, 1.1]
     (["verify"], {"suites": []}),
     (["run-family"], {"outputs.formats": []}),
     (["run-family"], {"family": {"kind": "product", "period_matrix": [[[0.3, 2.5]]]}}),
+    (["green"], {"outputs.formats": ["svg"]}),
+    (["green"], {"outputs.formats": ["csv"]}),
+    (["verify", "--suite", "identities"], {"outputs.formats": ["svg"]}),
+    (["verify", "--suite", "identities"], {"outputs.formats": ["csv", "svg"]}),
+    (["solve-fiber"], {"outputs.formats": ["svg"]}),
 ], ids=["manufactured-no-amplitude", "mode-3-entries", "grid-n-string",
         "empty-eps-schedule", "threads-0",
         "chi-5", "samples-5", "suites-5", "formats-5", "nx-negative", "seed-negative",
@@ -666,7 +703,8 @@ RECT = [-0.1, 0.1, 0.9, 1.1]
         "chi-frequency-float", "richardson-string", "damping-floor-2", "dir-5",
         "normalization-bad", "chi-coefficient-overflow", "grid-n2-past-node-bound",
         "grid-n-odd", "mode-past-nyquist", "h-s-tiny", "eps-schedule-one-positive",
-        "suites-empty", "formats-empty", "period-matrix-at-n1"])
+        "suites-empty", "formats-empty", "period-matrix-at-n1", "green-svg-only",
+        "green-csv-only", "verify-svg-only", "verify-csv-svg", "solve-fiber-svg-only"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, edit):
     path, doc = base_config(tmp_path)
     doc["solver"]["grid_n"] = 16
@@ -1023,7 +1061,7 @@ def test_phi_csv_write_peak_memory(tmp_path):
     formatted at a time.
 
     Measured: 0.99 fields at 2^13 rows a block (1.95 at 2^14, 3.84 at 2^15).
-    The fiber-n2 command peaks at 17.48 fields elsewhere, so the write is
+    The fiber-n2 command peaks at 13.52 fields elsewhere, so the write is
     never its peak.
     """
     phi = np.random.RandomState(3).standard_normal((24,) * 4)

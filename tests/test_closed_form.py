@@ -6,9 +6,14 @@ the Monge-Ampere solution to solver precision, and the base-stencil
 quantities of the curvature report to their O(h_s^2) truncation.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from cyflab.cli import sample_rows
+from cyflab.config import parse_config
 from cyflab.familygeom import curvature_report
 from cyflab.geometry import DefinitenessError, ddc_fiber
 from cyflab.masolver import (
@@ -125,3 +130,18 @@ def test_fiber_metric_is_the_model_fiber_block(seed, case):
     fiber, form = family.fiber_metric(s), family.omega(s)
     assert np.array_equal(fiber.gab, form.gab)
     assert np.array_equal(fiber.chart.omega_matrix, form.chart.omega_matrix)
+
+
+def test_direct_image_matches_closed_form_on_the_readme_family():
+    """On every sample of the README config, the run-family direct image is
+    the closed-form c within 1e-12 relative: the Ricci-flat solve's KE shift
+    is the plain fiber mean of phi, so the stencil's 1/h_s^2 meets no
+    rounding of a density field."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = parse_config(json.loads(readme.split("```json\n")[1].split("```")[0]))
+    rows, failure = sample_rows(cfg, ("s_re", "s_im", "direct_image"))
+    assert failure is None and len(rows) == len(cfg["samples"]) == 25
+    family = make_family(cfg["spec"])
+    worst = max(abs(row["direct_image"] / family.ricci_flat_closed_form(
+        complex(row["s_re"], row["s_im"])).c - 1) for row in rows)
+    assert worst <= 1e-12, f"worst relative error {worst:.3e}"

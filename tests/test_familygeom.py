@@ -320,13 +320,13 @@ def test_vphi_cross_check_counts_fallbacks():
     """The cross check reports the Krylov fallbacks of its eps solves.
 
     Its stencil solves stop at forcing terms and were not seen to miss them
-    on this family; the two real solves of route (b) at linear_rtol = 1e-16
-    do miss.
+    on this family; the two real solves of route (b) at linear_rtol = 1e-17,
+    below the rounding floor of a relative residual, do miss.
     """
     spec = FamilySpec(kind="universal_elliptic", chi=perturbation_chi(), grid_n=16,
                       base_samples=(1j,))
     family = make_family(spec)
-    strict = SolverConfig(linear_rtol=1e-16, linear_maxiter=2)
+    strict = SolverConfig(linear_rtol=1e-17, linear_maxiter=2)
     assert vphi_cross_check(family, 1j, eps=0.5, config=strict)["linear_fallbacks"] >= 2
     assert vphi_cross_check(family, 1j, eps=0.5)["linear_fallbacks"] == 0
     assert vphi_cross_check(family, 1j, eps=0.0, config=strict)["linear_fallbacks"] == 0

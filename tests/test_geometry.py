@@ -591,3 +591,37 @@ def test_packed_n2_metric_keeps_the_complex_stack_bits(seed, N):
         for b in range(2):
             assert np.array_equal(packed[a, b], ddc[a, b])
     assert np.array_equal(packed.g00, ddc[0, 0].real) and not np.any(ddc[0, 0].imag)
+
+
+def _packed_ddc_fiber(f, chart):
+    """dd^c of a real f packed as ddc_fiber once did: each part of
+    ddc_real_fields a new field, then copied into the matrix."""
+    parts = {}
+    for a, b, re, im in ddc_real_fields(rfft(f), chart):
+        if im is None:
+            parts[a, b] = re
+        else:
+            parts[a, b] = np.empty(f.shape, dtype=complex)
+            parts[a, b].real = re
+            parts[a, b].imag = im
+    if chart.n == 2:
+        return [parts[0, 0], parts[1, 1], parts[0, 1]]
+    out = np.empty((1, 1) + f.shape, dtype=complex)
+    out[0, 0] = parts[0, 0]
+    return [out]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), case=st.sampled_from([(1, 16), (2, 8), (2, 12)]))
+def test_ddc_fiber_writes_its_parts_in_place_with_the_packed_bits(seed, case):
+    """ddc_fiber of a real f transforms each part straight into the matrix it
+    returns, with the bits (signed zeros included) of packing the parts of
+    ddc_real_fields into it."""
+    n, N = case
+    rng = np.random.RandomState(seed)
+    chart, _ = random_chart_and_metric(rng, n, N)
+    f = random_trig_field(rng, chart.grid, kmax=N // 2).real
+    h = ddc_fiber(f, chart)
+    got = [h.g00, h.g11, h.g01] if n == 2 else [h]
+    for mine, ref in zip(got, _packed_ddc_fiber(f, chart), strict=True):
+        assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()

@@ -313,51 +313,59 @@ def test_forcing_terms(perturbed_family):
     assert np.max(np.abs(forced_n1.phi - strict_n1.phi)) < 1e-12
 
 
+def _traced_solve(problem):
+    """(solve_ma(problem), the real fields of traced allocations it held at once)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sol = solve_ma(problem)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return sol, peak / (8 * problem.chart.grid.num_nodes)
+
+
 def test_n2_solve_peak_memory():
     """An n = 2 solve holds at most 36 real fields of traced allocations at once.
 
     The count takes in everything solve_ma allocates: the chart's spectral
     tables, the Newton iterates, the GMRES basis and every temporary.
     """
-    problem, _ = acceptance4_problem(12)
-    field_bytes = 8 * problem.chart.grid.num_nodes
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        sol = solve_ma(problem)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    sol, peak = _traced_solve(acceptance4_problem(12)[0])
     assert sol.newton_iters == 4 and sum(sol.diagnostics["linear_iterations"]) == 12
-    assert peak <= 36 * field_bytes, f"peak {peak / field_bytes:.1f} real fields"
+    assert peak <= 36, f"peak {peak:.1f} real fields"
 
 
 def test_n2_solve_holds_only_what_the_next_step_reads():
-    """The same solve as test_n2_solve_peak_memory peaks at 22 real fields.
+    """The same solve as test_n2_solve_peak_memory, with its explicit eta,
+    peaks at 18.08 real fields, in a GMRES matvec; the bound leaves 1.42.
 
     The Newton loop frees h, F and the last step u before each Krylov
     solve and keeps no zero forcing field, and the closing Delta_g phi
-    takes the real Hessian weights of g, not herm_inverse(g).
+    takes the real Hessian weights of g, not herm_inverse(g).  The solve
+    forms det g, drops it after the first step, and holds log det g and
+    the KE density e^eta det g.
     """
-    problem, _ = acceptance4_problem(12)
-    field_bytes = 8 * problem.chart.grid.num_nodes
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        sol = solve_ma(problem)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    sol, peak = _traced_solve(acceptance4_problem(12)[0])
     assert sol.newton_iters == 4 and sum(sol.diagnostics["linear_iterations"]) == 12
-    assert peak <= 22 * field_bytes, f"peak {peak / field_bytes:.1f} real fields"
+    assert peak <= 19.5, f"peak {peak:.1f} real fields"
+
+
+def test_n2_ricci_flat_solve_holds_no_density_field():
+    """The Ricci-flat problem of the same metric peaks at 16.08 real fields,
+    two fewer than with the explicit eta: it holds no log det g and no KE
+    density, as its target density is the number vol g.  The bound leaves
+    1.42 fields of margin."""
+    explicit = acceptance4_problem(12)[0]
+    problem = MAProblem(chart=explicit.chart, gab=explicit.gab, eta=None, epsilon=0.0)
+    del explicit
+    sol, peak = _traced_solve(problem)
+    assert sol.newton_iters == 4 and sum(sol.diagnostics["linear_iterations"]) == 12
+    assert peak <= 17.5, f"peak {peak:.1f} real fields"
 
 
 @pytest.mark.parametrize("case, grid_n, band, levels", [
@@ -886,6 +894,52 @@ def test_ricci_flat_problem_eta_family(perturbed_family):
     assert abs(lhs / rhs - 1) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["universal_elliptic", "product-n2"])
+def test_ricci_flat_problem_holds_only_its_inputs(kind):
+    """A Ricci-flat problem holds no grid-sized array but gab: no eta, det g
+    or log det g.  Its eta is formed on each read, bit-equal to
+    eta_from_metric, and an eta_from_metric given back is an explicit eta."""
+    family, s = BUILDER_FAMILIES[kind]
+    metric = family.fiber_metric(s)
+    problem = ricci_flat_problem(metric, 0.0)
+    assert problem.ricci_flat
+    nodes = metric.chart.grid.num_nodes
+    held = [name for name, value in vars(problem).items()
+            if name != "gab" and isinstance(value, np.ndarray) and value.size >= nodes]
+    assert held == []
+    assert vars(problem)["eta"] is None
+    eta = eta_from_metric(metric.gab, metric.chart)
+    assert problem.eta is not problem.eta
+    assert problem.eta.tobytes() == eta.tobytes()
+    assert not MAProblem(chart=metric.chart, gab=metric.gab, eta=eta, epsilon=0.0).ricci_flat
+
+
+def test_replace_keeps_a_ricci_flat_problem_ricci_flat(perturbed_family):
+    """dataclasses.replace reads the formed eta and gives it back with the
+    same gab: the copy stores no eta and solves as ricci_flat_problem does.
+    With another gab, or with a forcing, that eta is explicit."""
+    metric = perturbed_family.fiber_metric(1j)
+    base = ricci_flat_problem(metric, 0.0)
+    moved = dataclasses.replace(base, epsilon=0.1)
+    assert moved.ricci_flat and vars(moved)["eta"] is None
+    direct = solve_ma(ricci_flat_problem(metric, 0.1))
+    assert solve_ma(moved).phi.tobytes() == direct.phi.tobytes()
+    other = dataclasses.replace(base, gab=metric.gab.copy())
+    assert not other.ricci_flat and np.array_equal(other.eta, base.eta)
+    forced = dataclasses.replace(base, extra_f=np.zeros(metric.chart.grid.shape))
+    assert not forced.ricci_flat and vars(forced)["eta"] is None
+
+
+def test_ricci_flat_solve_rejects_an_infinite_volume(flat_setup):
+    """The Ricci-flat target density is the number vol g: a metric whose det g
+    is infinite gives no target, and the solve raises InvalidFieldError."""
+    _, chart, g = flat_setup
+    problem = MAProblem(chart=chart, gab=np.full_like(g, np.inf), eta=None, epsilon=0.0)
+    assert problem.ricci_flat
+    with pytest.raises(InvalidFieldError, match="vol g"):
+        solve_ma(problem)
+
+
 def _record_calls(monkeypatch, function):
     """Every module binding of geometry.<function>, wrapped to record its first argument."""
     real = getattr(cyflab.geometry, function)
@@ -903,8 +957,9 @@ def _record_calls(monkeypatch, function):
 
 def test_one_step_solve_forms_each_determinant_once(monkeypatch, perturbed_family):
     """A one-step n = 1, eps = 0 Ricci-flat solve, its problem built in it,
-    forms det g once (the problem's, which the step reads) and det h of the
-    step's residual once (which the closing diagnostics read)."""
+    forms det g once (for vol g and as the first det h, which the step
+    reads) and det h of the step's residual once (which the closing
+    diagnostics read); the problem forms none."""
     metric = perturbed_family.fiber_metric(1j)
     dets = _record_calls(monkeypatch, "herm_det")
     sol = solve_ma(ricci_flat_problem(metric, 0.0))
@@ -915,9 +970,9 @@ def test_one_step_solve_forms_each_determinant_once(monkeypatch, perturbed_famil
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_manufactured_problem_forms_each_determinant_once(monkeypatch, n):
-    """A manufactured problem forms det g once, the problem's, whose log det g
-    the forcing reads, and det h* for the forcing; a phi* whose h* is not
-    positive is still rejected."""
+    """A manufactured problem forms det g once, for the log det g the forcing
+    reads, and det h* for the forcing; a phi* whose h* is not positive is
+    still rejected."""
     rng = np.random.RandomState(40 + n)
     chart, h = random_chart_and_metric(rng, n, 16 if n == 1 else 8)
     g = as_metric(np.broadcast_to(h.reshape(h.shape + (1,) * (2 * n)),
@@ -966,9 +1021,9 @@ def test_nan_metric_iterate_counts_as_lost_positivity(monkeypatch, flat_setup):
 
 
 def test_one_positivity_check_per_ricci_flat_problem(monkeypatch, perturbed_family):
-    """A Ricci-flat problem checks its fiber metric once, and eta is formed
-    from it after that check: on each stencil point, and on each problem of
-    an eps continuation, which all share one metric."""
+    """A Ricci-flat problem checks its fiber metric once: on each stencil
+    point, and on each problem of an eps continuation, which all share one
+    metric."""
     checked = _record_calls(monkeypatch, "herm_min_eig")
     solutions = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.5)
     for sol in solutions.values():

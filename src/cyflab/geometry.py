@@ -26,8 +26,11 @@ that map real fields to real fields (dd^c, real even Fourier multipliers)
 take a real field through real transforms on the half spectrum (last axis
 0..N/2), which suffices because its spectrum is Hermitian; a real
 multiplier is a half-spectrum table.  The complex-valued d/dz and d/dzbar,
-and dd^c of a complex field, use full complex transforms.  The fiber
-Laplacian and its constant-metric symbol are built here for every caller.
+and dd^c of a complex field, use full complex transforms.  A half
+spectrum that vanishes off a band of modes (BandSpectrum: the zero-padded
+spectrum of a prolonged field) is synthesized with each complex pass run
+over the lines that hold a mode only.  The fiber Laplacian and its
+constant-metric symbol are built here for every caller.
 
 A Hermitian fiber field is stored by its independent parts.  At n = 1 it is
 the (1, 1, *grid) complex stack of g_00.  At n = 2 it is a Herm2: the real
@@ -119,16 +122,72 @@ def drop_nyquist_modes(f: np.ndarray) -> None:
         cls -= np.mean(cls) - grid_mean
 
 
-def prolong(f: np.ndarray, shape: tuple) -> np.ndarray:
-    """The real field on a finer grid of the given shape whose half spectrum is f's.
+@dataclass(eq=False)
+class BandSpectrum:
+    """The half spectrum of a real field on a grid of the given shape, zero off a band.
+
+    The band is the product of per-axis index sets: index[m] holds the
+    half-spectrum indices of axis m that may carry a nonzero mode, the last
+    one a prefix 0 .. w - 1 of the half axis, and coef is the spectrum on
+    their product, a compact block.  field() and synthesize() are irfft of
+    the zero-padded spectrum, bit for bit, with its passes in its order, but
+    each complex pass runs only over the lines that hold a nonzero mode:
+    the pass along axis m over the lines whose indices after m lie in the
+    band.  The last, real pass runs over every line.  The passes write into
+    one work buffer each, allocated once and reused by every synthesis of
+    the spectrum; they are freed with it.
+    """
+
+    coef: np.ndarray
+    index: tuple
+    shape: tuple
+
+    def __post_init__(self):
+        last = self.index[-1]
+        if not np.array_equal(last, np.arange(len(last))):
+            raise GeometryError("a band holds a prefix of the half axis")
+
+    @cached_property
+    def _work(self) -> list:
+        """The pass buffers: full length on the axes already transformed and
+        band length after, then the zero-padded half spectrum, whose columns
+        past the band stay zero."""
+        sizes = tuple(len(i) for i in self.index)
+        work = [np.empty(self.shape[:m + 1] + sizes[m + 1:], dtype=complex)
+                for m in range(len(self.shape) - 2)]
+        work.append(np.zeros(self.shape[:-1] + (self.shape[-1] // 2 + 1,), dtype=complex))
+        return work
+
+    def synthesize(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The real field whose half spectrum is coef on this band (zero off it).
+
+        out, if given, is the real array (a strided view will do) that the
+        last pass writes.
+        """
+        *passes, half = self._work
+        passes.append(half[..., : len(self.index[-1])])
+        for axis, buf in enumerate(passes):
+            buf[...] = 0.0
+            buf[(slice(None),) * axis + (self.index[axis],)] = coef
+            np.fft.ifft(buf, axis=axis, out=buf)
+            coef = buf
+        return np.fft.irfft(half, n=self.shape[-1], axis=-1, out=out)
+
+    def field(self) -> np.ndarray:
+        """The real field of this spectrum, a new array."""
+        return self.synthesize(self.coef)
+
+
+def prolong_spectrum(f: np.ndarray, shape: tuple) -> BandSpectrum:
+    """The half spectrum of prolong(f, shape), held on the band of f's modes.
 
     f's half spectrum is zero-padded: each mode k of f with every |k_m| below
     f's Nyquist frequency keeps its coefficient, scaled by the ratio of node
     counts, so the trigonometric polynomial is the same; the Nyquist planes
-    of f, which the finer grid would read as two modes, are dropped.
+    of f, which the finer grid would read as two modes, are dropped.  The
+    band is the set of the modes kept.
     """
     fh = rfft(f)
-    out = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), complex)
     coarse, fine = [], []
     for m, (nc, nf) in enumerate(zip(f.shape, shape)):
         low = np.arange(nc // 2)
@@ -140,8 +199,14 @@ def prolong(f: np.ndarray, shape: tuple) -> np.ndarray:
             high = np.arange(1 - nc // 2, 0)
             coarse.append(np.concatenate([low, high % nc]))
             fine.append(np.concatenate([low, high % nf]))
-    out[np.ix_(*fine)] = fh[np.ix_(*coarse)] * (np.prod(shape) / f.size)
-    return irfft(out, shape)
+    return BandSpectrum(fh[np.ix_(*coarse)] * (np.prod(shape) / f.size), tuple(fine),
+                        tuple(shape))
+
+
+def prolong(f: np.ndarray, shape: tuple) -> np.ndarray:
+    """The real field on a finer grid of the given shape whose half spectrum is f's
+    (prolong_spectrum)."""
+    return prolong_spectrum(f, shape).field()
 
 
 @dataclass(frozen=True)
@@ -373,35 +438,45 @@ class FiberChart:
             rows["zbar", a] = tuple(c.conjugate() for c in row)
         return rows
 
-    def _z_mult(self, half: bool, a: int) -> np.ndarray:
-        """M_a(k) = 2 pi i sum_m C[a, m] k_m on the full grid or the half spectrum.
+    def _freqs(self, index: tuple | None = None) -> tuple:
+        """deriv_freq_axes on the half spectrum, or at a band's indices."""
+        ks = self.grid.deriv_freq_axes
+        if index is None:
+            return ks[:-1] + (ks[-1][..., : self.grid.N // 2 + 1],)
+        return tuple(np.take(k, i, axis=m) for m, (k, i) in enumerate(zip(ks, index)))
+
+    def _z_mult(self, ks: tuple, a: int) -> np.ndarray:
+        """M_a(k) = 2 pi i sum_m C[a, m] k_m at the per-axis frequencies ks.
 
         The sum runs over per-axis frequency vectors that broadcast to the
-        grid, so no full-grid frequency mesh is built.
+        grid (or to its half spectrum, or to a band), so no full-grid
+        frequency mesh is built, and each entry is formed by the same
+        operations wherever it is evaluated.
         """
-        ks = self.grid.deriv_freq_axes
-        if half:
-            ks = ks[:-1] + (ks[-1][..., : self.grid.N // 2 + 1],)
         m = np.zeros((1,) * (2 * self.n), dtype=complex)
         for c, k in zip(self.derivative_rows["z", a], ks):
             m = m + c * k
         # 2 pi i * m, scalar first, written over the last sum
         return np.multiply(2j * np.pi, m, out=m)
 
-    @cached_property
-    def _mode_norm_half(self) -> np.ndarray:
-        """|M_0(k)|^2 on the half spectrum (n = 1), as numpy rounds M_0 conj(M_0).
+    def _mode_norm(self, ks: tuple) -> np.ndarray:
+        """|M_0(k)|^2 at ks (n = 1), as numpy rounds M_0 conj(M_0).
 
         Its negation is M_0 (-conj M_0) bit for bit: both complex products
         round the real part of the same exact sum, up to its sign.
         """
-        m = self._z_mult(True, 0)
+        m = self._z_mult(ks, 0)
         return np.multiply(m, np.conj(m), out=m).real.copy()
+
+    @cached_property
+    def _mode_norm_half(self) -> np.ndarray:
+        """The mode norm on the half spectrum (n = 1)."""
+        return self._mode_norm(self._freqs())
 
     @cached_property
     def z_mult(self) -> list:
         """Fourier multipliers M_a(k) with d/dz^a e_k = M_a(k) e_k."""
-        return [self._z_mult(False, a) for a in range(self.n)]
+        return [self._z_mult(self.grid.deriv_freq_axes, a) for a in range(self.n)]
 
     def ddc_mult(self, a: int, b: int) -> np.ndarray:
         """Multiplier M_a(k) * (-conj M_b(k)) of f -> f_{alpha beta-bar}."""
@@ -418,8 +493,23 @@ class FiberChart:
         the negated mode norm), so they equal the slices [..., :N/2 + 1] of
         its full tables bit for bit.
         """
+        return self._ddc_tables(None)
+
+    def ddc_mult_band(self, index: tuple) -> dict:
+        """The ddc_mult_half tables at a band's frequencies only (BandSpectrum.index).
+
+        They are built from deriv_freq_axes at those indices with the same
+        elementwise operations, so each entry is the matching entry of
+        ddc_mult_half bit for bit, and no half-spectrum table is built.
+        """
+        return self._ddc_tables(index)
+
+    def _ddc_tables(self, index: tuple | None) -> dict:
+        """The (Re, Im) tables of ddc_mult(a, b), a <= b, at _freqs(index)."""
         if self.n == 1:
-            return {(0, 0): (np.negative(self._mode_norm_half), None)}
+            norm = self._mode_norm_half if index is None else self._mode_norm(self._freqs(index))
+            return {(0, 0): (np.negative(norm), None)}
+        ks = self._freqs(index)
         # One z table is built at a time, and -conj z_b once.  The products
         # keep _ddc_product's operand order and are written over an operand
         # that is not read again: z_a after its last product, -conj z_b
@@ -427,7 +517,7 @@ class FiberChart:
         out = {}
         z = []
         for b in range(self.n):
-            z.append(self._z_mult(True, b))
+            z.append(self._z_mult(ks, b))
             nzb = np.conj(z[b])
             np.negative(nzb, out=nzb)
             for a in range(b):
@@ -504,7 +594,7 @@ def d_zbar(f, chart, a=0):
     return fiber_derivative(f, chart, ("zbar", a))
 
 
-def ddc_fiber(f: np.ndarray, chart: FiberChart):
+def ddc_fiber(f, chart: FiberChart):
     """Matrix of mixed second derivatives f_{alpha beta-bar}.
 
     These are the fiber components of dd^c f.  For real f the matrix is
@@ -512,49 +602,66 @@ def ddc_fiber(f: np.ndarray, chart: FiberChart):
     real and imaginary parts of each upper entry are real inverse
     transforms (ddc_real_fields), each written straight into its part of
     the returned matrix.  At n = 1 it is returned as a (1, 1, *grid)
-    complex stack, at n = 2 as a Herm2 holding those parts.  A complex f
-    gives the (n, n, *grid) complex stack of its f_{alpha beta-bar}.
+    complex stack, at n = 2 as a Herm2 holding those parts.  f may also be
+    the BandSpectrum of a real field: its spectrum is read as it is, with
+    no forward transform.  A complex f gives the (n, n, *grid) complex
+    stack of its f_{alpha beta-bar}.
     """
-    f = chart.check_field(f)
     n = chart.n
-    if np.iscomplexobj(f):
-        out = np.empty((n, n) + f.shape, dtype=complex)
-        fh = fft(f)
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = ifft(fh * chart.ddc_mult(a, b))
-        return out
-    # a chart's first dd^c builds its tables: before h exists
-    chart.ddc_mult_half
+    shape = chart.grid.shape
+    band = isinstance(f, BandSpectrum)
+    if band:
+        if f.shape != shape:
+            raise InvalidFieldError(f"spectrum of grid {f.shape} != grid {shape}")
+    else:
+        f = chart.check_field(f)
+        if np.iscomplexobj(f):
+            out = np.empty((n, n) + shape, dtype=complex)
+            fh = fft(f)
+            for a in range(n):
+                for b in range(n):
+                    out[a, b] = ifft(fh * chart.ddc_mult(a, b))
+            return out
+        # a chart's first dd^c builds its tables: before h exists
+        chart.ddc_mult_half
     if n == 2:
-        h = Herm2(np.empty(f.shape), np.empty(f.shape), np.empty(f.shape, dtype=complex))
+        h = Herm2(np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
         parts = {(0, 0): (h.g00, None), (1, 1): (h.g11, None),
                  (0, 1): (h.g01.real, h.g01.imag)}
     else:
-        h = np.zeros((1, 1) + f.shape, dtype=complex)
+        h = np.zeros((1, 1) + shape, dtype=complex)
         parts = {(0, 0): (h[0, 0].real, None)}
-    for _ in ddc_real_fields(rfft(f), chart, out=parts):
+    for _ in ddc_real_fields(f if band else rfft(f), chart, out=parts):
         pass
     return h
 
 
-def ddc_real_fields(fh: np.ndarray, chart: FiberChart, out: dict | None = None):
+def ddc_real_fields(fh, chart: FiberChart, out: dict | None = None):
     """Yield (a, b, Re f_ab, Im f_ab), a <= b, from the half spectrum fh of a real f.
 
     Each part is one real inverse transform of fh times a ddc_mult_half
-    table; Im f_aa is None, as the diagonal is real.  out, if given, maps
-    (a, b) to the (re, im) arrays (views will do) that those transforms
-    write.  This is the one implementation of dd^c on real fields:
-    ddc_fiber writes the parts straight into the Hermitian matrix it
-    returns, and add_weighted_ddc weights and sums them one pair at a time.
+    table; Im f_aa is None, as the diagonal is real.  fh may be a
+    BandSpectrum: each part is then one product on its compact block, with
+    the tables at its band (ddc_mult_band), and one band synthesis.  out,
+    if given, maps (a, b) to the (re, im) arrays (views will do) that those
+    transforms write.  This is the one implementation of dd^c on real
+    fields: ddc_fiber writes the parts straight into the Hermitian matrix
+    it returns, and add_weighted_ddc weights and sums them one pair at a
+    time.
     """
-    shape = chart.grid.shape
-    for (a, b), (re_mult, im_mult) in chart.ddc_mult_half.items():
+    if isinstance(fh, BandSpectrum):
+        tables, coef, synthesize = chart.ddc_mult_band(fh.index), fh.coef, fh.synthesize
+    else:
+        shape = chart.grid.shape
+        tables, coef = chart.ddc_mult_half, fh
+
+        def synthesize(x, out):
+            return irfft(x, shape, overwrite=True, out=out)
+    for (a, b), (re_mult, im_mult) in tables.items():
         re_out, im_out = (None, None) if out is None else out[a, b]
         # the parts are not kept here once yielded
-        yield (a, b, irfft(fh * re_mult, shape, overwrite=True, out=re_out),
-               None if im_mult is None else
-               irfft(fh * im_mult, shape, overwrite=True, out=im_out))
+        yield (a, b, synthesize(coef * re_mult, out=re_out),
+               None if im_mult is None else synthesize(coef * im_mult, out=im_out))
 
 
 def herm_check(g) -> float:

@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import InitVar, dataclass, field as dc_field, replace
+from dataclasses import InitVar, dataclass, field as dc_field
 
 import numpy as np
 
 from .geometry import (
+    BandSpectrum,
     DefinitenessError,
     FiberChart,
     GeometryError,
@@ -65,7 +66,7 @@ from .geometry import (
     herm_min_eig,
     hessian_weights,
     irfft,
-    prolong,
+    prolong_spectrum,
     rfft,
 )
 from .models import Family, FamilyForm, FiberMetric
@@ -489,6 +490,11 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     Each field is dropped after its last read: during a Krylov solve the
     loop holds phi, the target's fields and the solve's own data, not the
     previous iterate h, its det h, its residual F or the last step u.
+
+    initial_guess is a field, which is copied, or the BandSpectrum of one
+    (solve_nested's prolonged guess), from which phi and the first dd^c
+    phi are synthesized: no forward transform, no half-spectrum dd^c
+    table, and no copy.
     """
     config = config or SolverConfig()
     chart = problem.chart
@@ -534,10 +540,12 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     # phi_{z z-bar}: the step u with u_{z z-bar} = h (e^{-F} - 1) lands on it
     exact = chart.n == 1 and eps == 0
 
-    def residual_field(p):
+    def residual_field(p, h=None):
         """(F, h, det h, least eigenvalue of h) at phi = p; F, h and det h are
-        None if h is not positive-definite."""
-        h = ddc_fiber(p, chart)
+        None if h is not positive-definite.  h, if given, is dd^c p, and
+        becomes h."""
+        if h is None:
+            h = ddc_fiber(p, chart)
         h += g
         me = herm_min_eig(h)
         if not me > 0:
@@ -566,10 +574,16 @@ def solve_ma(problem: MAProblem, config: SolverConfig | None = None,
     else:
         # det g is not read again (but as the reference-volume weight)
         del det_g
-        phi = initial_guess.real.copy()
+        if isinstance(initial_guess, BandSpectrum):
+            # phi and its dd^c are synthesized from the guess's spectrum,
+            # with no forward transform and no half-spectrum table
+            phi = initial_guess.field()
+            h = ddc_fiber(initial_guess, chart)
+        else:
+            phi, h = initial_guess.real.copy(), None
         # a caller that passes its guess without keeping it frees it here
         del initial_guess
-        F, h, det_h, me = residual_field(phi)
+        F, h, det_h, me = residual_field(phi, h)
         if F is None:
             raise DefinitenessError("initial guess loses fiber positivity")
     res = _sup_abs(F)
@@ -679,7 +693,9 @@ def solve_nested(problem_at: Callable, grid_n: int, max_frequency: int,
     is not the exact one of n = 1, eps = 0 (so 24 solves at 8 and 12).  The
     coarsest level is solved from phi = 0, and each finer one from the
     phi of the level below, prolonged to its grid (grid sequencing: by mesh
-    independence, Newton from a coarse-grid start needs few fine steps).
+    independence, Newton from a coarse-grid start needs few fine steps);
+    the guess is handed on as its zero-padded spectrum (prolong_spectrum),
+    which the finer level's first residual reads.
     The answer is accepted by solve_ma's tol test on the grid_n grid only.
     If any level fails (for one, a prolonged guess may lose fiber
     positivity), the grid_n problem is solved from phi = 0 once, as solve_ma
@@ -722,9 +738,10 @@ def _solve_levels(problem_at, problem, max_frequency, config, normalization) -> 
                            NO_NORMALIZATION)
     levels, coarse_phi = coarse.diagnostics["levels"], coarse.phi
     del coarse
-    # the guess is passed, not kept: solve_ma frees it once it has its copy
+    # the guess is the prolonged spectrum, passed, not kept: solve_ma frees
+    # it once it has formed phi and the first h from it
     sol = solve_ma(problem, config, normalization,
-                   initial_guess=prolong(coarse_phi, problem.chart.grid.shape))
+                   initial_guess=prolong_spectrum(coarse_phi, problem.chart.grid.shape))
     start = sol.diagnostics["residual_history"][0] if sol.newton_iters else sol.residual_sup
     return _with_level(sol, levels, start)
 
@@ -998,7 +1015,9 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
     if list(schedule) != sorted(schedule, reverse=True) or len(set(schedule)) != len(schedule):
         raise GeometryError("epsilon schedule must be strictly decreasing")
 
-    base = ricci_flat_problem(family.fiber_metric(s), 0.0)
+    # one checked metric: its positivity pass serves every problem of the schedule
+    metric = family.validate_at(s)
+    base = ricci_flat_problem(metric, 0.0)
     chart = base.chart
     # the Ricci-flat density e^eta det g is the number vol g
     weight = float(np.mean(herm_det(base.gab, real=True)))
@@ -1006,7 +1025,7 @@ def epsilon_continuation(family: Family, s: complex, schedule, config=None) -> E
     solutions, table = [], []
     warm = None
     for eps in schedule:
-        problem = base if eps == 0 else replace(base, epsilon=eps)
+        problem = base if eps == 0 else ricci_flat_problem(metric, eps)
         try:
             sol = solve_ma(problem, config, normalization=KE_VOLUME, initial_guess=warm)
         except SolverDivergence as exc:

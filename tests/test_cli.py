@@ -541,6 +541,38 @@ def test_solve_fiber_checks_the_fine_metric_once(tmp_path, monkeypatch):
     assert passes[0] == 24 and passes.count(24) == 2
 
 
+def test_solve_fiber_n2_finer_levels_read_the_prolonged_spectrum(tmp_path, monkeypatch):
+    """The 12^4 and 24^4 levels of the fiber-n2 command take their first dd^c
+    from the prolonged spectrum: the command transforms no 24^4 field
+    forward, and one 12^4 field, the 12^4 answer that prolong_spectrum
+    carries to 24^4 (its first residual transformed a second).  The 24^4
+    level takes no Newton step, so its chart builds no half-spectrum dd^c
+    table."""
+    shapes = []
+    rfft = cyflab.geometry.rfft
+
+    def recording(f):
+        shapes.append(f.shape)
+        return rfft(f)
+
+    for module in (cyflab.geometry, cyflab.masolver):
+        monkeypatch.setattr(module, "rfft", recording)
+    solved = []
+    solve_nested = cyflab.masolver.solve_nested
+
+    def keeping(*args, **kwargs):
+        solved.append(solve_nested(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(cyflab.cli, "solve_nested", keeping)
+    assert main(["solve-fiber", "--config", str(n2_solve_fiber_config(tmp_path))]) == EXIT_OK
+    (sol,) = solved
+    assert [(r["grid_n"], r["newton_iters"]) for r in sol.diagnostics["levels"]] == [
+        (8, 4), (12, 0), (24, 0)]
+    assert shapes.count((12,) * 4) == 1 and shapes.count((24,) * 4) == 0
+    assert "ddc_mult_half" not in vars(sol.problem.chart)
+
+
 @pytest.mark.parametrize("family, fiber, message", [
     # n = 2, indefinite at s
     ({**N2_FAMILY, "chi": [[1, 0, 0, 0, 0, 0, 0.1, 0.0], [-1, 0, 0, 0, 0, 0, 0.1, 0.0]]},
@@ -586,12 +618,13 @@ def test_solve_fiber_n2_peak_memory(tmp_path):
     """The whole fiber-n2 command, reports included, holds at most 15 real
     24^4 fields of traced allocations over what it starts with.
 
-    Measured in a fresh process: 13.52 fields, reached while dd^c of the
-    prolonged guess forms the metric of its 24^4 residual (g, phi, the
-    dd^c tables, h, the half spectrum of phi and its product with one
-    table are alive); the bound leaves 1.48 fields of margin.  The
-    problem holds no field but g, the solve reads the Ricci-flat target
-    density as a number, and dd^c writes its parts straight into h.
+    Measured in a fresh process: 11.13 fields, reached when the 24^4 level
+    takes sup |F| of its start residual (g, phi, h, det h and F are
+    alive); the bound leaves 3.87 fields of margin.  The problem holds no
+    field but g, the solve reads the Ricci-flat target density as a
+    number, and the first dd^c of the level is synthesized from the
+    prolonged spectrum straight into h, with no half spectrum of phi and
+    no half-spectrum dd^c table.
     """
     path = n2_solve_fiber_config(tmp_path)
     code, peak = _traced_peak(lambda: main(["solve-fiber", "--config", str(path)]))

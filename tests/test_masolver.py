@@ -1022,16 +1022,16 @@ def test_nan_metric_iterate_counts_as_lost_positivity(monkeypatch, flat_setup):
 
 def test_one_positivity_check_per_ricci_flat_problem(monkeypatch, perturbed_family):
     """A Ricci-flat problem checks its fiber metric once: on each stencil
-    point, and on each problem of an eps continuation, which all share one
-    metric."""
+    point, and once for all the problems of an eps continuation, which share
+    one checked metric."""
     checked = _record_calls(monkeypatch, "herm_min_eig")
     solutions = solve_stencil(perturbed_family, BaseStencil(center=1j), eps=0.5)
     for sol in solutions.values():
         assert sum(g is sol.problem.gab for g in checked) == 1
     checked.clear()
     path = epsilon_continuation(perturbed_family, 1j, [1.0, 0.1])
-    # two problems of the schedule and the closing eps = 0 one
-    assert sum(g is path.solutions[0].problem.gab for g in checked) == 3
+    # the two problems of the schedule and the closing eps = 0 one
+    assert sum(g is path.solutions[0].problem.gab for g in checked) == 1
 
 
 def _builder_family(kind, s, **spec):

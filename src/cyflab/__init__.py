@@ -8,7 +8,6 @@ from .geometry import (
     ddc_fiber,
     fiber_derivative,
     fiber_integral,
-    invert_flat_laplacian,
     laplace_beltrami,
 )
 from .models import FamilySpec, FourierPoly, make_family
@@ -49,7 +48,7 @@ __all__ = [
     "d_z", "d_zbar", "dbar_vertical", "ddc_fiber", "direct_image_report",
     "epsilon_continuation", "fiber_derivative", "fiber_integral",
     "fiberwise_ricci_flat", "geodesic_curvature", "horizontal_lift",
-    "invert_flat_laplacian", "k_bound", "kodaira_spencer_norm",
+    "k_bound", "kodaira_spencer_norm",
     "laplace_beltrami", "linearized_solve", "make_family", "pde_residual",
     "ricci_flat_problem", "semiflat_shift", "solve_ma", "theta_E",
     "vphi_cross_check", "wp_norm",

@@ -179,7 +179,8 @@ class BandSpectrum:
 
 
 def prolong_spectrum(f: np.ndarray, shape: tuple) -> BandSpectrum:
-    """The half spectrum of prolong(f, shape), held on the band of f's modes.
+    """The half spectrum of f prolonged to a finer grid of the given shape,
+    held on the band of f's modes; its field() is the prolonged field.
 
     f's half spectrum is zero-padded: each mode k of f with every |k_m| below
     f's Nyquist frequency keeps its coefficient, scaled by the ratio of node
@@ -201,12 +202,6 @@ def prolong_spectrum(f: np.ndarray, shape: tuple) -> BandSpectrum:
             fine.append(np.concatenate([low, high % nf]))
     return BandSpectrum(fh[np.ix_(*coarse)] * (np.prod(shape) / f.size), tuple(fine),
                         tuple(shape))
-
-
-def prolong(f: np.ndarray, shape: tuple) -> np.ndarray:
-    """The real field on a finer grid of the given shape whose half spectrum is f's
-    (prolong_spectrum)."""
-    return prolong_spectrum(f, shape).field()
 
 
 @dataclass(frozen=True)
@@ -238,12 +233,6 @@ class FiberGrid:
         """Coordinate arrays, one per real axis, each of full grid shape."""
         t = np.arange(self.N) / self.N
         return list(np.meshgrid(*([t] * 2 * self.n), indexing="ij"))
-
-    @cached_property
-    def freqs(self) -> list:
-        """Integer frequencies per axis, broadcast to full grid shape."""
-        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        return list(np.meshgrid(*([k] * 2 * self.n), indexing="ij"))
 
     @cached_property
     def deriv_freq_axes(self) -> tuple:
@@ -664,16 +653,6 @@ def ddc_real_fields(fh, chart: FiberChart, out: dict | None = None):
                None if im_mult is None else synthesize(coef * im_mult, out=im_out))
 
 
-def herm_check(g) -> float:
-    """Max deviation from conjugate-transpose symmetry of g[a,b] = g_{a b-bar}."""
-    n = g.shape[0]
-    dev = 0.0
-    for a in range(n):
-        for b in range(n):
-            dev = max(dev, float(np.max(np.abs(g[a, b] - np.conj(g[b, a])))))
-    return dev
-
-
 def _unsupported(g) -> GeometryError:
     return GeometryError("a fiber metric is a (1, 1, *grid) stack (n = 1) or a Herm2 "
                          f"(n = 2), got an array of shape {np.shape(g)}")
@@ -849,30 +828,17 @@ def flat_symbol(chart: FiberChart, g_const=None) -> np.ndarray:
     return lam
 
 
-def invert_flat_laplacian(f: np.ndarray, chart: FiberChart) -> np.ndarray:
-    """Solve Delta u = f with mean(u) = 0 for the chart's metric delta_ab.
-
-    The source must have (coordinate) mean below 1e-10 relative to its size.
-    """
-    f = chart.check_field(f)
-    scale = max(1.0, float(np.max(np.abs(f))))
-    if abs(np.mean(f)) > 1e-10 * scale:
-        raise NormalizationError(
-            f"flat Laplacian inversion needs zero-mean source, got mean {np.mean(f):.3e}")
-    return fourier_multiply(f, chart.flat_inverse_mult)
-
-
 def fiber_integral(density: np.ndarray, chart: FiberChart,
-                   metric: np.ndarray | None = None,
-                   imag_tol: float = 1e-12) -> float:
+                   metric: np.ndarray | None = None) -> float:
     """Quadrature of density against a fiber volume, (i/2)^n convention.
 
     With a metric g the volume form is det(g) * det(Im Omega) dx dy; without
-    one it is the flat coordinate volume det(Im Omega) dx dy.
+    one it is the flat coordinate volume det(Im Omega) dx dy.  The integral
+    must be real to 1e-12 of its size.
     """
     val = fiber_integral_complex(density, chart, metric)
     scale = max(1.0, abs(val))
-    if abs(val.imag) > imag_tol * scale:
+    if abs(val.imag) > 1e-12 * scale:
         raise InvalidFieldError(f"fiber integral has imaginary residue {val.imag:.3e}")
     return float(val.real)
 

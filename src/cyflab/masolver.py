@@ -110,44 +110,6 @@ class SolverConfig:
             raise GeometryError("linear_maxiter must be at least 1")
 
 
-class _MetricEta(np.ndarray):
-    """The eta = -log det g + log vol g that a problem with no eta given forms
-    from its gab (origin) when eta is read.
-
-    Given back to MAProblem with that same gab, as dataclasses.replace gives
-    it, it is not stored: the new problem forms it on read too.
-    """
-
-    origin = None
-
-
-class _Eta:
-    """MAProblem.eta: the eta given, or, if none was, the _MetricEta formed
-    from gab on each read (eta_from_metric); the problem stores only what
-    was given, under the same name."""
-
-    def __get__(self, problem, owner=None):
-        if problem is None:
-            # what @dataclass reads for a default: eta has none
-            raise AttributeError("eta")
-        eta = vars(problem)["eta"]
-        if eta is not None:
-            return eta
-        det_g = herm_det(problem.gab, real=True)
-        # int e^eta det(g) = int det(g) forces the additive constant
-        eta = np.log(det_g)
-        np.negative(eta, out=eta)
-        eta += np.log(np.mean(det_g))
-        eta = eta.view(_MetricEta)
-        eta.origin = problem.gab
-        return eta
-
-    def __set__(self, problem, eta):
-        if isinstance(eta, _MetricEta) and eta.origin is problem.gab:
-            eta = None
-        vars(problem)["eta"] = eta
-
-
 @dataclass
 class MAProblem:
     """The fiber equation (g + dd^c phi)^n = e^(eps phi + eta + f) g^n for phi
@@ -159,12 +121,11 @@ class MAProblem:
 
     gab is a (1, 1, *grid) complex stack at n = 1 and a Herm2 at n = 2.
     eta None gives the Ricci-flat (or eps-regularized) problem: eta is then
-    -log det g + log vol g, vol g the fiber mean of det g, so with no f
-    the target density is the number vol g, and the solve reads that number.
-    Such a problem stores no eta; reading problem.eta forms it
-    (eta_from_metric), and dataclasses.replace keeps the problem Ricci-flat.
-    extra_f is the forcing term f of the equation; None means no forcing
-    (f = 0), and no field is stored for it.  gab_min_eig, given, is gab's
+    -log det g + log vol g (eta_from_metric), vol g the fiber mean of det g,
+    so the target density is the number vol g, and the solve reads that
+    number; no eta field is formed or stored.  extra_f is the forcing term f
+    of the equation; None means no forcing (f = 0), and no field is stored
+    for it.  A forcing needs an eta given.  gab_min_eig, given, is gab's
     least eigenvalue as the caller computed it, and the check reads it in
     place of its own herm_min_eig pass; it is not stored, so a
     dataclasses.replace copy checks its gab again.
@@ -174,8 +135,8 @@ class MAProblem:
 
     chart: FiberChart
     gab: np.ndarray | Herm2
-    # a descriptor, not a default: eta is required, and None is Ricci-flat
-    eta: np.ndarray | None = _Eta()
+    # required: None is Ricci-flat
+    eta: np.ndarray | None
     epsilon: float
     extra_f: np.ndarray | None = None
     gab_min_eig: InitVar[float | None] = None
@@ -183,6 +144,8 @@ class MAProblem:
     def __post_init__(self, gab_min_eig):
         if self.epsilon < 0:
             raise GeometryError("epsilon must be nonnegative")
+        if self.eta is None and self.extra_f is not None:
+            raise GeometryError("a forcing extra_f needs an eta given")
         if gab_min_eig is None:
             gab_min_eig = herm_min_eig(self.gab)
         # "not > 0" also rejects a metric with a NaN node
@@ -192,7 +155,7 @@ class MAProblem:
     @property
     def ricci_flat(self) -> bool:
         """No eta and no f given: the target density is the number vol g."""
-        return vars(self)["eta"] is None and self.extra_f is None
+        return self.eta is None and self.extra_f is None
 
 
 @dataclass
@@ -211,11 +174,15 @@ class MASolution:
 
 
 def eta_from_metric(gab, chart: FiberChart) -> np.ndarray:
-    """The eta with dd^c eta = -dd^c log det(g_ab) and int e^eta det g = int det g.
-
-    A plain array: given to MAProblem, it is an explicit eta.
-    """
-    return MAProblem(chart=chart, gab=gab, eta=None, epsilon=0.0).eta.view(np.ndarray)
+    """The eta with dd^c eta = -dd^c log det(g_ab) and int e^eta det g = int det g:
+    -log det g + log vol g.  Given to MAProblem, it is an explicit eta.  chart
+    is not read."""
+    det_g = herm_det(gab, real=True)
+    # int e^eta det(g) = int det(g) forces the additive constant
+    eta = np.log(det_g)
+    np.negative(eta, out=eta)
+    eta += np.log(np.mean(det_g))
+    return eta
 
 
 def ricci_flat_problem(metric: FiberMetric, eps: float) -> MAProblem:

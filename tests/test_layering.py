@@ -6,12 +6,16 @@ command line sits on top: cyflab.config and cyflab.reports import neither
 cyflab.suites nor cyflab.cli, cyflab.suites does not import cyflab.cli, and
 no package module imports cyflab.cli.  No module reaches into another's
 private names, and the fiber Laplacian and every n = 2 Hermitian field are
-built in cyflab.geometry only."""
+built in cyflab.geometry only.  The package is what the commands reach: each
+public definition is reached from cli.main, a verify suite or a name the
+benchmark (perfbench/) reads, or is an identity check or test oracle kept by
+name."""
 
 import ast
 from pathlib import Path
 
 import cyflab
+from cyflab.suites import SUITE_RUNNERS
 
 
 def imported_cyflab_modules(path: Path) -> set:
@@ -175,3 +179,133 @@ def test_n2_hermitian_fields_built_in_geometry_only():
             found += [(path.name, line)
                       for line in hermitian_stack_builds(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# the public definitions that no command, suite or benchmark hook reaches,
+# kept on purpose, each with its reason
+UNREACHED_KEPT = {
+    "familygeom.dbar_closedness_residual": "identity check: dbar v is dbar-closed",
+    "familygeom.dbar_star": "identity check: the dbar* that dbar_star_residual applies",
+    "familygeom.dbar_star_residual": "identity check: dbar*(dbar v) = eps (...), harmonic at 0",
+    "familygeom.relative_canonical_curvature":
+        "identity check: Theta_ss(E) is the curvature of the relative canonical bundle",
+    "familygeom.vbarvphi_cross_check": "identity check: the second-order conj(v) v phi_eps",
+    "masolver.semiflat_shift": "identity check: the A(y) corollary of the direct image",
+    "green.GreenOperator.kernel_at": "test oracle: the truncated kernel summed at any point",
+    "green.GreenOperator.kernel_modes": "test oracle: the modes and eigenvalues kernel_at sums",
+}
+
+
+def _named(nodes) -> set:
+    """The identifiers that the given nodes read: names and attribute names."""
+    found = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+    return found
+
+
+def unreached_definitions(sources: dict, roots: set) -> list:
+    """The public functions, classes and methods of {module: source} that no root reaches.
+
+    A module-level function or class is reached when it is a root or a
+    reached body names it; a method, when its class is reached and a
+    reached body names it, or it is a dunder (such as a dataclass's
+    __post_init__).  A class's body is its statements but its methods.  A
+    module's top-level statements but imports run on import, so they are
+    reached.  Names match by name alone: a body that reads an attribute
+    reaches every method of that name.  Keys are module.name and
+    module.Class.name.
+    """
+    defs, named = {}, set(roots)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node, None
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef):
+                        defs[f"{module}.{node.name}.{item.name}"] = item, f"{module}.{node.name}"
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                named |= _named([node])
+    reached = set()
+    while True:
+        new = {key for key, (node, cls) in defs.items() if key not in reached and (
+            node.name in named if cls is None else cls in reached and (
+                node.name in named or node.name.startswith("__") and node.name.endswith("__")))}
+        if not new:
+            break
+        reached |= new
+        for key in new:
+            node = defs[key][0]
+            if isinstance(node, ast.ClassDef):
+                named |= _named(node.bases + node.keywords + node.decorator_list + [
+                    item for item in node.body if not isinstance(item, ast.FunctionDef)])
+            else:
+                named |= _named([node])
+    return sorted(key for key, (node, _) in defs.items()
+                  if key not in reached and not node.name.startswith("_"))
+
+
+def perfbench_names() -> set:
+    """Every name perfbench/*.py reads: its identifiers, the names it imports,
+    and its strings, as the span recorder names the functions it wraps."""
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= _named([tree])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def test_call_graph_check_finds_each_unreached_form():
+    """The check below flags an unreached function, class and method: a body
+    that is not reached reaches nothing, and a method of an unreached class
+    is unreached even where a reached body names it."""
+    sources = {
+        "cli": "\n".join([
+            "def main():",
+            "    return helper(Box().used())",
+            "def helper(x):",
+            "    return x",
+            "def orphan():",
+            "    return helper(1)",
+        ]),
+        "box": "\n".join([
+            "class Box:",
+            "    def __init__(self):",
+            "        self.size = 1",
+            "    def used(self):",
+            "        return self.size",
+            "    def unused(self):",
+            "        return orphan()",
+            "    def _private(self):",
+            "        return 0",
+            "class Spare:",
+            "    def used(self):",
+            "        return 0",
+        ]),
+    }
+    assert unreached_definitions(sources, {"main"}) == [
+        "box.Box.unused", "box.Spare", "box.Spare.used", "cli.orphan"]
+
+
+def test_package_is_what_the_commands_reach():
+    """Every public function, class and method of the package is reached from
+    cli.main, a verify suite (suites.SUITE_RUNNERS) or a name perfbench reads,
+    or is kept by name in UNREACHED_KEPT; and every kept name is still
+    defined and still unreached."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(Path(cyflab.__file__).parent.glob("*.py"))}
+    roots = {"main"} | {run.__name__ for run in SUITE_RUNNERS.values()} | perfbench_names()
+    unreached = unreached_definitions(sources, roots)
+    assert sorted(set(unreached) - set(UNREACHED_KEPT)) == []
+    assert sorted(set(UNREACHED_KEPT) - set(unreached)) == []

@@ -886,7 +886,8 @@ def test_semiflat_requires_ke(product_family):
 
 
 def test_ricci_flat_problem_eta_family(perturbed_family):
-    eta = ricci_flat_problem(perturbed_family.fiber_metric(1j), 0.0).eta
+    metric = perturbed_family.fiber_metric(1j)
+    eta = eta_from_metric(metric.gab, metric.chart)
     form = perturbed_family.omega(1j)
     lhs = fiber_integral(np.exp(eta), form.chart, metric=form.gab)
     rhs = fiber_integral(np.ones(perturbed_family.grid.shape), form.chart,
@@ -897,8 +898,7 @@ def test_ricci_flat_problem_eta_family(perturbed_family):
 @pytest.mark.parametrize("kind", ["universal_elliptic", "product-n2"])
 def test_ricci_flat_problem_holds_only_its_inputs(kind):
     """A Ricci-flat problem holds no grid-sized array but gab: no eta, det g
-    or log det g.  Its eta is formed on each read, bit-equal to
-    eta_from_metric, and an eta_from_metric given back is an explicit eta."""
+    or log det g.  An eta_from_metric given to MAProblem is an explicit eta."""
     family, s = BUILDER_FAMILIES[kind]
     metric = family.fiber_metric(s)
     problem = ricci_flat_problem(metric, 0.0)
@@ -907,27 +907,31 @@ def test_ricci_flat_problem_holds_only_its_inputs(kind):
     held = [name for name, value in vars(problem).items()
             if name != "gab" and isinstance(value, np.ndarray) and value.size >= nodes]
     assert held == []
-    assert vars(problem)["eta"] is None
+    assert problem.eta is None
     eta = eta_from_metric(metric.gab, metric.chart)
-    assert problem.eta is not problem.eta
-    assert problem.eta.tobytes() == eta.tobytes()
     assert not MAProblem(chart=metric.chart, gab=metric.gab, eta=eta, epsilon=0.0).ricci_flat
 
 
 def test_replace_keeps_a_ricci_flat_problem_ricci_flat(perturbed_family):
-    """dataclasses.replace reads the formed eta and gives it back with the
-    same gab: the copy stores no eta and solves as ricci_flat_problem does.
-    With another gab, or with a forcing, that eta is explicit."""
+    """A Ricci-flat problem's eta is None, so a dataclasses.replace copy is
+    Ricci-flat too, on its own gab: it solves as ricci_flat_problem does."""
     metric = perturbed_family.fiber_metric(1j)
     base = ricci_flat_problem(metric, 0.0)
     moved = dataclasses.replace(base, epsilon=0.1)
-    assert moved.ricci_flat and vars(moved)["eta"] is None
+    assert moved.ricci_flat and moved.eta is None
     direct = solve_ma(ricci_flat_problem(metric, 0.1))
     assert solve_ma(moved).phi.tobytes() == direct.phi.tobytes()
-    other = dataclasses.replace(base, gab=metric.gab.copy())
-    assert not other.ricci_flat and np.array_equal(other.eta, base.eta)
-    forced = dataclasses.replace(base, extra_f=np.zeros(metric.chart.grid.shape))
-    assert not forced.ricci_flat and vars(forced)["eta"] is None
+    other = dataclasses.replace(base, gab=2.0 * metric.gab)
+    assert other.ricci_flat and other.eta is None
+
+
+def test_a_forcing_needs_an_eta(perturbed_family):
+    """MAProblem refuses a forcing f with eta None: no problem is Ricci-flat
+    and forced at once, and no builder makes one."""
+    metric = perturbed_family.fiber_metric(1j)
+    with pytest.raises(GeometryError):
+        MAProblem(metric.chart, metric.gab, eta=None, epsilon=0.0,
+                  extra_f=np.zeros(metric.chart.grid.shape))
 
 
 def test_ricci_flat_solve_rejects_an_infinite_volume(flat_setup):
@@ -1052,6 +1056,20 @@ BUILDER_FAMILIES = {
                             (0, 0, 1, 1, 0, 0): 0.004j, (0, 0, -1, -1, 0, 0): -0.004j})),
 }
 
+
+@pytest.mark.parametrize("kind", sorted(BUILDER_FAMILIES))
+def test_eta_from_metric_is_its_formula(kind):
+    """eta_from_metric is -log det g + log mean det g, bit for bit, by these
+    operations: the explicit-eta problem a benchmark times stays the same."""
+    family, s = BUILDER_FAMILIES[kind]
+    metric = family.fiber_metric(s)
+    det_g = herm_det(metric.gab, real=True)
+    eta = np.log(det_g)
+    np.negative(eta, out=eta)
+    eta += np.log(np.mean(det_g))
+    assert np.array_equal(eta_from_metric(metric.gab, metric.chart), eta)
+
+
 def _positivity_limit(metric, psi) -> float:
     """sup t with g + t dd^c psi positive-definite: the least positive root
     over nodes of det(g + t dd^c psi) = c + b t + a t^2 (a = 0 at n = 1)."""
@@ -1080,7 +1098,7 @@ def test_problem_builders_on_random_potentials(kind, modes, fraction, eps):
     of its positivity limit, is recovered by solve_ma and by solve_nested, or
     the solve raises SolverDivergence or DefinitenessError.  A returned solve
     meets its tol and counts as fallbacks exactly the steps whose linear
-    residual missed their rtol.  ricci_flat_problem forms eta_from_metric's eta."""
+    residual missed their rtol."""
     family, s = BUILDER_FAMILIES[kind]
     n = family.n
     # one mode per frequency up to sign, so that no two cancel
@@ -1097,8 +1115,6 @@ def test_problem_builders_on_random_potentials(kind, modes, fraction, eps):
                               + phase) for k, (a, phase) in waves.items())
 
     metric = family.fiber_metric(s)
-    assert np.array_equal(ricci_flat_problem(metric, eps).eta,
-                          eta_from_metric(metric.gab, metric.chart))
     scale = fraction * _positivity_limit(metric, shape_on(metric.chart.grid))
     phi_star = scale * shape_on(metric.chart.grid)
 
